@@ -14,15 +14,26 @@ One executable, eight subcommands:
 
 All randomness flows from one --seed; stages derive their own streams
 from it, so rerunning any command with the same inputs reproduces its
-outputs byte for byte.  `XMODAL_THREADS` caps how many pipeline
-variants run concurrently (the two training branches are independent).
+outputs byte for byte.
+
+Threads: `pipeline` trains its two independent branches (naive and
+balanced) in a two-worker thread pool, and while that pool runs the
+BLAS library is held at one thread, so each branch's matmuls use one
+core and the two branches fill two.  Left at its default, BLAS would
+start its own threads inside each branch, and the oversubscribed cores
+would run every branch at half speed.  Everything outside the pool
+(data generation, sequence embedding, the other subcommands) keeps the
+library's default thread count, because wide matmuls there do use
+every core.  With one BLAS thread per branch, branch results also no
+longer depend on how many cores the machine has.
 """
 
 import argparse
+import ctypes
 import json
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -206,17 +217,58 @@ class PipelineConfig:
             return cls(json.load(fh))
 
 
-def _max_workers():
-    raw = os.environ.get("XMODAL_THREADS", "")
-    if raw.strip():
+# (get, set) symbol names of the BLAS thread count: the scipy-openblas
+# build bundled with numpy 2 wheels, the 64-bit-suffixed OpenBLAS of
+# older wheels, then a plain OpenBLAS
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _blas_thread_functions():
+    """(get, set) for the BLAS thread count numpy uses, or None.
+
+    dlsym on numpy's own extension module also searches the libraries
+    it links, which is where the bundled OpenBLAS lives.
+    """
+    try:
+        from numpy._core import _multiarray_umath as ext
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as ext
+    try:
+        lib = ctypes.CDLL(ext.__file__)
+    except OSError:
+        return None
+    for get_name, set_name in _BLAS_THREAD_SYMBOLS:
         try:
-            cap = int(raw)
-        except ValueError:
-            raise ValueError(f"XMODAL_THREADS must be an integer, got {raw!r}")
-        if cap < 1:
-            raise ValueError("XMODAL_THREADS must be >= 1")
-        return min(2, cap)
-    return 2
+            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold BLAS at one thread for the block, then restore the prior count.
+
+    Without a resolvable setter no cap is applied.
+    """
+    blas = _blas_thread_functions()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    prior = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(prior)
 
 
 def run_pipeline(spec, pipe_config=None, out_dir=None, seed=None):
@@ -276,7 +328,7 @@ def run_pipeline(spec, pipe_config=None, out_dir=None, seed=None):
                                          anchor_cos(aligned)}
         return config, params, hist1, base_metrics, aligned, hist2, aligned_metrics
 
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=2) as pool:
         naive_future = pool.submit(run_branch, False)
         ltr_future = pool.submit(run_branch, True)
         naive_branch = naive_future.result()

@@ -21,7 +21,6 @@ the resulting checkpoint.
 """
 
 import json
-import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -103,14 +102,13 @@ class TrainHistory:
     stage: str
     entries: list = field(default_factory=list)
 
-    def record(self, epoch, mean_loss, components, wall_time_s):
+    def record(self, epoch, mean_loss, components):
         if not np.isfinite(mean_loss):
             raise ValueError(f"non-finite epoch loss {mean_loss}")
         self.entries.append({
             "epoch": int(epoch),
             "mean_loss": float(mean_loss),
             "components": {k: float(v) for k, v in components.items()},
-            "wall_time_s": float(wall_time_s),
         })
 
     def to_json(self):
@@ -131,17 +129,22 @@ def sample_triplets(labels, batch_size, rng):
     classes, counts = np.unique(labels, return_counts=True)
     if classes.size < 2:
         raise ValueError("triplet sampling needs >= 2 classes")
-    anchor_ok = np.isin(labels, classes[counts >= 2])
-    eligible = np.flatnonzero(anchor_ok)
+    anchor_classes = classes[counts >= 2]
+    eligible = np.flatnonzero(np.isin(labels, anchor_classes))
     if eligible.size == 0:
         raise ValueError("no class has >= 2 samples; cannot form a positive pair")
+    # ascending member and complement indices per anchor class
+    members = {int(c): np.flatnonzero(labels == c) for c in anchor_classes}
+    others = {int(c): np.flatnonzero(labels != c) for c in anchor_classes}
     triplets = []
     for _ in range(int(batch_size)):
         a = int(eligible[rng.integers(eligible.size)])
-        same = np.flatnonzero(labels == labels[a])
-        same = same[same != a]
-        p = int(same[rng.integers(same.size)])
-        diff = np.flatnonzero(labels != labels[a])
+        c = int(labels[a])
+        same = members[c]
+        # j indexes the classmates with `a` left out
+        j = int(rng.integers(same.size - 1))
+        p = int(same[j] if same[j] < a else same[j + 1])
+        diff = others[c]
         n = int(diff[rng.integers(diff.size)])
         triplets.append((a, p, n))
     return triplets
@@ -244,7 +247,6 @@ def train_stage1(config, train_features, labels, params=None):
     history = TrainHistory("stage1")
 
     for epoch in range(config.epochs_stage1):
-        t0 = time.perf_counter()
         loss_sum = ce_sum = rtl_sum = 0.0
         for batch_idx in range(batches):
             trip = sample_triplets(labels, config.batch_size, rng)
@@ -272,8 +274,7 @@ def train_stage1(config, train_features, labels, params=None):
             ce_sum += ce_part
             rtl_sum += rtl_part
         history.record(epoch, loss_sum / batches,
-                       {"softmax": ce_sum / batches, "rtl": rtl_sum / batches},
-                       time.perf_counter() - t0)
+                       {"softmax": ce_sum / batches, "rtl": rtl_sum / batches})
     return params, history
 
 
@@ -352,6 +353,7 @@ def align_stage2(config, params, anchors, train_features, labels):
     if np.any(np.linalg.norm(anchor_mat[present], axis=1) == 0):
         raise ValueError("zero-norm genetic anchor has no direction")
     per_taxon = {int(t): np.flatnonzero(labels == t) for t in present}
+    other_taxa = {int(t): np.flatnonzero(labels != t) for t in present}
 
     rng = np.random.default_rng(derive_seed(config.seed, "stage2"))
     wd = config.weight_decay if config.ltr_enabled else 0.0
@@ -359,7 +361,6 @@ def align_stage2(config, params, anchors, train_features, labels):
     history = TrainHistory("stage2")
 
     for epoch in range(config.epochs_stage2):
-        t0 = time.perf_counter()
         loss_sum = 0.0
         for batch_idx in range(batches):
             taxa, p_idx, n_idx = [], [], []
@@ -367,7 +368,7 @@ def align_stage2(config, params, anchors, train_features, labels):
                 t = int(present[rng.integers(present.size)])
                 pool = per_taxon[t]
                 p = int(pool[rng.integers(pool.size)])
-                others = np.flatnonzero(labels != t)
+                others = other_taxa[t]
                 n = int(others[rng.integers(others.size)])
                 taxa.append(t)
                 p_idx.append(p)
@@ -385,8 +386,7 @@ def align_stage2(config, params, anchors, train_features, labels):
             params = embednet.HeadParams(params.W1, params.b1, params.W2,
                                          params.b2, frozen_Wc, frozen_bc)
             loss_sum += loss
-        history.record(epoch, loss_sum / batches, {"cosine": loss_sum / batches},
-                       time.perf_counter() - t0)
+        history.record(epoch, loss_sum / batches, {"cosine": loss_sum / batches})
     return params, history
 
 

@@ -2,8 +2,9 @@
 
 Everything here is written for obviousness, not speed: the SGT oracle
 is the literal all-pairs double loop, the KNN oracle scans every
-gallery item per query with plain Python, and gradients come from
-central finite differences.  None of it imports the production code
+gallery item per query with plain Python, the triplet sampler rescans
+the labels for every draw, and gradients come from central finite
+differences.  None of it imports the production code
 paths it checks.
 """
 
@@ -56,6 +57,26 @@ def knn_oracle(gallery_matrix, gallery_labels, query_matrix, k):
             tied.sort(key=lambda c: (mean_dist(c), c))
         preds.append(tied[0])
     return np.array(preds)
+
+
+def sample_triplets_oracle(labels, batch_size, rng):
+    """Triplet draws by rescanning the labels per triplet, in the
+    production draw order: anchor uniform over items whose class has
+    >= 2 samples, positive uniform over its classmates, negative uniform
+    over every other item."""
+    labels = np.asarray(labels)
+    classes, counts = np.unique(labels, return_counts=True)
+    eligible = np.flatnonzero(np.isin(labels, classes[counts >= 2]))
+    triplets = []
+    for _ in range(int(batch_size)):
+        a = int(eligible[rng.integers(eligible.size)])
+        same = np.flatnonzero(labels == labels[a])
+        same = same[same != a]
+        p = int(same[rng.integers(same.size)])
+        diff = np.flatnonzero(labels != labels[a])
+        n = int(diff[rng.integers(diff.size)])
+        triplets.append((a, p, n))
+    return triplets
 
 
 def finite_difference(f, x, step=1e-6):

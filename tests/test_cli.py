@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import xmodal
-from xmodal import dataio
-from xmodal.cli import PipelineConfig, _max_workers, main, run_pipeline
+from xmodal import cli, dataio, trainer
+from xmodal.cli import PipelineConfig, main, run_pipeline
 from xmodal.synthgen import SynthSpec
 
 TINY_SPEC = {
@@ -135,20 +135,39 @@ def test_pipeline_config_validation():
     assert pipe.k == 3 and pipe.train_overrides == {"epochs_stage1": 1}
 
 
-def test_max_workers_env(monkeypatch):
-    monkeypatch.delenv("XMODAL_THREADS", raising=False)
-    assert _max_workers() == 2
-    monkeypatch.setenv("XMODAL_THREADS", "1")
-    assert _max_workers() == 1
-    monkeypatch.setenv("XMODAL_THREADS", "8")
-    assert _max_workers() == 2
-    monkeypatch.setenv("XMODAL_THREADS", "zero")
-    with pytest.raises(ValueError, match="XMODAL_THREADS"):
-        _max_workers()
+def test_pipeline_branches_run_on_one_blas_thread(monkeypatch):
+    blas = cli._blas_thread_functions()
+    if blas is None:
+        pytest.skip("no BLAS thread-count setter resolves")
+    get_threads, _ = blas
+    prior = get_threads()
+    spec = SynthSpec.from_dict(TINY_SPEC)
+    pipe = PipelineConfig({"k": 3, "train": TINY_TRAIN})
+    seen = []
+    real_stage1 = trainer.train_stage1
+
+    def spy(*args, **kwargs):
+        seen.append(get_threads())
+        return real_stage1(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "train_stage1", spy)
+    run_pipeline(spec, pipe)
+    assert seen == [1, 1]
+    assert get_threads() == prior
+
+    def fail(*args, **kwargs):
+        seen.append(get_threads())
+        raise RuntimeError("branch failed")
+
+    seen.clear()
+    monkeypatch.setattr(trainer, "train_stage1", fail)
+    with pytest.raises(RuntimeError, match="branch failed"):
+        run_pipeline(spec, pipe)
+    assert seen == [1, 1]
+    assert get_threads() == prior
 
 
-def test_run_pipeline_report_and_artifacts(tmp_path, monkeypatch):
-    monkeypatch.setenv("XMODAL_THREADS", "1")
+def test_run_pipeline_report_and_artifacts(tmp_path):
     spec = SynthSpec.from_dict(TINY_SPEC)
     pipe = PipelineConfig({"k": 3, "train": TINY_TRAIN})
     report = run_pipeline(spec, pipe, out_dir=tmp_path)
@@ -168,8 +187,7 @@ def test_run_pipeline_report_and_artifacts(tmp_path, monkeypatch):
     assert on_disk == report
 
 
-def test_run_pipeline_is_deterministic(monkeypatch):
-    monkeypatch.setenv("XMODAL_THREADS", "2")
+def test_run_pipeline_is_deterministic():
     spec = SynthSpec.from_dict(TINY_SPEC)
     pipe = PipelineConfig({"k": 3, "train": TINY_TRAIN})
     one = run_pipeline(spec, pipe)
@@ -177,8 +195,7 @@ def test_run_pipeline_is_deterministic(monkeypatch):
     assert one == two
 
 
-def test_pipeline_command_with_config_file(tmp_path, monkeypatch):
-    monkeypatch.setenv("XMODAL_THREADS", "1")
+def test_pipeline_command_with_config_file(tmp_path):
     config = {"k": 3, "train": TINY_TRAIN, "synth_spec": TINY_SPEC}
     config_path = tmp_path / "pipe.json"
     config_path.write_text(json.dumps(config))
