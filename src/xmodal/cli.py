@@ -12,6 +12,10 @@ One executable, eight subcommands:
   pipeline   chain everything for the four ablation variants and write
              a comparison report.json
 
+`pipeline` calls the same stage functions as the subcommands, so its
+files equal those of the synth, sgt-embed, anchors, train, align and
+eval chain run on the same spec and config at one BLAS thread.
+
 All randomness flows from one --seed; stages derive their own streams
 from it, so rerunning any command with the same inputs reproduces its
 outputs byte for byte.
@@ -47,9 +51,11 @@ VARIANTS = ("naive", "naive+A", "wd+m", "wd+m+A")
 
 
 def _load_synth_spec(ref, seed=None):
-    """`ref` is the literal \"default\" or a JSON path."""
+    """`ref` is the literal \"default\", a JSON path, or a spec dict."""
     if ref == "default":
         spec = synthgen.SynthSpec()
+    elif isinstance(ref, dict):
+        spec = synthgen.SynthSpec.from_dict(ref)
     else:
         spec = synthgen.SynthSpec.load(ref)
     if seed is not None:
@@ -57,15 +63,65 @@ def _load_synth_spec(ref, seed=None):
     return spec
 
 
-def _seed_lineage(seed, names):
-    lineage = {"seed": int(seed)}
-    for name in names:
+def _genetic_table(records, labels, kappa):
+    """SGT-embed `records` -> FeatureTable labelled by `labels[id]`."""
+    missing = [r.id for r in records if r.id not in labels]
+    if missing:
+        raise ValueError(f"no taxon label for sequences {missing[:5]}")
+    ids, matrix = sgt.embed_sequences(records, kappa)
+    return dataio.FeatureTable(ids, [labels[i] for i in ids], matrix)
+
+
+def _anchor_table(genetic):
+    """Per-taxon median anchors of a genetic FeatureTable, one row each."""
+    anchors = sgt.anchors_from_table(genetic.ids, genetic.matrix,
+                                     genetic.labels)
+    return dataio.FeatureTable(
+        [f"anchor{a.taxon:02d}" for a in anchors],
+        [a.taxon for a in anchors],
+        np.stack([a.vector for a in anchors]),
+    )
+
+
+def _anchors_by_taxon(table):
+    return {int(lbl): table.matrix[i] for i, lbl in enumerate(table.labels)}
+
+
+def _save_stage(params, path, stage, seed, lineage=None):
+    """Save a checkpoint whose seed lineage adds the streams this stage
+    drew from to `lineage` (for stage 2, the stage-1 checkpoint's);
+    returns the new lineage."""
+    lineage = {**(lineage or {}), "seed": int(seed)}
+    for name in ("init", "stage1") if stage == "stage1" else ("stage2",):
         lineage[name] = derive_seed(seed, name)
+    save_checkpoint(params, path, stage, lineage)
     return lineage
 
 
-def _anchor_table_to_dict(table):
-    return {int(lbl): table.matrix[i] for i, lbl in enumerate(table.labels)}
+def _evaluate(params, gallery_feats, query_feats, k, counts=None,
+              centroids=False):
+    """Embed gallery and queries once, cosine-KNN, long-tailed metrics.
+
+    `counts` defaults to a tally of the gallery labels; either way it is
+    zero-padded to cover every gallery and query label.  With
+    `centroids`, class centroids stand in for the gallery.  Returns
+    (MetricsReport, gallery EmbeddingTable).
+    """
+    gallery = evalkit.embed_features(params, gallery_feats)
+    queries = evalkit.embed_features(params, query_feats)
+    if counts is None:
+        counts = np.bincount(gallery.labels)
+    size = max(len(counts), gallery.labels.max() + 1,
+               queries.labels.max() + 1)
+    counts = np.pad(counts, (0, size - len(counts)))
+    reference = gallery
+    if centroids:
+        class_ids, cents = evalkit.class_centroids(gallery)
+        reference = evalkit.EmbeddingTable(
+            [f"centroid{c:02d}" for c in class_ids], class_ids, cents)
+    preds = evalkit.knn_predict(reference, queries, k)
+    report = evalkit.compute_metrics(preds, queries.labels, counts, k=k)
+    return report, gallery
 
 
 def cmd_synth(args):
@@ -83,27 +139,17 @@ def cmd_synth(args):
 def cmd_sgt_embed(args):
     with open(args.fasta, encoding="utf-8") as fh:
         records = dataio.parse_fasta(fh)
-    labels = dataio.load_labels_csv(args.labels)
-    missing = [r.id for r in records if r.id not in labels]
-    if missing:
-        raise ValueError(f"no taxon label for sequences {missing[:5]}")
-    ids, matrix = sgt.embed_sequences(records, args.kappa)
-    table = dataio.FeatureTable(ids, [labels[i] for i in ids], matrix)
+    table = _genetic_table(records, dataio.load_labels_csv(args.labels),
+                           args.kappa)
     dataio.write_feature_csv(table, args.out)
     print(f"embedded {table.n} sequences (kappa={args.kappa}) -> {args.out}")
     return 0
 
 
 def cmd_anchors(args):
-    table = dataio.load_feature_csv(getattr(args, "in"))
-    anchors = sgt.anchors_from_table(table.ids, table.matrix, table.labels)
-    out = dataio.FeatureTable(
-        [f"anchor{a.taxon:02d}" for a in anchors],
-        [a.taxon for a in anchors],
-        np.stack([a.vector for a in anchors]),
-    )
-    dataio.write_feature_csv(out, args.out)
-    print(f"{len(anchors)} anchors -> {args.out}")
+    table = _anchor_table(dataio.load_feature_csv(getattr(args, "in")))
+    dataio.write_feature_csv(table, args.out)
+    print(f"{table.n} anchors -> {args.out}")
     return 0
 
 
@@ -111,8 +157,7 @@ def cmd_train(args):
     config = TrainConfig.load(args.config)
     table = dataio.load_feature_csv(args.features)
     params, history = trainer.train_stage1(config, table.matrix, table.labels)
-    save_checkpoint(params, args.out, "stage1",
-                    _seed_lineage(config.seed, ["init", "stage1"]))
+    _save_stage(params, args.out, "stage1", config.seed)
     if args.history:
         trainer.write_history(history, args.history)
     last = history.entries[-1]["mean_loss"] if history.entries else float("nan")
@@ -125,13 +170,10 @@ def cmd_align(args):
     config = TrainConfig.load(args.config)
     params, _, lineage = load_checkpoint(args.ckpt)
     table = dataio.load_feature_csv(args.features)
-    anchor_table = dataio.load_feature_csv(args.anchors)
-    anchors = _anchor_table_to_dict(anchor_table)
+    anchors = _anchors_by_taxon(dataio.load_feature_csv(args.anchors))
     params, history = trainer.align_stage2(config, params, anchors,
                                            table.matrix, table.labels)
-    lineage = dict(lineage)
-    lineage.update(_seed_lineage(config.seed, ["stage2"]))
-    save_checkpoint(params, args.out, "stage2", lineage)
+    _save_stage(params, args.out, "stage2", config.seed, lineage)
     if args.history:
         trainer.write_history(history, args.history)
     last = history.entries[-1]["mean_loss"] if history.entries else float("nan")
@@ -140,35 +182,12 @@ def cmd_align(args):
     return 0
 
 
-def _counts_for_metrics(args, gallery):
-    n_classes = int(max(gallery.labels.max(), 0)) + 1
-    if args.counts:
-        counts = dataio.load_label_counts(args.counts)
-        if len(counts) < n_classes:
-            counts = np.concatenate([counts,
-                                     np.zeros(n_classes - len(counts),
-                                              dtype=np.int64)])
-        return counts
-    return np.bincount(gallery.labels, minlength=n_classes)
-
-
 def cmd_eval(args):
     params, _, _ = load_checkpoint(args.ckpt)
-    gallery_feats = dataio.load_feature_csv(args.gallery)
-    query_feats = dataio.load_feature_csv(args.queries)
-    gallery = evalkit.embed_features(params, gallery_feats)
-    queries = evalkit.embed_features(params, query_feats)
-    counts = _counts_for_metrics(args, gallery)
-    if args.centroids:
-        class_ids, cents = evalkit.class_centroids(gallery)
-        gallery = evalkit.EmbeddingTable(
-            [f"centroid{c:02d}" for c in class_ids], class_ids, cents)
-    preds = evalkit.knn_predict(gallery, queries, args.k)
-    n_classes = len(counts)
-    if int(queries.labels.max()) >= n_classes:
-        counts = np.concatenate([counts, np.zeros(
-            int(queries.labels.max()) + 1 - n_classes, dtype=np.int64)])
-    report = evalkit.compute_metrics(preds, queries.labels, counts, k=args.k)
+    counts = dataio.load_label_counts(args.counts) if args.counts else None
+    report, _ = _evaluate(params, dataio.load_feature_csv(args.gallery),
+                          dataio.load_feature_csv(args.queries), args.k,
+                          counts, args.centroids)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -192,11 +211,11 @@ def cmd_layout(args):
 
 class PipelineConfig:
     """Optional JSON config for `pipeline`: {"train": {TrainConfig fields},
-    "k": int, "tail_threshold": int, "head_threshold": int,
-    "synth_spec": "default"|path|{SynthSpec fields}}.  Unknown keys rejected.
+    "k": int, "synth_spec": "default"|path|{SynthSpec fields}}.  Unknown
+    keys rejected.
     """
 
-    KEYS = {"train", "k", "tail_threshold", "head_threshold", "synth_spec"}
+    KEYS = {"train", "k", "synth_spec"}
 
     def __init__(self, obj=None):
         obj = dict(obj or {})
@@ -205,10 +224,6 @@ class PipelineConfig:
             raise ValueError(f"unknown pipeline config keys: {sorted(unknown)}")
         self.train_overrides = dict(obj.get("train", {}))
         self.k = int(obj.get("k", 5))
-        self.tail_threshold = int(obj.get("tail_threshold",
-                                          evalkit.TAIL_THRESHOLD))
-        self.head_threshold = int(obj.get("head_threshold",
-                                          evalkit.HEAD_THRESHOLD))
         self.synth_spec = obj.get("synth_spec", "default")
 
     @classmethod
@@ -271,7 +286,7 @@ def _one_blas_thread():
         set_(prior)
 
 
-def run_pipeline(spec, pipe_config=None, out_dir=None, seed=None):
+def run_pipeline(spec, pipe_config=None, out_dir=None):
     """Synth -> embed -> anchors -> two training branches -> four evals.
 
     The branches share one seed, so `naive` and `wd+m` see identical
@@ -282,85 +297,57 @@ def run_pipeline(spec, pipe_config=None, out_dir=None, seed=None):
     histories, and report.json.
     """
     pipe = pipe_config or PipelineConfig()
-    if seed is not None:
-        spec = synthgen.SynthSpec.from_dict({**spec.to_dict(), "seed": seed})
-
     data = synthgen.generate(spec)
-    ids, genetic = sgt.embed_sequences(data.records, spec.kappa)
-    genetic_table = dataio.FeatureTable(
-        ids, [data.seq_labels[i] for i in ids], genetic)
-    anchors = sgt.anchors_from_table(genetic_table.ids, genetic_table.matrix,
-                                     genetic_table.labels)
-    anchor_dict = {a.taxon: a.vector for a in anchors}
-
+    genetic = _genetic_table(data.records, data.seq_labels, spec.kappa)
+    anchor_table = _anchor_table(genetic)
+    anchors = _anchors_by_taxon(anchor_table)
+    train, test = data.train_table, data.test_table
     base = dict(d_in=spec.dim, embed_dim=256, kappa=spec.kappa, seed=spec.seed)
     base.update(pipe.train_overrides)
-    train_counts = np.bincount(data.train_table.labels,
-                               minlength=spec.n_classes)
-
-    def evaluate(params):
-        gallery = evalkit.embed_features(params, data.train_table)
-        queries = evalkit.embed_features(params, data.test_table)
-        preds = evalkit.knn_predict(gallery, queries, pipe.k)
-        return evalkit.compute_metrics(
-            preds, queries.labels, train_counts,
-            tail_threshold=pipe.tail_threshold,
-            head_threshold=pipe.head_threshold, k=pipe.k)
-
-    def anchor_cos(params):
-        gallery = evalkit.embed_features(params, data.train_table)
-        mean, _ = evalkit.anchor_centroid_cosines(gallery, anchor_dict)
-        return mean
 
     def run_branch(ltr_enabled):
         config = TrainConfig.from_dict({**base, "ltr_enabled": ltr_enabled,
                                         "align_enabled": True})
-        params, hist1 = trainer.train_stage1(config, data.train_table.matrix,
-                                             data.train_table.labels)
-        base_metrics = evaluate(params)
-        cos_before = anchor_cos(params)
-        aligned, hist2 = trainer.align_stage2(config, params, anchor_dict,
-                                              data.train_table.matrix,
-                                              data.train_table.labels)
-        aligned_metrics = evaluate(aligned)
-        aligned_metrics.alignment = {"anchor_centroid_cos_before": cos_before,
-                                     "anchor_centroid_cos_after":
-                                         anchor_cos(aligned)}
-        return config, params, hist1, base_metrics, aligned, hist2, aligned_metrics
+        params, hist1 = trainer.train_stage1(config, train.matrix,
+                                             train.labels)
+        base_metrics, gallery = _evaluate(params, train, test, pipe.k)
+        aligned, hist2 = trainer.align_stage2(config, params, anchors,
+                                              train.matrix, train.labels)
+        aligned_metrics, aligned_gallery = _evaluate(aligned, train, test,
+                                                     pipe.k)
+        aligned_metrics.alignment = {
+            "anchor_centroid_cos_before":
+                evalkit.anchor_centroid_cosines(gallery, anchors)[0],
+            "anchor_centroid_cos_after":
+                evalkit.anchor_centroid_cosines(aligned_gallery, anchors)[0],
+        }
+        return (config, params, aligned, [hist1, hist2], base_metrics,
+                aligned_metrics)
 
     with _one_blas_thread(), ThreadPoolExecutor(max_workers=2) as pool:
         naive_future = pool.submit(run_branch, False)
         ltr_future = pool.submit(run_branch, True)
-        naive_branch = naive_future.result()
-        ltr_branch = ltr_future.result()
+        branches = {"naive": naive_future.result(),
+                    "wd+m": ltr_future.result()}
 
-    results = {}
-    branches = {"naive": naive_branch, "wd+m": ltr_branch}
-    for tag, branch in branches.items():
-        _, _, _, base_metrics, _, _, aligned_metrics = branch
-        results[tag] = base_metrics
-        results[tag + "+A"] = aligned_metrics
-    report = {tag: results[tag].to_dict() for tag in VARIANTS}
+    report = {}  # in VARIANTS order
+    for tag, (*_, base_metrics, aligned_metrics) in branches.items():
+        report[tag] = base_metrics.to_dict()
+        report[tag + "+A"] = aligned_metrics.to_dict()
 
     if out_dir is not None:
         out = Path(out_dir)
         (out / "data").mkdir(parents=True, exist_ok=True)
         synthgen.write_outputs(data, out / "data")
-        dataio.write_feature_csv(genetic_table, out / "genetic.csv")
-        anchor_out = dataio.FeatureTable(
-            [f"anchor{a.taxon:02d}" for a in anchors],
-            [a.taxon for a in anchors],
-            np.stack([a.vector for a in anchors]))
-        dataio.write_feature_csv(anchor_out, out / "anchors.csv")
+        dataio.write_feature_csv(genetic, out / "genetic.csv")
+        dataio.write_feature_csv(anchor_table, out / "anchors.csv")
         for tag, fname in (("naive", "naive"), ("wd+m", "wdm")):
-            config, params, hist1, _, aligned, hist2, _ = branches[tag]
-            lineage = _seed_lineage(config.seed, ["init", "stage1", "stage2"])
-            save_checkpoint(params, out / f"ckpt_{fname}.json", "stage1",
-                            lineage)
-            save_checkpoint(aligned, out / f"ckpt_{fname}_aligned.json",
-                            "stage2", lineage)
-            trainer.write_history([hist1, hist2],
-                                  out / f"history_{fname}.json")
+            config, params, aligned, histories, *_ = branches[tag]
+            lineage = _save_stage(params, out / f"ckpt_{fname}.json",
+                                  "stage1", config.seed)
+            _save_stage(aligned, out / f"ckpt_{fname}_aligned.json",
+                        "stage2", config.seed, lineage)
+            trainer.write_history(histories, out / f"history_{fname}.json")
         with open(out / "report.json", "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -371,14 +358,8 @@ def cmd_pipeline(args):
     pipe = PipelineConfig.load(args.config) if args.config else PipelineConfig()
     if args.k is not None:
         pipe.k = args.k
-    spec_ref = args.spec if args.spec is not None else pipe.synth_spec
-    if isinstance(spec_ref, dict):
-        spec = synthgen.SynthSpec.from_dict(spec_ref)
-        if args.seed is not None:
-            spec = synthgen.SynthSpec.from_dict(
-                {**spec.to_dict(), "seed": args.seed})
-    else:
-        spec = _load_synth_spec(spec_ref, args.seed)
+    spec = _load_synth_spec(args.spec if args.spec is not None
+                            else pipe.synth_spec, args.seed)
     report = run_pipeline(spec, pipe, out_dir=args.out)
     for tag in VARIANTS:
         m = report[tag]

@@ -325,23 +325,6 @@ def write_labels_csv(mapping, path):
             fh.write(f"{sid},{taxon}\n")
 
 
-@dataclass
-class LabelMap:
-    """Display names and training sample counts, contiguous taxon ids 0..C-1."""
-
-    names: dict
-    train_counts: dict
-
-    def __post_init__(self):
-        ids = sorted(self.train_counts)
-        if ids != list(range(len(ids))):
-            raise ValueError(f"taxon ids must be contiguous 0..C-1, got {ids}")
-
-    @property
-    def counts_array(self):
-        return np.array([self.train_counts[i] for i in sorted(self.train_counts)])
-
-
 def load_label_counts(path):
     """Read per-taxon counts from a CSV.
 
@@ -394,28 +377,8 @@ class SplitSpec:
             raise ValueError(f"train/test overlap: {sorted(overlap)[:5]}")
 
 
-def load_split(path):
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if not isinstance(obj, dict) or set(obj) != {"train", "test"}:
-        raise ValueError(f"{path}: split JSON must have exactly 'train' and 'test'")
-    return SplitSpec(obj["train"], obj["test"])
-
-
 def write_split(split, path):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"train": split.train, "test": split.test}, fh, indent=2,
                   sort_keys=True)
         fh.write("\n")
-
-
-def split_table(table, split):
-    """Apply a SplitSpec to a FeatureTable -> (train_table, test_table)."""
-    pos = {rid: i for i, rid in enumerate(table.ids)}
-    missing = [rid for rid in split.train + split.test if rid not in pos]
-    if missing:
-        raise ValueError(f"split ids not present in table: {missing[:5]}")
-    return (
-        table.rows([pos[rid] for rid in split.train]),
-        table.rows([pos[rid] for rid in split.test]),
-    )

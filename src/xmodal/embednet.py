@@ -254,21 +254,30 @@ def load_checkpoint(path, expect_dims=None):
 
     `expect_dims` is an optional (D, H, E, C) tuple; a mismatch against
     the stored dims raises rather than returning a head the caller's
-    config cannot drive.
+    config cannot drive.  A file that is not valid JSON, lacks a field
+    or holds arrays of the wrong shape raises one ValueError naming
+    `path`.
     """
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    dims = obj["dims"]
-    stored = (dims["d_in"], dims["hidden"], dims["embed_dim"], dims["n_classes"])
+    try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+        dims = obj["dims"]
+        stored = (dims["d_in"], dims["hidden"], dims["embed_dim"],
+                  dims["n_classes"])
+        arrays = {name: np.array(obj["params"][name], dtype=np.float64)
+                  for name in FIELDS}
+        for name in ("b1", "b2", "bc"):
+            arrays[name] = arrays[name].reshape(-1)
+        params = HeadParams(**arrays)
+        stage = obj["stage"]
+    except KeyError as exc:
+        raise ValueError(f"{path}: checkpoint has no field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed checkpoint: {exc}") from None
     if expect_dims is not None and tuple(expect_dims) != stored:
         raise ValueError(
             f"checkpoint dims {stored} do not match expected {tuple(expect_dims)}"
         )
-    arrays = {name: np.array(obj["params"][name], dtype=np.float64)
-              for name in FIELDS}
-    for name in ("b1", "b2", "bc"):
-        arrays[name] = arrays[name].reshape(-1)
-    params = HeadParams(**arrays)
     if params.dims != stored:
         raise ValueError(f"{path}: stored arrays disagree with recorded dims")
-    return params, obj["stage"], obj.get("seed_lineage", {})
+    return params, stage, obj.get("seed_lineage", {})

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import xmodal
-from xmodal import cli, dataio, trainer
+from xmodal import cli, dataio, embednet, trainer
 from xmodal.cli import PipelineConfig, main, run_pipeline
 from xmodal.synthgen import SynthSpec
 
@@ -57,8 +57,11 @@ def chain(tmp_path_factory):
          "--features", str(data / "train.csv"), "--iters", "300",
          "--out", str(root / "layout.csv")],
     ]
-    for argv in steps:
-        assert main(argv) == 0, argv[0]
+    # `pipeline` trains and evaluates on one BLAS thread; the chain does
+    # too, so their files can be compared byte for byte on any machine
+    with cli._one_blas_thread():
+        for argv in steps:
+            assert main(argv) == 0, argv[0]
     return root
 
 
@@ -116,6 +119,61 @@ def test_eval_with_centroid_gallery(chain):
     assert metrics["k"] == 1 and metrics["n_test"] > 0
 
 
+def test_eval_counts_pads_to_query_labels(tmp_path):
+    """Counts cover taxon 0 only, the gallery {0, 1}, the queries {0, 1, 2}."""
+    rng = np.random.default_rng(0)
+
+    def write_table(name, labels):
+        table = dataio.FeatureTable([f"{name}{i}" for i in range(len(labels))],
+                                    labels, rng.normal(size=(len(labels), 8)))
+        dataio.write_feature_csv(table, tmp_path / f"{name}.csv")
+        return str(tmp_path / f"{name}.csv")
+
+    gallery = write_table("gallery", [0, 0, 0, 1, 1, 1])
+    queries = write_table("queries", [0, 1, 2, 2])
+    counts = tmp_path / "counts.csv"
+    counts.write_text("taxon_id,train_count\n0,3\n")
+    ckpt = tmp_path / "ckpt.json"
+    embednet.save_checkpoint(embednet.init_head(8, 16, 4, 2, seed=0), ckpt,
+                             "stage1")
+    out = tmp_path / "metrics.json"
+    rc = main(["eval", "--ckpt", str(ckpt), "--gallery", gallery,
+               "--queries", queries, "--k", "3", "--counts", str(counts),
+               "--out", str(out)])
+    assert rc == 0
+    metrics = json.loads(out.read_text())
+    assert np.array(metrics["confusion"]).shape == (3, 3)
+    assert len(metrics["per_class"]) == 3
+    assert metrics["per_class"][2] == 0.0
+
+
+@pytest.mark.parametrize("damage", ["missing-key", "truncated"])
+def test_eval_reports_malformed_checkpoint(chain, tmp_path, capsys, damage):
+    text = (chain / "aligned.json").read_text()
+    if damage == "missing-key":
+        obj = json.loads(text)
+        del obj["dims"]
+        text = json.dumps(obj)
+    else:
+        text = text[:len(text) // 2]
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    capsys.readouterr()
+    rc = main(["eval", "--ckpt", str(bad),
+               "--gallery", str(chain / "data" / "train.csv"),
+               "--queries", str(chain / "data" / "test.csv"),
+               "--k", "3", "--out", str(tmp_path / "metrics.json")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert str(bad) in lines[0]
+    if damage == "missing-key":
+        assert "'dims'" in lines[0]
+    assert "Traceback" not in err
+    assert not (tmp_path / "metrics.json").exists()
+
+
 def test_cli_reports_errors_as_exit_one(chain, capsys):
     assert main(["synth", "--spec", "missing.json", "--out", "x"]) == 1
     assert "error:" in capsys.readouterr().err
@@ -131,6 +189,10 @@ def test_cli_reports_errors_as_exit_one(chain, capsys):
 def test_pipeline_config_validation():
     with pytest.raises(ValueError, match="unknown pipeline config keys"):
         PipelineConfig({"learning_rate": 0.1})
+    # eval has no threshold flags, so pipeline takes none either
+    for key in ("tail_threshold", "head_threshold"):
+        with pytest.raises(ValueError, match=key):
+            PipelineConfig({key: 10})
     pipe = PipelineConfig({"k": 3, "train": {"epochs_stage1": 1}})
     assert pipe.k == 3 and pipe.train_overrides == {"epochs_stage1": 1}
 
@@ -185,6 +247,27 @@ def test_run_pipeline_report_and_artifacts(tmp_path):
     assert (tmp_path / "data" / "train.csv").exists()
     on_disk = json.loads((tmp_path / "report.json").read_text())
     assert on_disk == report
+
+
+def test_pipeline_files_equal_subcommand_chain(chain, tmp_path):
+    """`pipeline --out` writes byte for byte what the subcommands write."""
+    out = tmp_path / "pipe"
+    report = run_pipeline(SynthSpec.from_dict(TINY_SPEC),
+                          PipelineConfig({"k": 3, "train": TINY_TRAIN}),
+                          out_dir=out)
+    pairs = [("data/sequences.fa", "data/sequences.fa"),
+             ("data/train.csv", "data/train.csv"),
+             ("data/test.csv", "data/test.csv"),
+             ("genetic.csv", "genetic.csv"),
+             ("anchors.csv", "anchors.csv"),
+             ("ckpt_wdm.json", "ckpt.json"),
+             ("ckpt_wdm_aligned.json", "aligned.json")]
+    for mine, theirs in pairs:
+        assert (out / mine).read_bytes() == (chain / theirs).read_bytes(), mine
+    metrics = {key: value for key, value in report["wd+m+A"].items()
+               if key != "alignment"}
+    assert (json.dumps(metrics, indent=2, sort_keys=True) + "\n"
+            == (chain / "metrics.json").read_text())
 
 
 def test_run_pipeline_is_deterministic():

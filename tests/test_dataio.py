@@ -5,22 +5,18 @@ import pytest
 
 from xmodal.dataio import (
     FeatureTable,
-    LabelMap,
     SequenceRecord,
     SplitSpec,
     format_fasta,
     load_feature_csv,
     load_label_counts,
     load_labels_csv,
-    load_split,
     parse_fasta,
     read_feature_bin,
-    split_table,
     write_feature_bin,
     write_feature_csv,
     write_fasta,
     write_labels_csv,
-    write_split,
 )
 
 
@@ -179,12 +175,6 @@ def test_labels_csv_duplicate(tmp_path):
         load_labels_csv(path)
 
 
-def test_label_map_contiguity():
-    LabelMap(names={0: "a", 1: "b"}, train_counts={0: 5, 1: 2})
-    with pytest.raises(ValueError, match="contiguous"):
-        LabelMap(names={}, train_counts={0: 5, 2: 2})
-
-
 def test_load_label_counts_direct_table(tmp_path):
     path = tmp_path / "counts.csv"
     path.write_text("taxon_id,name,train_count\n0,alpha,500\n2,gamma,10\n")
@@ -202,17 +192,3 @@ def test_load_label_counts_tally(tmp_path):
 def test_split_spec_overlap():
     with pytest.raises(ValueError, match="overlap"):
         SplitSpec(train=["a", "b"], test=["b"])
-
-
-def test_split_round_trip_and_apply(tmp_path):
-    table = small_table()
-    split = SplitSpec(train=["item0", "item2"], test=["item1"])
-    path = tmp_path / "split.json"
-    write_split(split, path)
-    back = load_split(path)
-    assert back.train == split.train and back.test == split.test
-    train, test = split_table(table, back)
-    assert train.ids == ["item0", "item2"]
-    assert test.ids == ["item1"]
-    with pytest.raises(ValueError, match="not present"):
-        split_table(table, SplitSpec(train=["ghost"], test=[]))

@@ -153,7 +153,7 @@ def test_write_outputs_round_trip(tmp_path):
     train = dataio.load_feature_csv(tmp_path / "train.csv")
     assert train.matrix.tobytes() == data.train_table.matrix.tobytes()
     assert train.ids == data.train_table.ids
-    split = dataio.load_split(tmp_path / "split.json")
-    assert split.train == data.split.train and split.test == data.split.test
+    split = json.loads((tmp_path / "split.json").read_text())
+    assert split == {"train": data.split.train, "test": data.split.test}
     manifest = json.loads((tmp_path / "truth.json").read_text())
     assert manifest == data.manifest
