@@ -2,11 +2,15 @@
 
 Classification is visual-only at test time: train-set embeddings form
 the gallery, each query votes among its k most cosine-similar gallery
-items.  Metrics are reported overall and per class, with the per-class
-means additionally restricted to tail classes (train count below 100)
-and head classes (above 1000), the split that makes imbalance damage
-visible.  Class-centroid cosine distance matrices can be pressed into
-2-D with a Kamada-Kawai style stress minimizer for figures.
+items.  Queries are scored in chunks of at most KNN_CHUNK rows, so KNN
+memory is bounded by one chunk's similarity block (KNN_CHUNK x N x 8
+bytes for an N-row gallery) and one copy of it, whatever the number of
+queries.  Metrics are reported overall and per class, with the
+per-class means additionally restricted to tail classes (train count
+below 100) and head classes (above 1000), the split that makes
+imbalance damage visible.  Class-centroid cosine distance matrices can
+be pressed into 2-D with a Kamada-Kawai style stress minimizer for
+figures.
 """
 
 from dataclasses import dataclass, field
@@ -17,6 +21,7 @@ from . import embednet
 
 TAIL_THRESHOLD = 100
 HEAD_THRESHOLD = 1000
+KNN_CHUNK = 512  # queries per similarity block in knn_predict
 
 
 @dataclass
@@ -64,6 +69,12 @@ def knn_predict(gallery, queries, k):
     Neighbor order is by descending similarity with gallery index as
     the tie key.  Vote ties go to the class whose in-k members sit at
     the smaller mean cosine distance, then to the smaller class id.
+
+    Queries run in near-equal chunks of at most KNN_CHUNK rows.  Each
+    chunk holds one KNN_CHUNK x N float64 similarity block and one
+    partitioned copy of it to find the k-th largest similarity per row;
+    only items at or above that threshold are sorted.  Votes count over
+    the distinct gallery labels, so taxon ids may be arbitrary.
     """
     k = int(k)
     if k < 1:
@@ -75,27 +86,43 @@ def knn_predict(gallery, queries, k):
     if gallery.matrix.shape[1] != queries.matrix.shape[1]:
         raise ValueError("gallery/query embedding dims differ")
 
-    sims = _normalize_rows(queries.matrix) @ _normalize_rows(gallery.matrix).T
+    n = gallery.n
+    normed = _normalize_rows(gallery.matrix)
+    # compact class codes: votes are sized by the distinct labels, never
+    # by the largest taxon id; codes sort like the ids they stand for
+    classes, codes = np.unique(gallery.labels, return_inverse=True)
     out = np.empty(queries.n, dtype=np.int64)
-    for qi in range(queries.n):
-        # stable sort on -sim keeps equal-similarity items in index order
-        order = np.argsort(-sims[qi], kind="stable")[:k]
-        neigh_labels = gallery.labels[order]
-        neigh_sims = sims[qi][order]
-        votes = {}
-        for lbl in neigh_labels:
-            votes[int(lbl)] = votes.get(int(lbl), 0) + 1
-        top = max(votes.values())
-        tied = sorted(c for c, v in votes.items() if v == top)
-        if len(tied) == 1:
-            out[qi] = tied[0]
-        else:
-            # mean cosine distance of each tied class's members within the k
-            best = min(
-                tied,
-                key=lambda c: (float(np.mean(1.0 - neigh_sims[neigh_labels == c])), c),
-            )
-            out[qi] = best
+    # near-equal chunks, so no block is a single row unless the whole
+    # query set is: numpy hands a one-row product to BLAS gemv, whose
+    # sums can differ in the last bit from the gemm of a larger block
+    n_chunks = -(-queries.n // KNN_CHUNK)
+    for i in range(n_chunks):
+        lo, hi = i * queries.n // n_chunks, (i + 1) * queries.n // n_chunks
+        sims = _normalize_rows(queries.matrix[lo:hi]) @ normed.T
+        kth = np.partition(sims, n - k, axis=1)[:, [n - k]]
+        # every item at or above the k-th similarity, ordered by
+        # (row, -similarity, gallery index); the first k of a row are its
+        # neighbors, so similarity ties keep the lower gallery index
+        cand_rows, cand_cols = np.nonzero(sims >= kth)
+        cand_sims = sims[cand_rows, cand_cols]
+        del sims  # free the block before the next one is allocated
+        order = np.lexsort((cand_cols, -cand_sims, cand_rows))
+        # the sort keeps each row's block in place, so a candidate's rank
+        # is its sorted position minus where its row's block starts
+        rank = np.arange(len(order)) - np.searchsorted(cand_rows, cand_rows)
+        keep = order[rank < k]
+        neigh_sims = cand_sims[keep].reshape(hi - lo, k)
+        neigh_codes = codes[cand_cols[keep]].reshape(hi - lo, k)
+        votes = np.zeros((hi - lo, len(classes)), dtype=np.int64)
+        np.add.at(votes, (np.arange(hi - lo)[:, None], neigh_codes), 1)
+        top = votes == votes.max(axis=1, keepdims=True)
+        pred = np.argmax(top, axis=1)
+        for r in np.flatnonzero(top.sum(axis=1) > 1):
+            # vote tie: smaller mean cosine distance of the tied classes'
+            # members within the k, then smaller class id
+            pred[r] = min(np.flatnonzero(top[r]), key=lambda c: (
+                float(np.mean(1.0 - neigh_sims[r][neigh_codes[r] == c])), c))
+        out[lo:hi] = classes[pred]
     return out
 
 

@@ -1,5 +1,7 @@
 """Projection head tests: forward, exact backward, SGD, max-norm, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -229,6 +231,12 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     assert lineage == {"seed": 8, "label": "init"}
     for name in FIELDS:
         assert getattr(loaded, name).tobytes() == getattr(p, name).tobytes()
+    # the file is the sorted-key, compact JSON of the whole checkpoint
+    whole = {"dims": dict(zip(("d_in", "hidden", "embed_dim", "n_classes"), p.dims)),
+             "params": {name: getattr(p, name).tolist() for name in FIELDS},
+             "seed_lineage": {"seed": 8, "label": "init"}, "stage": "stage1"}
+    assert path.read_text(encoding="utf-8") == json.dumps(
+        whole, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def test_checkpoint_validates_stage_and_dims(tmp_path):

@@ -1,9 +1,11 @@
 """Evaluation tests: KNN vs the exhaustive oracle, metrics, 2-D layout."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from xmodal import embednet
+from xmodal import embednet, evalkit
 from xmodal.dataio import FeatureTable
 from xmodal.evalkit import (
     EmbeddingTable,
@@ -94,6 +96,70 @@ def test_knn_matches_oracle_on_random_instances():
             got = knn_predict(gallery, queries, k)
             want = knn_oracle(g, g_labels.tolist(), q, k)
             assert got.tolist() == list(want), f"trial {trial} k={k}"
+
+
+# Directions with at most two nonzero components, scaled by powers of two:
+# rows of one direction normalize to the same bits, so their similarities
+# tie exactly, and every similarity equals the oracle's bit for bit.
+TIE_GALLERY = np.array([
+    [1, 0, 0], [2, 0, 0],        # similarity tie across classes 2 and 1
+    [0, 1, 0], [0, 0.5, 0],      # similarity tie across classes 1 and 2
+    [0, 0, 1], [1, 1, 0],
+    [0, 2, 2], [0, 0, 4],        # row 7 ties row 4 across classes 1 and 0
+], dtype=np.float64)
+TIE_LABELS = np.array([2, 1, 1, 2, 0, 0, 2, 1])
+TIE_DIRECTIONS = np.array([
+    [1, 1, 0], [1, 0, 0], [0, 1, 0], [1, 0, 1], [0, 0, 1], [0, 1, 1],
+], dtype=np.float64)
+
+
+def tie_queries(n_q):
+    # all queries tie gallery rows; k = 2, 3, 5 and n give vote ties
+    scale = 2.0 ** (np.arange(n_q) % 3)
+    return TIE_DIRECTIONS[np.arange(n_q) % len(TIE_DIRECTIONS)] * scale[:, None]
+
+
+def test_knn_chunk_boundaries_keep_tie_rules(monkeypatch):
+    # 11 queries in chunks of at most 3: ties sit on both sides of every
+    # boundary, and k == gallery.n makes the whole gallery vote
+    q = tie_queries(11)
+    gallery = table(TIE_GALLERY, TIE_LABELS)
+    queries = table(q, np.zeros(len(q), dtype=int), prefix="q")
+    ks = (1, 2, 3, 4, 5, gallery.n)
+    one_block = {k: knn_predict(gallery, queries, k) for k in ks}
+    monkeypatch.setattr(evalkit, "KNN_CHUNK", 3)
+    for k in ks:
+        got = knn_predict(gallery, queries, k)
+        want = knn_oracle(TIE_GALLERY, TIE_LABELS, q, k)
+        assert got.tolist() == list(want), f"k={k}"
+        assert np.array_equal(got, one_block[k]), f"k={k}"
+
+
+def test_knn_sparse_taxon_ids():
+    ids = np.array([7 * 10**12, 0, 10**9])
+    labels = ids[TIE_LABELS]
+    gallery = table(TIE_GALLERY, labels)
+    q = tie_queries(9)
+    queries = table(q, np.zeros(len(q), dtype=int), prefix="q")
+    for k in (1, 2, 5, gallery.n):
+        want = knn_oracle(TIE_GALLERY, labels, q, k)
+        assert knn_predict(gallery, queries, k).tolist() == list(want), f"k={k}"
+
+
+def test_knn_peak_memory_does_not_grow_with_queries():
+    rng = np.random.default_rng(3)
+    gallery = table(rng.normal(size=(4000, 8)), rng.integers(0, 8, size=4000))
+
+    def peak(n_q):
+        queries = table(rng.normal(size=(n_q, 8)), np.zeros(n_q, dtype=int), prefix="q")
+        tracemalloc.start()
+        try:
+            knn_predict(gallery, queries, 5)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4000) / peak(500) <= 1.25
 
 
 def test_knn_validates_inputs():
