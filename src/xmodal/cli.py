@@ -302,7 +302,7 @@ def run_pipeline(spec, pipe_config=None, out_dir=None):
     anchor_table = _anchor_table(genetic)
     anchors = _anchors_by_taxon(anchor_table)
     train, test = data.train_table, data.test_table
-    base = dict(d_in=spec.dim, embed_dim=256, kappa=spec.kappa, seed=spec.seed)
+    base = dict(d_in=spec.dim, embed_dim=256, seed=spec.seed)
     base.update(pipe.train_overrides)
 
     def run_branch(ltr_enabled):

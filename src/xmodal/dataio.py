@@ -23,6 +23,7 @@ memory.
 
 import csv
 import io
+import itertools
 import json
 import re
 import struct
@@ -181,7 +182,70 @@ def _expected_header(dim):
 
 
 def load_feature_csv(path):
-    """Load a ``features.csv`` file; D is inferred from the header."""
+    """Load a ``features.csv`` file; D is inferred from the header.
+
+    A plain file is parsed in one streamed pass; any file that pass
+    cannot vouch for is read again by the row parser, whose errors name
+    the offending line or row.
+    """
+    try:
+        return _load_feature_csv_streamed(path)
+    except ValueError:
+        return _load_feature_csv_rows(path)
+
+
+def _plain(line):
+    """`line` holds none of the characters that make csv differ from a
+    split at commas: a quote, a carriage return or a NUL."""
+    return '"' not in line and "\r" not in line and "\0" not in line
+
+
+def _load_feature_csv_streamed(path):
+    """The streamed pass of load_feature_csv: np.loadtxt parses the
+    feature part of each line as it is read, and ids and labels are
+    collected on the way.  loadtxt and float() both round through
+    PyOS_string_to_double, so the matrix is the row parser's bit for bit.
+
+    Raises ValueError, without naming the line, for anything the row
+    parser might read differently or reject: a line that is not plain, a
+    bad header, no rows, a short or long row, a label that is not a
+    non-negative integer, a non-finite or unparsable value, or a
+    duplicate id.
+    """
+    ids, labels = [], []
+
+    def feature_parts(lines):
+        for line in lines:
+            if not _plain(line):
+                raise ValueError("not a plain CSV line")
+            line = line.rstrip("\n")
+            if line:  # csv skips blank lines too
+                rid, label, feats = line.split(",", 2)
+                if not feats:  # loadtxt would skip it as a blank line
+                    raise ValueError("empty feature field")
+                ids.append(rid)
+                labels.append(int(label))
+                yield feats
+
+    with open(path, encoding="utf-8", newline="\n") as fh:
+        header = fh.readline()
+        dim = header.count(",") - 1
+        if (dim < 1 or not _plain(header)
+                or header.rstrip("\n").split(",") != _expected_header(dim)):
+            raise ValueError("bad header")
+        rows = feature_parts(fh)
+        first = next(rows, None)
+        if first is None:  # loadtxt would warn on empty input
+            raise ValueError("no data rows")
+        matrix = np.loadtxt(itertools.chain([first], rows), delimiter=",",
+                            comments=None, ndmin=2)
+    if matrix.shape != (len(ids), dim):
+        raise ValueError("rows do not match the header")
+    # rejects negative labels, non-finite values and duplicate ids
+    return FeatureTable(ids, np.array(labels), matrix)
+
+
+def _load_feature_csv_rows(path):
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:

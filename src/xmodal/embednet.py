@@ -14,10 +14,13 @@ forward/backward are exact (checked against finite differences), and
 backward SUMS gradients over the batch.  Callers wanting a batch mean
 scale the upstream gradients by 1/B, which keeps the chain rule plain.
 
-sgd_step applies weight decay to the three weight matrices only, never
-to biases.  maxnorm_project caps the L2 norm of each classifier row at
-delta, the balance device that stops head classes from growing
-oversized logit scales.
+A head is one contiguous float64 buffer, `flat`, with W1, b1, W2, b2,
+Wc, bc as named views into it in that order; backward fills a gradient
+head of the same layout.  sgd_step updates a head in place, block by
+block, with weight decay on the three weight matrices only.
+maxnorm_project caps the L2 norm of each classifier row at delta, the
+balance device that stops head classes from growing oversized logit
+scales.
 """
 
 import json
@@ -25,59 +28,58 @@ from dataclasses import dataclass
 
 import numpy as np
 
+FIELDS = ("W1", "b1", "W2", "b2", "Wc", "bc")
+WEIGHT_FIELDS = ("W1", "W2", "Wc")
+# doubles per block of the SGD update: a block of params, gradients and
+# scratch (768 KB) stays in L2 while it is read, updated and checked
+SGD_BLOCK = 32768
+
 
 def _check_finite(name, arr):
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"non-finite values in {name}")
 
 
-@dataclass
+def _layout(dims):
+    """(name, shape, start, stop) of each field in `flat`, in FIELDS order."""
+    d, h, e, c = dims
+    out, start = [], 0
+    for name, shape in zip(FIELDS, ((h, d), (h,), (e, h), (e,), (c, e), (c,))):
+        stop = start + int(np.prod(shape))
+        out.append((name, shape, start, stop))
+        start = stop
+    return out
+
+
 class HeadParams:
-    W1: np.ndarray
-    b1: np.ndarray
-    W2: np.ndarray
-    b2: np.ndarray
-    Wc: np.ndarray
-    bc: np.ndarray
+    """The six head arrays as named views into one float64 buffer `flat`.
+    Construction copies them into a new buffer and checks shapes and
+    finiteness.  `dims` is (D, H, E, C)."""
 
-    def __post_init__(self):
-        for name in FIELDS:
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            setattr(self, name, arr)
-            _check_finite(name, arr)
-        h, d = self.W1.shape
-        e = self.W2.shape[0]
-        c = self.Wc.shape[0]
-        if (self.b1.shape != (h,) or self.W2.shape != (e, h)
-                or self.b2.shape != (e,) or self.Wc.shape != (c, e)
-                or self.bc.shape != (c,)):
+    def __init__(self, W1, b1, W2, b2, Wc, bc):
+        arrays = [np.asarray(a, dtype=np.float64)
+                  for a in (W1, b1, W2, b2, Wc, bc)]
+        h, d = arrays[0].shape
+        dims = (d, h, arrays[2].shape[0], arrays[4].shape[0])
+        if [a.shape for a in arrays] != [f[1] for f in _layout(dims)]:
             raise ValueError("inconsistent parameter shapes")
-
-    @property
-    def dims(self):
-        """(D, H, E, C)"""
-        h, d = self.W1.shape
-        return d, h, self.W2.shape[0], self.Wc.shape[0]
-
-    def copy(self):
-        return HeadParams(*(getattr(self, n).copy() for n in FIELDS))
-
-
-FIELDS = ("W1", "b1", "W2", "b2", "Wc", "bc")
-
-
-@dataclass
-class GradientSet:
-    W1: np.ndarray
-    b1: np.ndarray
-    W2: np.ndarray
-    b2: np.ndarray
-    Wc: np.ndarray
-    bc: np.ndarray
-
-    def __post_init__(self):
+        self._bind(np.concatenate([a.ravel() for a in arrays]), dims)
         for name in FIELDS:
             _check_finite(name, getattr(self, name))
+
+    def _bind(self, flat, dims):
+        self.flat, self.dims = flat, tuple(dims)
+        for name, shape, start, stop in _layout(dims):
+            setattr(self, name, flat[start:stop].reshape(shape))
+        return self
+
+    @classmethod
+    def empty(cls, dims):
+        """An unchecked, uninitialized head of `dims`: a gradient buffer."""
+        return cls.__new__(cls)._bind(np.empty(_layout(dims)[-1][3]), dims)
+
+    def copy(self):
+        return HeadParams.__new__(HeadParams)._bind(self.flat.copy(), self.dims)
 
 
 @dataclass
@@ -143,8 +145,7 @@ def forward(params, features):
         x = x[None, :]
     if x.ndim != 2 or x.shape[1] != params.dims[0]:
         raise ValueError(
-            f"features must be (B, {params.dims[0]}), got {x.shape}"
-        )
+            f"features must be (B, {params.dims[0]}), got {x.shape}")
     _check_finite("features", x)
     z1 = x @ params.W1.T + params.b1
     a1 = np.maximum(z1, 0.0)
@@ -153,8 +154,9 @@ def forward(params, features):
     return embedding, logits, ForwardCache(params, x, z1, a1, embedding, logits)
 
 
-def backward(cache, d_embedding, d_logits):
-    """Exact gradients of the forward map, summed over the batch.
+def backward(cache, d_embedding, d_logits, out=None):
+    """Exact gradients of the forward map, summed over the batch, written
+    into the gradient head `out` (a new one if None) and returned.
 
     Either upstream gradient may be all zeros (e.g. a loss that never
     looks at logits).  The relu subgradient at exactly 0 is taken as 0.
@@ -168,40 +170,48 @@ def backward(cache, d_embedding, d_logits):
         d_z = d_z[None, :]
     if d_e.shape != cache.embedding.shape or d_z.shape != cache.logits.shape:
         raise ValueError("upstream gradient shapes do not match the forward pass")
-
-    d_Wc = d_z.T @ cache.embedding
-    d_bc = d_z.sum(axis=0)
+    g = HeadParams.empty(p.dims) if out is None else out
+    np.matmul(d_z.T, cache.embedding, out=g.Wc)
+    np.sum(d_z, axis=0, out=g.bc)
     d_e_total = d_e + d_z @ p.Wc
-
-    d_W2 = d_e_total.T @ cache.a1
-    d_b2 = d_e_total.sum(axis=0)
-
+    np.matmul(d_e_total.T, cache.a1, out=g.W2)
+    np.sum(d_e_total, axis=0, out=g.b2)
     d_a1 = d_e_total @ p.W2
     d_z1 = d_a1 * (cache.z1 > 0)
-    d_W1 = d_z1.T @ cache.x
-    d_b1 = d_z1.sum(axis=0)
-    return GradientSet(d_W1, d_b1, d_W2, d_b2, d_Wc, d_bc)
+    np.matmul(d_z1.T, cache.x, out=g.W1)
+    np.sum(d_z1, axis=0, out=g.b1)
+    return g
 
 
-WEIGHT_FIELDS = ("W1", "W2", "Wc")
+def sgd_step(params, grads, lr, weight_decay=0.0, projection_only=False,
+             scratch=None):
+    """One SGD update of `params`, in place: p <- p - lr*(g + wd*p) element
+    by element, with wd = 0.0 on the biases.
 
-
-def sgd_step(params, grads, lr, weight_decay=0.0):
-    """One SGD update: p <- p - lr*(g + wd*p) on weight matrices, biases get
-    no decay.  Returns new params; the input is untouched."""
+    Each field is walked in blocks of SGD_BLOCK doubles through one
+    scratch block (`scratch`, or a new one), and each updated block is
+    checked for finite values while it is in cache: a non-finite value
+    raises ValueError naming its field, after the blocks before it were
+    updated.  With projection_only, Wc and bc are not touched."""
     if lr < 0:
         raise ValueError(f"learning rate must be non-negative, got {lr}")
     if weight_decay < 0:
         raise ValueError(f"weight decay must be non-negative, got {weight_decay}")
-    out = {}
-    for name in FIELDS:
-        p = getattr(params, name)
-        g = getattr(grads, name)
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape mismatch on {name}")
+    if grads.dims != params.dims:
+        raise ValueError(
+            f"gradient shape mismatch: dims {grads.dims} != {params.dims}")
+    s = np.empty(SGD_BLOCK) if scratch is None else scratch
+    n_fields = FIELDS.index("Wc") if projection_only else len(FIELDS)
+    for name, _, start, stop in _layout(params.dims)[:n_fields]:
         wd = weight_decay if name in WEIGHT_FIELDS else 0.0
-        out[name] = p - lr * (g + wd * p)
-    return HeadParams(**out)
+        for lo in range(start, stop, SGD_BLOCK):
+            hi = min(lo + SGD_BLOCK, stop)
+            p, t = params.flat[lo:hi], s[:hi - lo]
+            np.multiply(wd, p, out=t)
+            np.add(grads.flat[lo:hi], t, out=t)
+            np.multiply(lr, t, out=t)
+            np.subtract(p, t, out=p)
+            _check_finite(name, p)
 
 
 def maxnorm_rows(matrix, delta):
@@ -223,11 +233,17 @@ def maxnorm_rows(matrix, delta):
 
 
 def maxnorm_project(params, delta):
-    """Cap the L2 norm of each classifier row at delta; other layers kept."""
+    """Cap the L2 norm of each classifier row at delta; other layers kept.
+
+    Returns `params` itself when no row is over delta, else a capped
+    copy, so the input is never written.
+    """
     Wc = maxnorm_rows(params.Wc, delta)
     if Wc is params.Wc:
         return params
-    return HeadParams(params.W1, params.b1, params.W2, params.b2, Wc, params.bc)
+    out = params.copy()
+    out.Wc[...] = Wc
+    return out
 
 
 def _dumps(obj):
@@ -274,7 +290,8 @@ def load_checkpoint(path, expect_dims=None):
         dims = obj["dims"]
         stored = (dims["d_in"], dims["hidden"], dims["embed_dim"],
                   dims["n_classes"])
-        arrays = {name: np.array(obj["params"][name], dtype=np.float64)
+        # popped, so each field's JSON lists are freed once converted
+        arrays = {name: np.array(obj["params"].pop(name), dtype=np.float64)
                   for name in FIELDS}
         for name in ("b1", "b2", "bc"):
             arrays[name] = arrays[name].reshape(-1)

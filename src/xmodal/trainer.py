@@ -37,17 +37,14 @@ class TrainConfig:
     epochs_stage2: int = 5
     mix_lambda: float = 0.01
     margin_m: float = 0.5
-    alpha: float = 0.2
     weight_decay: float = 5e-3
     maxnorm_delta: float = 1.0
-    maxnorm_scope: str = "classifier"
     ltr_enabled: bool = True
     align_enabled: bool = True
     seed: int = 0
     d_in: int = 2048
     hidden: int = 1000
     embed_dim: int = 256
-    kappa: float = 1.0
     init_scale: float = 0.18
     classifier_init_scale: float = 0.35
 
@@ -63,25 +60,20 @@ class TrainConfig:
         for name in ("mix_lambda", "weight_decay"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        for name in ("maxnorm_delta", "kappa", "alpha", "init_scale",
-                     "classifier_init_scale"):
+        for name in ("maxnorm_delta", "init_scale", "classifier_init_scale"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        if self.maxnorm_scope not in ("classifier", "all"):
-            raise ValueError("maxnorm_scope must be 'classifier' or 'all'")
         if self.align_enabled and self.embed_dim != 256:
             raise ValueError(
                 "alignment needs embed_dim equal to the genetic embedding"
-                f" dim 256, got {self.embed_dim}"
-            )
+                f" dim 256, got {self.embed_dim}")
 
     def to_dict(self):
         return asdict(self)
 
     @classmethod
     def from_dict(cls, obj):
-        known = set(cls.__dataclass_fields__)
-        unknown = set(obj) - known
+        unknown = set(obj) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         return cls(**obj)
@@ -115,14 +107,9 @@ class TrainHistory:
         return {"stage": self.stage, "entries": self.entries}
 
 
-def sample_triplets(labels, batch_size, rng):
-    """Uniform random triplets (anchor_idx, pos_idx, neg_idx).
-
-    Anchors are uniform over items whose class has at least 2 samples,
-    the positive is uniform over the anchor's classmates, the negative
-    uniform over everything else.  Draw order per triplet: anchor,
-    positive, negative.
-    """
+def _triplet_tables(labels):
+    """Validated index tables for sample_triplets: (labels, eligible
+    anchors, ascending members and complement of each anchor class)."""
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.size < 2:
         raise ValueError("need a 1-D label array with >= 2 items")
@@ -133,9 +120,22 @@ def sample_triplets(labels, batch_size, rng):
     eligible = np.flatnonzero(np.isin(labels, anchor_classes))
     if eligible.size == 0:
         raise ValueError("no class has >= 2 samples; cannot form a positive pair")
-    # ascending member and complement indices per anchor class
     members = {int(c): np.flatnonzero(labels == c) for c in anchor_classes}
     others = {int(c): np.flatnonzero(labels != c) for c in anchor_classes}
+    return labels, eligible, members, others
+
+
+def sample_triplets(labels, batch_size, rng, tables=None):
+    """Uniform random triplets (anchor_idx, pos_idx, neg_idx).
+
+    Anchors are uniform over items whose class has at least 2 samples,
+    the positive is uniform over the anchor's classmates, the negative
+    uniform over everything else.  Draw order per triplet: anchor,
+    positive, negative.  `tables` is _triplet_tables(labels), which a
+    training run builds once; without it they are built here.
+    """
+    labels, eligible, members, others = (
+        _triplet_tables(labels) if tables is None else tables)
     triplets = []
     for _ in range(int(batch_size)):
         a = int(eligible[rng.integers(eligible.size)])
@@ -150,8 +150,12 @@ def sample_triplets(labels, batch_size, rng):
     return triplets
 
 
-def _n_batches(n_items, batch_size):
-    return -(-int(n_items) // int(batch_size))
+def _run_setup(params, epochs, batch_size, n_items):
+    """(working head, gradient head, SGD scratch, batches per epoch) of one
+    run; a run with epochs trains a copy, so `params` is never written."""
+    return (params.copy() if epochs else params,
+            embednet.HeadParams.empty(params.dims),
+            np.empty(embednet.SGD_BLOCK), -(-int(n_items) // int(batch_size)))
 
 
 def _stage1_batch_grads(logits_a, class_ids, e_a, e_p, e_n, mix_lambda):
@@ -199,13 +203,9 @@ def _stage1_batch_grads(logits_a, class_ids, e_a, e_p, e_n, mix_lambda):
 
 
 def _apply_maxnorm(params, delta, scope):
-    params = embednet.maxnorm_project(params, delta)
-    if scope == "all":
-        fields = {name: getattr(params, name) for name in embednet.FIELDS}
-        for name in ("W1", "W2"):
-            fields[name] = embednet.maxnorm_rows(fields[name], delta)
-        params = embednet.HeadParams(**fields)
-    return params
+    """The stage-1 cap on classifier rows (`scope` is "classifier"); a
+    capping step returns a copy, so `params` is never written."""
+    return embednet.maxnorm_project(params, delta)
 
 
 def _check_loss(value, stage, epoch, batch_idx, components):
@@ -213,8 +213,7 @@ def _check_loss(value, stage, epoch, batch_idx, components):
         parts = ", ".join(f"{k}={v!r}" for k, v in components.items())
         raise ArithmeticError(
             f"{stage}: non-finite loss {value!r} at epoch {epoch},"
-            f" batch {batch_idx} ({parts})"
-        )
+            f" batch {batch_idx} ({parts})")
 
 
 def train_stage1(config, train_features, labels, params=None):
@@ -240,51 +239,43 @@ def train_stage1(config, train_features, labels, params=None):
                                     n_classes, derive_seed(config.seed, "init"),
                                     scale=config.init_scale,
                                     classifier_scale=config.classifier_init_scale)
+    params, grads, scratch, batches = _run_setup(
+        params, config.epochs_stage1, config.batch_size, x.shape[0])
+    tables = _triplet_tables(labels)
     rng = np.random.default_rng(derive_seed(config.seed, "stage1"))
     wd = config.weight_decay if config.ltr_enabled else 0.0
-    n = x.shape[0]
-    batches = _n_batches(n, config.batch_size)
     history = TrainHistory("stage1")
 
     for epoch in range(config.epochs_stage1):
-        loss_sum = ce_sum = rtl_sum = 0.0
+        sums = np.zeros(3)  # loss, softmax part, rtl part
         for batch_idx in range(batches):
-            trip = sample_triplets(labels, config.batch_size, rng)
-            a_idx = [t[0] for t in trip]
-            p_idx = [t[1] for t in trip]
-            n_idx = [t[2] for t in trip]
-            rows = np.concatenate([a_idx, p_idx, n_idx])
+            trip = sample_triplets(labels, config.batch_size, rng, tables)
+            rows = np.array(trip).T.ravel()  # anchors, positives, negatives
             emb, logits, cache = embednet.forward(params, x[rows])
             b = len(trip)
-            e_a, e_p, e_n = emb[:b], emb[b:2 * b], emb[2 * b:]
-            (loss, ce_part, rtl_part, d_logits_a,
-             d_e_a, d_e_p, d_e_n) = _stage1_batch_grads(
-                logits[:b], labels[a_idx], e_a, e_p, e_n, config.mix_lambda)
+            loss, ce_part, rtl_part, d_logits_a, *d_emb = _stage1_batch_grads(
+                logits[:b], labels[rows[:b]], *np.split(emb, 3),
+                config.mix_lambda)
             _check_loss(loss, "stage1", epoch, batch_idx,
                         {"softmax": ce_part, "rtl": rtl_part})
-            d_emb = np.concatenate([d_e_a, d_e_p, d_e_n])
             d_log = np.zeros_like(logits)
             d_log[:b] = d_logits_a
-            grads = embednet.backward(cache, d_emb, d_log)
-            params = embednet.sgd_step(params, grads, config.lr, wd)
+            embednet.backward(cache, np.concatenate(d_emb), d_log, out=grads)
+            embednet.sgd_step(params, grads, config.lr, wd, scratch=scratch)
             if config.ltr_enabled:
                 params = _apply_maxnorm(params, config.maxnorm_delta,
-                                        config.maxnorm_scope)
-            loss_sum += loss
-            ce_sum += ce_part
-            rtl_sum += rtl_part
-        history.record(epoch, loss_sum / batches,
-                       {"softmax": ce_sum / batches, "rtl": rtl_sum / batches})
+                                        "classifier")
+            sums += (loss, ce_part, rtl_part)
+        mean = sums / batches
+        history.record(epoch, mean[0], {"softmax": mean[1], "rtl": mean[2]})
     return params, history
 
 
 def _anchor_matrix(anchors, present_taxa):
     """Anchors (list of GeneticAnchor or {taxon: vector}) -> (T, E) matrix
     indexable by taxon id.  Every taxon in `present_taxa` must have one."""
-    if isinstance(anchors, dict):
-        items = list(anchors.items())
-    else:
-        items = [(a.taxon, a.vector) for a in anchors]
+    items = (list(anchors.items()) if isinstance(anchors, dict)
+             else [(a.taxon, a.vector) for a in anchors])
     by_taxon = {}
     for taxon, vec in items:
         taxon = int(taxon)
@@ -348,43 +339,35 @@ def align_stage2(config, params, anchors, train_features, labels):
     anchor_mat = _anchor_matrix(anchors, present)
     if anchor_mat.shape[1] != params.dims[2]:
         raise ValueError(
-            f"anchor dim {anchor_mat.shape[1]} != embedding dim {params.dims[2]}"
-        )
+            f"anchor dim {anchor_mat.shape[1]} != embedding dim {params.dims[2]}")
     if np.any(np.linalg.norm(anchor_mat[present], axis=1) == 0):
         raise ValueError("zero-norm genetic anchor has no direction")
     per_taxon = {int(t): np.flatnonzero(labels == t) for t in present}
     other_taxa = {int(t): np.flatnonzero(labels != t) for t in present}
 
+    params, grads, scratch, batches = _run_setup(
+        params, config.epochs_stage2, config.batch_size, x.shape[0])
     rng = np.random.default_rng(derive_seed(config.seed, "stage2"))
     wd = config.weight_decay if config.ltr_enabled else 0.0
-    batches = _n_batches(x.shape[0], config.batch_size)
     history = TrainHistory("stage2")
 
     for epoch in range(config.epochs_stage2):
         loss_sum = 0.0
         for batch_idx in range(batches):
-            taxa, p_idx, n_idx = [], [], []
+            drawn = []  # (taxon, positive, negative), drawn in that order
             for _ in range(config.batch_size):
                 t = int(present[rng.integers(present.size)])
-                pool = per_taxon[t]
-                p = int(pool[rng.integers(pool.size)])
-                others = other_taxa[t]
-                n = int(others[rng.integers(others.size)])
-                taxa.append(t)
-                p_idx.append(p)
-                n_idx.append(n)
-            rows = np.concatenate([p_idx, n_idx])
-            emb, _, cache = embednet.forward(params, x[rows])
-            b = config.batch_size
-            loss, d_e_p, d_e_n = _stage2_batch_grads(
-                anchor_mat[taxa], emb[:b], emb[b:], config.margin_m)
+                p = per_taxon[t][rng.integers(per_taxon[t].size)]
+                drawn.append((t, p, other_taxa[t][rng.integers(other_taxa[t].size)]))
+            taxa, *pos_neg = np.array(drawn).T
+            emb, _, cache = embednet.forward(params, x[np.concatenate(pos_neg)])
+            loss, *d_emb = _stage2_batch_grads(
+                anchor_mat[taxa], *np.split(emb, 2), config.margin_m)
             _check_loss(loss, "stage2", epoch, batch_idx, {"cosine": loss})
-            d_emb = np.concatenate([d_e_p, d_e_n])
-            grads = embednet.backward(cache, d_emb, np.zeros_like(cache.logits))
-            frozen_Wc, frozen_bc = params.Wc, params.bc
-            params = embednet.sgd_step(params, grads, config.lr, wd)
-            params = embednet.HeadParams(params.W1, params.b1, params.W2,
-                                         params.b2, frozen_Wc, frozen_bc)
+            embednet.backward(cache, np.concatenate(d_emb),
+                              np.zeros_like(cache.logits), out=grads)
+            embednet.sgd_step(params, grads, config.lr, wd,
+                              projection_only=True, scratch=scratch)
             loss_sum += loss
         history.record(epoch, loss_sum / batches, {"cosine": loss_sum / batches})
     return params, history

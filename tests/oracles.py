@@ -3,9 +3,9 @@
 Everything here is written for obviousness, not speed: the SGT oracle
 is the literal all-pairs double loop, the KNN oracle scans every
 gallery item per query with plain Python, the triplet sampler rescans
-the labels for every draw, and gradients come from central finite
-differences.  None of it imports the production code
-paths it checks.
+the labels for every draw, the SGD update builds each new field whole,
+and gradients come from central finite differences.  None of it
+imports the production code paths it checks.
 """
 
 import math
@@ -77,6 +77,18 @@ def sample_triplets_oracle(labels, batch_size, rng):
         n = int(diff[rng.integers(diff.size)])
         triplets.append((a, p, n))
     return triplets
+
+
+def sgd_step_oracle(params, grads, lr, weight_decay,
+                    weight_fields=("W1", "W2", "Wc")):
+    """The out-of-place SGD update, one whole field at a time:
+    {name: p - lr*(g + wd*p)} with wd = 0.0 off the weight matrices.
+    `params` and `grads` map field names to arrays; inputs are kept."""
+    out = {}
+    for name, p in params.items():
+        wd = weight_decay if name in weight_fields else 0.0
+        out[name] = p - lr * (grads[name] + wd * p)
+    return out
 
 
 def finite_difference(f, x, step=1e-6):

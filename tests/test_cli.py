@@ -186,6 +186,53 @@ def test_cli_reports_errors_as_exit_one(chain, capsys):
     assert "exceeds gallery" in capsys.readouterr().err
 
 
+# feature CSVs the row parser rejects, with its message after the path;
+# each reaches it through the streamed pass's fallback
+BAD_FEATURE_CSVS = {
+    "quoted-bad-label": ('id,label,f0\n"a",x,1.0\n',
+                         "row 'a': label 'x' is not an integer"),
+    "crlf-short-row": ("id,label,f0\r\na,0\r\n",
+                       "line 2: expected 3 fields, got 2"),
+    # csv ends a line at a lone carriage return
+    "carriage-return-in-id": ("id,label,f0\na\rb,0,1.0\n",
+                              "line 2: expected 3 fields, got 1"),
+    "bad-header": ("id,label,x0\na,0,1.0\n",
+                   "bad header, expected id,label,f0,...,f{D-1}"),
+    "empty-file": ("", "empty feature CSV"),
+    "no-rows": ("id,label,f0\n\n", "feature CSV has no data rows"),
+    "short-row": ("id,label,f0,f1\na,0,1.0,2.0\n\nb,1,3.0\n",
+                  "line 4: expected 4 fields, got 3"),
+    "long-row": ("id,label,f0\na,0,1.0\nb,1,2.0,3.0\n",
+                 "line 3: expected 3 fields, got 4"),
+    "every-row-long": ("id,label,f0\na,0,1.0,2.0\nb,1,2.0,3.0\n",
+                       "line 2: expected 3 fields, got 4"),
+    "label-not-integer": ("id,label,f0\na,0,1.0\nb,1.5,1.0\n",
+                          "row 'b': label '1.5' is not an integer"),
+    "negative-label": ("id,label,f0\na,-1,1.0\n", "row 'a': negative label -1"),
+    "nan": ("id,label,f0\na,0,1.0\nb,0,nan\n",
+            "row 'b': non-finite feature value"),
+    "overflow": ("id,label,f0\na,0,1e400\n", "row 'a': non-finite feature value"),
+    "non-numeric": ("id,label,f0,f1\na,0,1.0,abc\n",
+                    "row 'a': non-numeric feature value"),
+    "empty-feature": ("id,label,f0\na,0,\n", "row 'a': non-numeric feature value"),
+    "duplicate-id": ("id,label,f0\na,0,1.0\nb,0,1.0\na,1,2.0\n",
+                     "duplicate ids ['a']"),
+}
+
+
+# a warning would print a second line on stderr
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(BAD_FEATURE_CSVS))
+def test_bad_feature_csv_gives_one_error_line(tmp_path, capsys, name):
+    text, message = BAD_FEATURE_CSVS[name]
+    path = tmp_path / "features.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    rc = main(["anchors", "--in", str(path), "--out", str(tmp_path / "a.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not (tmp_path / "a.csv").exists()
+
+
 def test_pipeline_config_validation():
     with pytest.raises(ValueError, match="unknown pipeline config keys"):
         PipelineConfig({"learning_rate": 0.1})

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from xmodal import dataio
 from xmodal.dataio import (
     FeatureTable,
     SequenceRecord,
@@ -192,3 +193,57 @@ def test_load_label_counts_tally(tmp_path):
 def test_split_spec_overlap():
     with pytest.raises(ValueError, match="overlap"):
         SplitSpec(train=["a", "b"], test=["b"])
+
+
+PLAIN_CSVS = {
+    "blank-lines": "id,label,f0,f1\n\na,0,1.5,-2e-300\n\n\nb,3,5e-324,1e308\n\n",
+    "spaces-in-ids": ("id,label,f0,f1\nitem one,1, 0.5 ,+2\n lead,0,.5,5.\n"
+                      "trail ,2,-0.0,1E5\n"),
+    "one-column": "id,label,f0\nx,0,1.25\ny,1,-3\nz,1,7e-3",
+    "label-spellings": "id,label,f0\np, 2,0.1\nq,+4,0.2\nr,1_0,0.3\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLAIN_CSVS))
+def test_feature_csv_streamed_pass_equals_row_parser(tmp_path, name):
+    path = tmp_path / "features.csv"
+    path.write_text(PLAIN_CSVS[name], encoding="utf-8", newline="")
+    # the streamed pass accepts these files itself, with no fallback
+    fast = dataio._load_feature_csv_streamed(path)
+    rows = dataio._load_feature_csv_rows(path)
+    assert fast.ids == rows.ids
+    assert fast.labels.tobytes() == rows.labels.tobytes()
+    assert fast.matrix.tobytes() == rows.matrix.tobytes()
+    assert load_feature_csv(path).matrix.tobytes() == rows.matrix.tobytes()
+
+
+def test_feature_csv_streamed_pass_equals_row_parser_at_width(tmp_path):
+    rng = np.random.default_rng(12)
+    table = FeatureTable([f"s {i}" for i in range(40)],
+                         rng.integers(0, 9, size=40),
+                         rng.normal(size=(40, 300))
+                         * np.exp2(rng.integers(-60, 60, size=(40, 300))))
+    path = tmp_path / "features.csv"
+    write_feature_csv(table, path)
+    fast = dataio._load_feature_csv_streamed(path)
+    assert fast.ids == table.ids
+    assert fast.labels.tobytes() == table.labels.tobytes()
+    assert fast.matrix.tobytes() == table.matrix.tobytes()
+
+
+@pytest.mark.parametrize("text, ids, values", [
+    ('id,label,f0\n"a,b",0,1.0\n"c",1,"2.5"\n', ["a,b", "c"], [1.0, 2.5]),
+    ('id,label,f0\n"a",0,1.0\nb,1,2.5\n', ["a", "b"], [1.0, 2.5]),
+    ("id,label,f0\r\na,0,1.0\r\nb,1,2.5\r\n", ["a", "b"], [1.0, 2.5]),
+    # float() reads digit separators, loadtxt does not
+    ("id,label,f0\na,0,1_0\nb,1,2.5\n", ["a", "b"], [10.0, 2.5]),
+])
+def test_valid_csv_the_streamed_pass_declines_takes_the_row_parser(
+        tmp_path, text, ids, values):
+    path = tmp_path / "features.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with pytest.raises(ValueError):
+        dataio._load_feature_csv_streamed(path)
+    table = load_feature_csv(path)
+    assert table.ids == ids
+    assert table.matrix.ravel().tolist() == values

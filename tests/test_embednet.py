@@ -8,7 +8,6 @@ import pytest
 from xmodal import embednet
 from xmodal.embednet import (
     FIELDS,
-    GradientSet,
     HeadParams,
     backward,
     forward,
@@ -20,7 +19,7 @@ from xmodal.embednet import (
     sgd_step,
 )
 
-from oracles import finite_difference, relative_error
+from oracles import finite_difference, relative_error, sgd_step_oracle
 
 TOL = 1e-6
 DIMS = (4, 5, 3, 2)
@@ -169,28 +168,95 @@ def test_backward_zero_upstream_and_shape_guard():
         backward(cache, np.zeros((3, DIMS[2])), np.zeros((2, DIMS[3])))
 
 
+def filled_grads(dims, value):
+    grads = HeadParams.empty(dims)
+    grads.flat[:] = value
+    return grads
+
+
+def random_head_and_grads(seed):
+    rng = np.random.default_rng(seed)
+    p = small_head(seed=seed)
+    p.flat[:] += rng.normal(size=p.flat.size)
+    grads = filled_grads(p.dims, rng.normal(size=p.flat.size))
+    return p, grads
+
+
+def test_head_params_is_one_buffer_of_named_views():
+    p = small_head(seed=2)
+    start = 0
+    for name in FIELDS:
+        view = getattr(p, name)
+        assert np.shares_memory(view, p.flat)
+        assert np.array_equal(view.ravel(), p.flat[start:start + view.size])
+        start += view.size
+    assert start == p.flat.size
+    p.flat[:] = 0.0
+    assert not any(np.any(getattr(p, name)) for name in FIELDS)
+
+
 def test_sgd_step_arithmetic():
     p = small_head(seed=9)
-    ones = GradientSet(*(np.ones_like(getattr(p, n)) for n in FIELDS))
-    out = sgd_step(p, ones, lr=0.1, weight_decay=0.5)
-    assert np.allclose(out.W1, p.W1 - 0.1 * (1.0 + 0.5 * p.W1))
-    assert np.allclose(out.b1, p.b1 - 0.1)
-    assert np.allclose(out.bc, p.bc - 0.1)
-    # the input params are untouched
-    assert np.array_equal(p.b1, np.zeros(DIMS[1]))
+    before = p.copy()
+    sgd_step(p, filled_grads(p.dims, 1.0), lr=0.1, weight_decay=0.5)
+    assert np.allclose(p.W1, before.W1 - 0.1 * (1.0 + 0.5 * before.W1))
+    assert np.allclose(p.b1, before.b1 - 0.1)
+    assert np.allclose(p.bc, before.bc - 0.1)
+    # the update is in place; copy() took its own buffer
+    assert np.array_equal(before.b1, np.zeros(DIMS[1]))
 
 
 def test_sgd_step_rejects_bad_inputs():
     p = small_head()
-    zeros = GradientSet(*(np.zeros_like(getattr(p, n)) for n in FIELDS))
+    zeros = filled_grads(p.dims, 0.0)
     with pytest.raises(ValueError, match="learning rate"):
         sgd_step(p, zeros, lr=-0.1)
     with pytest.raises(ValueError, match="weight decay"):
         sgd_step(p, zeros, lr=0.1, weight_decay=-1.0)
-    bad = GradientSet(np.zeros((1, 1)), *(np.zeros_like(getattr(p, n))
-                                          for n in FIELDS[1:]))
+    bad = filled_grads((1, 1, 1, 1), 0.0)
     with pytest.raises(ValueError, match="shape mismatch"):
         sgd_step(p, bad, lr=0.1)
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, 16, 1000])
+def test_blocked_sgd_step_matches_out_of_place_oracle(monkeypatch, block):
+    # the fields hold 20, 5, 15, 3, 6 and 2 entries, so blocks of 3, 7
+    # and 16 end most of them in a partial block, and 1000 covers each
+    # field in one
+    monkeypatch.setattr(embednet, "SGD_BLOCK", block)
+    for seed in range(3):
+        p, grads = random_head_and_grads(seed)
+        fields = {n: getattr(p, n).copy() for n in FIELDS}
+        want = sgd_step_oracle(fields, {n: getattr(grads, n) for n in FIELDS},
+                               lr=0.037, weight_decay=0.21)
+        sgd_step(p, grads, lr=0.037, weight_decay=0.21)
+        for name in FIELDS:
+            assert getattr(p, name).tobytes() == want[name].tobytes(), name
+
+
+def test_projection_only_step_keeps_classifier_bits(monkeypatch):
+    monkeypatch.setattr(embednet, "SGD_BLOCK", 4)
+    p, grads = random_head_and_grads(4)
+    fields = {n: getattr(p, n).copy() for n in FIELDS}
+    want = sgd_step_oracle(fields, {n: getattr(grads, n) for n in FIELDS},
+                           lr=0.05, weight_decay=0.01)
+    sgd_step(p, grads, lr=0.05, weight_decay=0.01, projection_only=True,
+             scratch=np.empty(4))
+    for name in ("W1", "b1", "W2", "b2"):
+        assert getattr(p, name).tobytes() == want[name].tobytes(), name
+    for name in ("Wc", "bc"):
+        assert getattr(p, name).tobytes() == fields[name].tobytes(), name
+
+
+@pytest.mark.parametrize("field", ["W1", "bc"])
+def test_sgd_step_rejects_nan_in_last_partial_block(monkeypatch, field):
+    # W1 has 20 entries and bc 2, so with blocks of 7 both end in a
+    # partial block; the NaN sits in its last entry
+    monkeypatch.setattr(embednet, "SGD_BLOCK", 7)
+    p, grads = random_head_and_grads(5)
+    getattr(grads, field).flat[-1] = np.nan
+    with pytest.raises(ValueError, match=f"non-finite values in {field}"):
+        sgd_step(p, grads, lr=0.1)
 
 
 def test_maxnorm_rows_caps_and_is_idempotent():
@@ -213,8 +279,11 @@ def test_maxnorm_project_touches_classifier_only():
     p = small_head(seed=6)
     p.Wc[0] = np.array([10.0, 0.0, 0.0])
     out = maxnorm_project(p, delta=1.0)
-    assert out.W1 is p.W1 and out.W2 is p.W2 and out.b1 is p.b1
+    for name in ("W1", "b1", "W2", "b2", "bc"):
+        assert getattr(out, name).tobytes() == getattr(p, name).tobytes()
     assert np.linalg.norm(out.Wc[0]) == pytest.approx(1.0)
+    # a capped head is a copy: the input keeps its oversized row
+    assert np.array_equal(p.Wc[0], [10.0, 0.0, 0.0])
     small = maxnorm_project(out, delta=100.0)
     assert small is out
 

@@ -14,6 +14,7 @@ from xmodal.trainer import (
     _anchor_matrix,
     _stage1_batch_grads,
     _stage2_batch_grads,
+    _triplet_tables,
     align_stage2,
     sample_triplets,
     train_stage1,
@@ -55,8 +56,6 @@ def test_config_validation():
         TrainConfig(init_scale=0.0)
     with pytest.raises(ValueError, match="classifier_init_scale"):
         TrainConfig(classifier_init_scale=-0.5)
-    with pytest.raises(ValueError, match="maxnorm_scope"):
-        TrainConfig(maxnorm_scope="everything")
     with pytest.raises(ValueError, match="alignment"):
         TrainConfig(embed_dim=128)
     with pytest.raises(ValueError, match="unknown"):
@@ -96,6 +95,12 @@ def test_sample_triplets_matches_oracle(seed):
     got = sample_triplets(labels, 64, np.random.default_rng(seed))
     want = sample_triplets_oracle(labels, 64, np.random.default_rng(seed))
     assert got == want
+    # tables built once and reused across calls make the same draws
+    tables = _triplet_tables(labels)
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        assert (sample_triplets(labels, 16, rng, tables)
+                == sample_triplets_oracle(labels, 16, oracle_rng))
 
 
 def test_sample_triplets_rejects_degenerate_labels():
@@ -190,14 +195,26 @@ def test_train_stage1_ltr_caps_classifier_rows():
     assert np.linalg.norm(naive.Wc, axis=1).max() > 0
 
 
-def test_train_stage1_maxnorm_scope_all():
-    x, labels = toy_data()
-    delta = 0.3
-    params, _ = train_stage1(
-        toy_config(maxnorm_delta=delta, maxnorm_scope="all"), x, labels)
-    for name in ("W1", "W2", "Wc"):
-        norms = np.linalg.norm(getattr(params, name), axis=1)
-        assert np.all(norms <= delta + 1e-9), name
+def test_dropped_config_fields_are_rejected():
+    for name in ("alpha", "kappa", "maxnorm_scope"):
+        with pytest.raises(ValueError, match=f"unknown config fields: \\['{name}'\\]"):
+            TrainConfig.from_dict({name: 1.0})
+
+
+def test_training_leaves_the_callers_head_untouched():
+    x, labels = toy_data(seed=6)
+    # classifier rows start past the cap, so stage 1 takes capping steps
+    config = toy_config(maxnorm_delta=0.5)
+    start = embednet.init_head(6, 8, 5, 3, seed=3, classifier_scale=2.0)
+    assert np.linalg.norm(start.Wc, axis=1).max() > 0.5
+    kept = start.flat.copy()
+    trained, _ = train_stage1(config, x, labels, params=start)
+    assert start.flat.tobytes() == kept.tobytes()
+    kept = trained.flat.copy()
+    aligned, _ = align_stage2(config, trained, anchors_for(labels, 5), x,
+                              labels)
+    assert trained.flat.tobytes() == kept.tobytes()
+    assert not np.array_equal(aligned.W1, trained.W1)
 
 
 def test_train_stage1_warm_start_and_validation():
