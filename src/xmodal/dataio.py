@@ -127,11 +127,6 @@ def write_fasta(records, path):
         fh.write(format_fasta(records))
 
 
-def _format_float(x):
-    # repr gives the shortest string that round-trips exactly
-    return repr(float(x))
-
-
 @dataclass
 class FeatureTable:
     """N feature vectors with item ids and integer taxon labels."""
@@ -294,11 +289,13 @@ def _load_feature_csv_rows(path):
 
 
 def write_feature_csv(table, path):
+    """Write values with repr, the shortest text that reads back to the
+    same float64; one row at a time, so no copy of the matrix is held."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(_expected_header(table.dim)) + "\n")
-        for i, rid in enumerate(table.ids):
-            feats = ",".join(_format_float(v) for v in table.matrix[i])
-            fh.write(f"{rid},{table.labels[i]},{feats}\n")
+        for rid, label, row in zip(table.ids, table.labels.tolist(),
+                                   table.matrix):
+            fh.write(f"{rid},{label},{','.join(map(repr, row.tolist()))}\n")
 
 
 def _id_label_block(table):

@@ -9,15 +9,17 @@ embedding space and to class logits:
                                  geometry, so no activation here)
     z  = Wc e + bc              (E -> C class logits)
 
-Defaults follow the 2048 -> 1000 -> 256 shape.  Everything is float64;
-forward/backward are exact (checked against finite differences), and
-backward SUMS gradients over the batch.  Callers wanting a batch mean
-scale the upstream gradients by 1/B, which keeps the chain rule plain.
+Defaults follow the 2048 -> 1000 -> 256 shape.  forward/backward run
+in the dtype of the head they are given: float64 (exact, checked against
+finite differences) for heads from init_head, HeadParams(...) and
+load_checkpoint, float32 for the trainer's working copies.  backward
+SUMS gradients over the batch; callers wanting a batch mean scale the
+upstream gradients by 1/B, which keeps the chain rule plain.
 
-A head is one contiguous float64 buffer, `flat`, with W1, b1, W2, b2,
-Wc, bc as named views into it in that order; backward fills a gradient
-head of the same layout.  sgd_step updates a head in place, block by
-block, with weight decay on the three weight matrices only.
+A head is one contiguous buffer, `flat`, with W1, b1, W2, b2, Wc, bc as
+named views into it in that order; backward fills a gradient head of
+the same layout and dtype.  sgd_step updates a float64 head in place,
+block by block, with weight decay on the three weight matrices only.
 maxnorm_project caps the L2 norm of each classifier row at delta, the
 balance device that stops head classes from growing oversized logit
 scales.
@@ -52,9 +54,9 @@ def _layout(dims):
 
 
 class HeadParams:
-    """The six head arrays as named views into one float64 buffer `flat`.
-    Construction copies them into a new buffer and checks shapes and
-    finiteness.  `dims` is (D, H, E, C)."""
+    """The six head arrays as named views into one buffer `flat`.
+    Construction copies them into a new float64 buffer and checks shapes
+    and finiteness.  `dims` is (D, H, E, C)."""
 
     def __init__(self, W1, b1, W2, b2, Wc, bc):
         arrays = [np.asarray(a, dtype=np.float64)
@@ -74,9 +76,9 @@ class HeadParams:
         return self
 
     @classmethod
-    def empty(cls, dims):
-        """An unchecked, uninitialized head of `dims`: a gradient buffer."""
-        return cls.__new__(cls)._bind(np.empty(_layout(dims)[-1][3]), dims)
+    def empty(cls, dims, dtype=np.float64):
+        """An unchecked, uninitialized head of `dims` and `dtype`."""
+        return cls.__new__(cls)._bind(np.empty(_layout(dims)[-1][3], dtype), dims)
 
     def copy(self):
         return HeadParams.__new__(HeadParams)._bind(self.flat.copy(), self.dims)
@@ -139,8 +141,9 @@ def init_head(d_in, hidden, embed_dim, n_classes, seed, scale=1.0,
 
 def forward(params, features):
     """Run the head on a (B, D) batch (a single D-vector is promoted to a
-    batch of one).  Returns (embedding (B, E), logits (B, C), cache)."""
-    x = np.asarray(features, dtype=np.float64)
+    batch of one) in the dtype of the head's buffer, to which the batch is
+    cast.  Returns (embedding (B, E), logits (B, C), cache)."""
+    x = np.asarray(features, dtype=params.flat.dtype)
     if x.ndim == 1:
         x = x[None, :]
     if x.ndim != 2 or x.shape[1] != params.dims[0]:
@@ -155,22 +158,22 @@ def forward(params, features):
 
 
 def backward(cache, d_embedding, d_logits, out=None):
-    """Exact gradients of the forward map, summed over the batch, written
-    into the gradient head `out` (a new one if None) and returned.
+    """Exact gradients of the forward map in its dtype, summed over the
+    batch, written into the gradient head `out` (new if None) and returned.
 
     Either upstream gradient may be all zeros (e.g. a loss that never
     looks at logits).  The relu subgradient at exactly 0 is taken as 0.
     """
     p = cache.params
-    d_e = np.asarray(d_embedding, dtype=np.float64)
-    d_z = np.asarray(d_logits, dtype=np.float64)
+    d_e = np.asarray(d_embedding, dtype=p.flat.dtype)
+    d_z = np.asarray(d_logits, dtype=p.flat.dtype)
     if d_e.ndim == 1:
         d_e = d_e[None, :]
     if d_z.ndim == 1:
         d_z = d_z[None, :]
     if d_e.shape != cache.embedding.shape or d_z.shape != cache.logits.shape:
         raise ValueError("upstream gradient shapes do not match the forward pass")
-    g = HeadParams.empty(p.dims) if out is None else out
+    g = HeadParams.empty(p.dims, p.flat.dtype) if out is None else out
     np.matmul(d_z.T, cache.embedding, out=g.Wc)
     np.sum(d_z, axis=0, out=g.bc)
     d_e_total = d_e + d_z @ p.Wc
@@ -186,7 +189,7 @@ def backward(cache, d_embedding, d_logits, out=None):
 def sgd_step(params, grads, lr, weight_decay=0.0, projection_only=False,
              scratch=None):
     """One SGD update of `params`, in place: p <- p - lr*(g + wd*p) element
-    by element, with wd = 0.0 on the biases.
+    by element, with wd = 0.0 on the biases and float32 `grads` upcast.
 
     Each field is walked in blocks of SGD_BLOCK doubles through one
     scratch block (`scratch`, or a new one), and each updated block is

@@ -14,6 +14,10 @@ images gets the same pull toward its anchor as one with a thousand,
 which is where the tail recovery comes from.  The classifier layer is
 frozen throughout stage 2; only the projection layers move.
 
+Forward and backward run in float32 on a working copy refreshed from
+the float64 master head before every step; the SGD update, max-norm and
+the returned head stay float64 (the usual mixed-precision split).
+
 Everything is driven by seeded generators in a documented draw order
 (per triplet: anchor, positive, negative in stage 1; taxon, positive,
 negative in stage 2), so a (config, data, seed) tuple fully determines
@@ -151,11 +155,23 @@ def sample_triplets(labels, batch_size, rng, tables=None):
 
 
 def _run_setup(params, epochs, batch_size, n_items):
-    """(working head, gradient head, SGD scratch, batches per epoch) of one
-    run; a run with epochs trains a copy, so `params` is never written."""
+    """(float64 master head, float32 working head, float32 gradient head,
+    SGD scratch, batches per epoch) of one run; a run with epochs trains
+    a copy of the master, so `params` is never written."""
     return (params.copy() if epochs else params,
-            embednet.HeadParams.empty(params.dims),
+            embednet.HeadParams.empty(params.dims, np.float32),
+            embednet.HeadParams.empty(params.dims, np.float32),
             np.empty(embednet.SGD_BLOCK), -(-int(n_items) // int(batch_size)))
+
+
+def _float32_features(x):
+    """The (N, D) training features as float32, cast once per run."""
+    with np.errstate(over="ignore"):
+        x32 = x.astype(np.float32)
+    if not np.all(np.isfinite(x32)):
+        raise ValueError(
+            "training features are non-finite or exceed the float32 range")
+    return x32
 
 
 def _stage1_batch_grads(logits_a, class_ids, e_a, e_p, e_n, mix_lambda):
@@ -239,8 +255,9 @@ def train_stage1(config, train_features, labels, params=None):
                                     n_classes, derive_seed(config.seed, "init"),
                                     scale=config.init_scale,
                                     classifier_scale=config.classifier_init_scale)
-    params, grads, scratch, batches = _run_setup(
+    params, work, grads, scratch, batches = _run_setup(
         params, config.epochs_stage1, config.batch_size, x.shape[0])
+    x32 = _float32_features(x)
     tables = _triplet_tables(labels)
     rng = np.random.default_rng(derive_seed(config.seed, "stage1"))
     wd = config.weight_decay if config.ltr_enabled else 0.0
@@ -251,7 +268,8 @@ def train_stage1(config, train_features, labels, params=None):
         for batch_idx in range(batches):
             trip = sample_triplets(labels, config.batch_size, rng, tables)
             rows = np.array(trip).T.ravel()  # anchors, positives, negatives
-            emb, logits, cache = embednet.forward(params, x[rows])
+            np.copyto(work.flat, params.flat)
+            emb, logits, cache = embednet.forward(work, x32[rows])
             b = len(trip)
             loss, ce_part, rtl_part, d_logits_a, *d_emb = _stage1_batch_grads(
                 logits[:b], labels[rows[:b]], *np.split(emb, 3),
@@ -345,8 +363,9 @@ def align_stage2(config, params, anchors, train_features, labels):
     per_taxon = {int(t): np.flatnonzero(labels == t) for t in present}
     other_taxa = {int(t): np.flatnonzero(labels != t) for t in present}
 
-    params, grads, scratch, batches = _run_setup(
+    params, work, grads, scratch, batches = _run_setup(
         params, config.epochs_stage2, config.batch_size, x.shape[0])
+    x32, anchor32 = _float32_features(x), anchor_mat.astype(np.float32)
     rng = np.random.default_rng(derive_seed(config.seed, "stage2"))
     wd = config.weight_decay if config.ltr_enabled else 0.0
     history = TrainHistory("stage2")
@@ -360,9 +379,10 @@ def align_stage2(config, params, anchors, train_features, labels):
                 p = per_taxon[t][rng.integers(per_taxon[t].size)]
                 drawn.append((t, p, other_taxa[t][rng.integers(other_taxa[t].size)]))
             taxa, *pos_neg = np.array(drawn).T
-            emb, _, cache = embednet.forward(params, x[np.concatenate(pos_neg)])
+            np.copyto(work.flat, params.flat)
+            emb, _, cache = embednet.forward(work, x32[np.concatenate(pos_neg)])
             loss, *d_emb = _stage2_batch_grads(
-                anchor_mat[taxa], *np.split(emb, 2), config.margin_m)
+                anchor32[taxa], *np.split(emb, 2), config.margin_m)
             _check_loss(loss, "stage2", epoch, batch_idx, {"cosine": loss})
             embednet.backward(cache, np.concatenate(d_emb),
                               np.zeros_like(cache.logits), out=grads)

@@ -233,6 +233,27 @@ def test_bad_feature_csv_gives_one_error_line(tmp_path, capsys, name):
     assert not (tmp_path / "a.csv").exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_train_rejects_features_beyond_float32(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TINY_TRAIN))
+    rng = np.random.default_rng(0)
+    matrix = rng.normal(size=(6, TINY_TRAIN["d_in"]))
+    matrix[4, 1] = 1e39
+    features = tmp_path / "train.csv"
+    dataio.write_feature_csv(
+        dataio.FeatureTable([f"r{i}" for i in range(6)], [0, 0, 0, 1, 1, 1],
+                            matrix), features)
+    capsys.readouterr()
+    rc = main(["train", "--config", str(config), "--features", str(features),
+               "--out", str(tmp_path / "ckpt.json")])
+    assert rc == 1
+    assert (capsys.readouterr().err
+            == "error: training features are non-finite or exceed the"
+               " float32 range\n")
+    assert not (tmp_path / "ckpt.json").exists()
+
+
 def test_pipeline_config_validation():
     with pytest.raises(ValueError, match="unknown pipeline config keys"):
         PipelineConfig({"learning_rate": 0.1})

@@ -112,6 +112,19 @@ def test_feature_csv_round_trip_exact(tmp_path):
     assert np.array_equal(back.matrix, table.matrix)
 
 
+def test_feature_csv_text_is_repr_of_each_value(tmp_path):
+    table = small_table(np.random.default_rng(6), n=3, dim=7)
+    table.matrix[0] = [0.0, -0.0, 5e-324, 1e-310, 1e16, 1.7976931348623157e308,
+                       0.1]
+    table.matrix[1] *= 1e-5
+    path = tmp_path / "features.csv"
+    write_feature_csv(table, path)
+    want = "id,label," + ",".join(f"f{j}" for j in range(7)) + "\n" + "".join(
+        f"{rid},{int(label)}," + ",".join(repr(float(v)) for v in row) + "\n"
+        for rid, label, row in zip(table.ids, table.labels, table.matrix))
+    assert path.read_bytes() == want.encode("utf-8")
+
+
 def test_feature_csv_header_enforced(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("id,label,x0,x1\nitem0,0,1.0,2.0\n")

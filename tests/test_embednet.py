@@ -182,6 +182,50 @@ def random_head_and_grads(seed):
     return p, grads
 
 
+def float32_copy(p):
+    work = HeadParams.empty(p.dims, np.float32)
+    np.copyto(work.flat, p.flat)
+    return work
+
+
+def test_float32_head_computes_in_float32():
+    rng = np.random.default_rng(8)
+    work = float32_copy(small_head(seed=8))
+    x = rng.normal(size=(6, DIMS[0]))
+    d_e = rng.normal(size=(6, DIMS[2]))
+    d_z = rng.normal(size=(6, DIMS[3]))
+    emb, logits, cache = forward(work, x)
+    assert emb.dtype == logits.dtype == cache.x.dtype == np.float32
+    grads = backward(cache, d_e, d_z)
+    assert grads.flat.dtype == np.float32
+    # float64 on the same float32 values: only the rounding differs
+    exact = HeadParams(**{n: getattr(work, n) for n in FIELDS})
+    emb64, _, cache64 = forward(exact, x.astype(np.float32))
+    assert emb64.dtype == np.float64
+    assert relative_error(emb, emb64) < 1e-4
+    want = backward(cache64, d_e.astype(np.float32), d_z.astype(np.float32))
+    for name in FIELDS:
+        assert relative_error(getattr(grads, name), getattr(want, name)) < 1e-4
+
+
+@pytest.mark.parametrize("block", [3, 7])
+def test_float32_gradients_step_float64_head_like_the_oracle(monkeypatch,
+                                                             block):
+    # blocks of 3 and 7 straddle the 20, 5, 15, 3, 6, 2 field boundaries
+    monkeypatch.setattr(embednet, "SGD_BLOCK", block)
+    for seed in range(3):
+        p, grads = random_head_and_grads(seed)
+        grads32 = float32_copy(grads)
+        fields = {n: getattr(p, n).copy() for n in FIELDS}
+        want = sgd_step_oracle(
+            fields, {n: getattr(grads32, n).astype(np.float64) for n in FIELDS},
+            lr=0.037, weight_decay=0.21)
+        sgd_step(p, grads32, lr=0.037, weight_decay=0.21)
+        assert p.flat.dtype == np.float64
+        for name in FIELDS:
+            assert getattr(p, name).tobytes() == want[name].tobytes(), name
+
+
 def test_head_params_is_one_buffer_of_named_views():
     p = small_head(seed=2)
     start = 0

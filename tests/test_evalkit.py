@@ -44,6 +44,7 @@ def test_embed_features_matches_forward():
     feats = FeatureTable(["a", "b"], [0, 1], np.random.default_rng(1).normal(size=(2, 4)))
     out = embed_features(params, feats)
     direct, _, _ = embednet.forward(params, feats.matrix)
+    assert out.matrix.dtype == direct.dtype == np.float64
     assert np.array_equal(out.matrix, direct)
     assert out.ids == feats.ids and np.array_equal(out.labels, feats.labels)
 

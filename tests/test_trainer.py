@@ -215,6 +215,38 @@ def test_training_leaves_the_callers_head_untouched():
                               labels)
     assert trained.flat.tobytes() == kept.tobytes()
     assert not np.array_equal(aligned.W1, trained.W1)
+    assert trained.flat.dtype == aligned.flat.dtype == np.float64
+
+
+def test_trainers_run_forward_in_float32(monkeypatch):
+    seen = []
+    real_forward = embednet.forward
+
+    def spy(params, features):
+        seen.append((params.flat.dtype, features.dtype))
+        return real_forward(params, features)
+
+    monkeypatch.setattr(embednet, "forward", spy)
+    x, labels = toy_data(seed=1)
+    config = toy_config()
+    trained, _ = train_stage1(config, x, labels)
+    n_stage1 = len(seen)
+    align_stage2(config, trained, anchors_for(labels, 5), x, labels)
+    assert 0 < n_stage1 < len(seen)
+    assert set(seen) == {(np.dtype(np.float32), np.dtype(np.float32))}
+
+
+def test_features_beyond_float32_are_rejected():
+    x, labels = toy_data()
+    config = toy_config()
+    start = embednet.init_head(6, 8, 5, 3, seed=0)
+    message = "training features are non-finite or exceed the float32 range"
+    for value in (1e39, -1e39, np.nan):  # 1e39 is finite in float64 only
+        x[3, 2] = value
+        with pytest.raises(ValueError, match=message):
+            train_stage1(config, x, labels)
+        with pytest.raises(ValueError, match=message):
+            align_stage2(config, start, anchors_for(labels, 5), x, labels)
 
 
 def test_train_stage1_warm_start_and_validation():
