@@ -27,6 +27,7 @@ import itertools
 import json
 import re
 import struct
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,7 +149,7 @@ class FeatureTable:
                 f" {self.matrix.shape[0]} rows"
             )
         if len(set(self.ids)) != n:
-            dupes = sorted({i for i in self.ids if self.ids.count(i) > 1})
+            dupes = sorted(i for i, m in Counter(self.ids).items() if m > 1)
             raise ValueError(f"duplicate ids in feature table: {dupes[:5]}")
         if np.any(self.labels < 0):
             raise ValueError("labels must be non-negative integers")
@@ -163,13 +164,6 @@ class FeatureTable:
     @property
     def dim(self):
         return self.matrix.shape[1]
-
-    def rows(self, indices):
-        """New table restricted to the given row indices (order kept)."""
-        idx = list(indices)
-        return FeatureTable(
-            [self.ids[i] for i in idx], self.labels[idx], self.matrix[idx]
-        )
 
 
 def _expected_header(dim):

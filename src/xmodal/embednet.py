@@ -26,6 +26,7 @@ scales.
 """
 
 import json
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -278,6 +279,73 @@ def save_checkpoint(params, path, stage, seed_lineage=None):
                  + ',"stage":' + _dumps(stage) + "}\n")
 
 
+# save_checkpoint's text up to the first array: dims in sorted-key order
+_CANONICAL_DIMS = re.compile(
+    rb'\{"dims":\{"d_in":([1-9][0-9]{0,8}),"embed_dim":([1-9][0-9]{0,8}),'
+    rb'"hidden":([1-9][0-9]{0,8}),"n_classes":([1-9][0-9]{0,8})\},"params":\{')
+
+
+def _json_numbers(row):
+    """True if `row` is comma-separated JSON numbers, which np.loadtxt
+    reads as json does: only digits, '.eE+-'; each starts with a digit
+    after an optional '-', never 0 then a digit; a digit after each '.'."""
+    if row.translate(None, b"0123456789.eE+-,"):
+        return False
+    c = np.frombuffer(b"," + row + b",,", np.uint8)
+    digit = (c >= ord("0")) & (c <= ord("9"))
+    starts = np.flatnonzero(c[:-2] == ord(",")) + 1
+    starts += c[starts] == ord("-")
+    return bool(digit[starts].all() and digit[np.flatnonzero(c == ord(".")) + 1].all()
+                and not (digit[starts + 1] & (c[starts] == ord("0"))).any())
+
+
+def _rows(text, start, stop):
+    """The '],['-separated rows of text[start:stop] as str, each checked."""
+    while start <= stop:
+        end = text.find(b"]", start, stop)
+        end = stop if end < 0 else end
+        if not _json_numbers(text[start:end]) or (
+                end < stop and text[end:end + 3] != b"],["):
+            raise ValueError("not a canonical row")
+        yield text[start:end].decode("ascii")
+        start = end + 3
+
+
+def _load_canonical(path):
+    """(head, the object after "params") of a file in exactly the layout
+    save_checkpoint writes, else None.  Each field's rows go through
+    np.loadtxt into the head's buffer, so no Python float is made."""
+    with open(path, "rb") as fh:
+        text = fh.read()
+    m = _CANONICAL_DIMS.match(text)
+    dims = m and tuple(int(v) for v in m.group(1, 3, 2, 4))  # D, H, E, C
+    if not m or 2 * _layout(dims)[-1][3] > len(text):
+        return None  # not canonical, or too short for the arrays of its dims
+    head, pos = HeadParams.empty(dims), m.end()
+    try:
+        for i, name in enumerate(sorted(FIELDS)):
+            arr = getattr(head, name)
+            key = (b"," if i else b"") + _dumps(name).encode() + b":" + b"[" * arr.ndim
+            stop = text.find(b"]" * arr.ndim, pos)
+            if not text.startswith(key, pos) or stop < 0:
+                return None
+            values = np.loadtxt(_rows(text, pos + len(key), stop),
+                                delimiter=",", comments=None, ndmin=2)
+            if values.shape != (arr.size // arr.shape[-1], arr.shape[-1]):
+                return None
+            arr[...] = values.reshape(arr.shape)
+            pos = stop + arr.ndim
+        rest = json.loads(b"{" + text[pos + 2:]) if text.startswith(b"},", pos) else {}
+    except ValueError:
+        return None
+    flat = head.flat
+    # json gives non-finite values their error, and the JSON integer -0 is +0.0
+    if ("stage" not in rest or not set(rest) <= {"seed_lineage", "stage"}
+            or not np.all(np.isfinite(flat)) or np.any(np.signbit(flat[flat == 0]))):
+        return None
+    return head, rest
+
+
 def load_checkpoint(path, expect_dims=None):
     """Read a checkpoint -> (HeadParams, stage, seed_lineage).
 
@@ -285,20 +353,25 @@ def load_checkpoint(path, expect_dims=None):
     the stored dims raises rather than returning a head the caller's
     config cannot drive.  A file that is not valid JSON, lacks a field
     or holds arrays of the wrong shape raises one ValueError naming
-    `path`.
+    `path`.  A file in save_checkpoint's exact layout is parsed into the
+    head's buffer (its text plus one head, no Python float per value);
+    json reads any other file and decides its content or its error.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-        dims = obj["dims"]
-        stored = (dims["d_in"], dims["hidden"], dims["embed_dim"],
-                  dims["n_classes"])
-        # popped, so each field's JSON lists are freed once converted
-        arrays = {name: np.array(obj["params"].pop(name), dtype=np.float64)
-                  for name in FIELDS}
-        for name in ("b1", "b2", "bc"):
-            arrays[name] = arrays[name].reshape(-1)
-        params = HeadParams(**arrays)
+        params, obj = _load_canonical(path) or (None, None)
+        stored = params.dims if params else None
+        if params is None:
+            with open(path, encoding="utf-8") as fh:
+                obj = json.load(fh)
+            dims = obj["dims"]
+            stored = (dims["d_in"], dims["hidden"], dims["embed_dim"],
+                      dims["n_classes"])
+            # popped, so each field's JSON lists are freed once converted
+            arrays = {name: np.array(obj["params"].pop(name), dtype=np.float64)
+                      for name in FIELDS}
+            for name in ("b1", "b2", "bc"):
+                arrays[name] = arrays[name].reshape(-1)
+            params = HeadParams(**arrays)
         stage = obj["stage"]
     except KeyError as exc:
         raise ValueError(f"{path}: checkpoint has no field {exc}") from None

@@ -22,6 +22,7 @@ from . import embednet
 TAIL_THRESHOLD = 100
 HEAD_THRESHOLD = 1000
 KNN_CHUNK = 512  # queries per similarity block in knn_predict
+EMBED_BLOCK = 4096  # feature rows per forward pass in embed_features
 
 
 @dataclass
@@ -53,9 +54,23 @@ class EmbeddingTable:
         return len(self.ids)
 
 
+def _blocks(n, size):
+    """Near-equal [lo, hi) blocks of at most `size` of n rows; one block
+    when n <= size.  No block is a single row unless n is 1: numpy hands a
+    one-row product to BLAS gemv, whose sums can differ in the last bit
+    from the gemm of a larger block."""
+    count = max(1, -(-n // size))
+    return [(i * n // count, (i + 1) * n // count) for i in range(count)]
+
+
 def embed_features(params, table):
-    """Push a FeatureTable through the head -> EmbeddingTable."""
-    emb, _, _ = embednet.forward(params, table.matrix)
+    """Push a FeatureTable through the head -> EmbeddingTable, in blocks
+    of at most EMBED_BLOCK rows written into one (N, E) float64 array, so
+    the hidden activations are bounded by a block; each row's embedding
+    is bit for bit the one a single pass over the whole table gives."""
+    emb = np.empty((table.n, params.dims[2]))
+    for lo, hi in _blocks(table.n, EMBED_BLOCK):
+        emb[lo:hi] = embednet.forward(params, table.matrix[lo:hi])[0]
     return EmbeddingTable(table.ids, table.labels, emb)
 
 
@@ -70,11 +85,11 @@ def knn_predict(gallery, queries, k):
     the tie key.  Vote ties go to the class whose in-k members sit at
     the smaller mean cosine distance, then to the smaller class id.
 
-    Queries run in near-equal chunks of at most KNN_CHUNK rows.  Each
-    chunk holds one KNN_CHUNK x N float64 similarity block and one
-    partitioned copy of it to find the k-th largest similarity per row;
-    only items at or above that threshold are sorted.  Votes count over
-    the distinct gallery labels, so taxon ids may be arbitrary.
+    Queries run in near-equal chunks of at most KNN_CHUNK rows, through
+    two KNN_CHUNK x N float64 blocks allocated once per call: the chunk's
+    similarities, and a copy partitioned in place to find the k-th largest
+    per row; only items at or above it are sorted.  Votes count over the
+    distinct gallery labels, so taxon ids may be arbitrary.
     """
     k = int(k)
     if k < 1:
@@ -92,20 +107,19 @@ def knn_predict(gallery, queries, k):
     # by the largest taxon id; codes sort like the ids they stand for
     classes, codes = np.unique(gallery.labels, return_inverse=True)
     out = np.empty(queries.n, dtype=np.int64)
-    # near-equal chunks, so no block is a single row unless the whole
-    # query set is: numpy hands a one-row product to BLAS gemv, whose
-    # sums can differ in the last bit from the gemm of a larger block
-    n_chunks = -(-queries.n // KNN_CHUNK)
-    for i in range(n_chunks):
-        lo, hi = i * queries.n // n_chunks, (i + 1) * queries.n // n_chunks
-        sims = _normalize_rows(queries.matrix[lo:hi]) @ normed.T
-        kth = np.partition(sims, n - k, axis=1)[:, [n - k]]
+    sims_block = np.empty((min(queries.n, KNN_CHUNK), n))
+    part_block = np.empty_like(sims_block)
+    for lo, hi in _blocks(queries.n, KNN_CHUNK):
+        sims, part = sims_block[:hi - lo], part_block[:hi - lo]
+        np.matmul(_normalize_rows(queries.matrix[lo:hi]), normed.T, out=sims)
+        np.copyto(part, sims)
+        part.partition(n - k, axis=1)
+        kth = part[:, [n - k]]
         # every item at or above the k-th similarity, ordered by
         # (row, -similarity, gallery index); the first k of a row are its
         # neighbors, so similarity ties keep the lower gallery index
         cand_rows, cand_cols = np.nonzero(sims >= kth)
         cand_sims = sims[cand_rows, cand_cols]
-        del sims  # free the block before the next one is allocated
         order = np.lexsort((cand_cols, -cand_sims, cand_rows))
         # the sort keeps each row's block in place, so a candidate's rank
         # is its sorted position minus where its row's block starts

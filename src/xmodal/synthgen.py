@@ -140,7 +140,10 @@ def class_counts(spec):
 
 
 def generate(spec):
-    """Build the full dataset; see the module docstring for the recipe."""
+    """Build the full dataset; see the module docstring for the recipe.
+    The split is drawn first (its stream is independent), so each taxon's
+    visual samples go straight into the train and test matrices, which
+    are the only full-size arrays built."""
     c = spec.n_classes
     counts = class_counts(spec)
 
@@ -182,20 +185,8 @@ def generate(spec):
     visual_means = anchor_mat @ map_matrix.T
     visual_means += rng_map.normal(0.0, spec.sigma_map, size=(c, spec.dim))
 
-    rng_visual = np.random.default_rng(derive_seed(spec.seed, "visual"))
-    ids, labels, rows = [], [], []
-    for taxon in range(c):
-        noise = rng_visual.normal(0.0, spec.sigma_v,
-                                  size=(counts[taxon], spec.dim))
-        for i in range(counts[taxon]):
-            ids.append(f"img{taxon:02d}_{i:04d}")
-            labels.append(taxon)
-            rows.append(visual_means[taxon] + noise[i])
-    full = FeatureTable(ids, np.array(labels), np.array(rows))
-
     rng_split = np.random.default_rng(derive_seed(spec.seed, "split"))
-    train_ids, test_ids = [], []
-    offset = 0
+    parts = []  # per taxon: sorted train positions, sorted test positions
     for taxon in range(c):
         n = int(counts[taxon])
         n_test = max(1, int(round(TEST_FRACTION * n)))
@@ -205,16 +196,24 @@ def generate(spec):
                 " increase tail or head"
             )
         perm = rng_split.permutation(n)
-        test_local = sorted(int(i) for i in perm[:n_test])
-        train_local = sorted(int(i) for i in perm[n_test:])
-        train_ids.extend(ids[offset + i] for i in train_local)
-        test_ids.extend(ids[offset + i] for i in test_local)
-        offset += n
-    split = SplitSpec(train_ids, test_ids)
+        parts.append((np.sort(perm[n_test:]), np.sort(perm[:n_test])))
 
-    pos = {rid: i for i, rid in enumerate(full.ids)}
-    train_table = full.rows([pos[r] for r in split.train])
-    test_table = full.rows([pos[r] for r in split.test])
+    rng_visual = np.random.default_rng(derive_seed(spec.seed, "visual"))
+    sides = []  # (ids, labels, matrix) of the train table, then the test one
+    for side in (0, 1):
+        sizes = [len(p[side]) for p in parts]
+        sides.append(([], np.repeat(np.arange(c), sizes),
+                      np.empty((sum(sizes), spec.dim))))
+    for taxon, positions in enumerate(parts):
+        noise = rng_visual.normal(0.0, spec.sigma_v,
+                                  size=(counts[taxon], spec.dim))
+        noise += visual_means[taxon]
+        for local, (ids, _, matrix) in zip(positions, sides):
+            np.take(noise, local, axis=0,
+                    out=matrix[len(ids):len(ids) + len(local)])
+            ids.extend(f"img{taxon:02d}_{i:04d}" for i in local)
+    train_table, test_table = (FeatureTable(*side) for side in sides)
+    split = SplitSpec(train_table.ids, test_table.ids)
 
     train_counts = np.bincount(train_table.labels, minlength=c)
     test_counts = np.bincount(test_table.labels, minlength=c)

@@ -291,7 +291,9 @@ def train_stage1(config, train_features, labels, params=None):
 
 def _anchor_matrix(anchors, present_taxa):
     """Anchors (list of GeneticAnchor or {taxon: vector}) -> (T, E) matrix
-    indexable by taxon id.  Every taxon in `present_taxa` must have one."""
+    whose row i is the anchor of the i-th taxon of sorted `present_taxa`,
+    so its size never follows the taxon ids.  Every present taxon must
+    have an anchor."""
     items = (list(anchors.items()) if isinstance(anchors, dict)
              else [(a.taxon, a.vector) for a in anchors])
     by_taxon = {}
@@ -304,13 +306,9 @@ def _anchor_matrix(anchors, present_taxa):
     if missing:
         raise ValueError(f"missing anchors for present taxa {missing}")
     dim = len(next(iter(by_taxon.values())))
-    size = max(max(by_taxon), max(int(t) for t in present_taxa)) + 1
-    mat = np.zeros((size, dim))
-    for taxon, vec in by_taxon.items():
-        if vec.shape != (dim,):
-            raise ValueError("anchor vectors must share one dimension")
-        mat[taxon] = vec
-    return mat
+    if any(vec.shape != (dim,) for vec in by_taxon.values()):
+        raise ValueError("anchor vectors must share one dimension")
+    return np.array([by_taxon[t] for t in sorted(int(t) for t in present_taxa)])
 
 
 def _stage2_batch_grads(anchor_vecs, e_p, e_n, margin_m):
@@ -358,7 +356,7 @@ def align_stage2(config, params, anchors, train_features, labels):
     if anchor_mat.shape[1] != params.dims[2]:
         raise ValueError(
             f"anchor dim {anchor_mat.shape[1]} != embedding dim {params.dims[2]}")
-    if np.any(np.linalg.norm(anchor_mat[present], axis=1) == 0):
+    if np.any(np.linalg.norm(anchor_mat, axis=1) == 0):
         raise ValueError("zero-norm genetic anchor has no direction")
     per_taxon = {int(t): np.flatnonzero(labels == t) for t in present}
     other_taxa = {int(t): np.flatnonzero(labels != t) for t in present}
@@ -373,11 +371,12 @@ def align_stage2(config, params, anchors, train_features, labels):
     for epoch in range(config.epochs_stage2):
         loss_sum = 0.0
         for batch_idx in range(batches):
-            drawn = []  # (taxon, positive, negative), drawn in that order
+            drawn = []  # (taxon index, positive, negative), in draw order
             for _ in range(config.batch_size):
-                t = int(present[rng.integers(present.size)])
+                j = rng.integers(present.size)
+                t = int(present[j])
                 p = per_taxon[t][rng.integers(per_taxon[t].size)]
-                drawn.append((t, p, other_taxa[t][rng.integers(other_taxa[t].size)]))
+                drawn.append((j, p, other_taxa[t][rng.integers(other_taxa[t].size)]))
             taxa, *pos_neg = np.array(drawn).T
             np.copyto(work.flat, params.flat)
             emb, _, cache = embednet.forward(work, x32[np.concatenate(pos_neg)])

@@ -4,13 +4,16 @@ Everything here is written for obviousness, not speed: the SGT oracle
 is the literal all-pairs double loop, the KNN oracle scans every
 gallery item per query with plain Python, the triplet sampler rescans
 the labels for every draw, the SGD update builds each new field whole,
-and gradients come from central finite differences.  None of it
-imports the production code paths it checks.
+the synthetic tables are built from one row list, and gradients come
+from central finite differences.  None of it imports the production
+code paths it checks.
 """
 
 import math
 
 import numpy as np
+
+from xmodal.seeds import derive_seed
 
 
 def sgt_oracle(symbols, kappa, alphabet):
@@ -77,6 +80,41 @@ def sample_triplets_oracle(labels, batch_size, rng):
         n = int(diff[rng.integers(diff.size)])
         triplets.append((a, p, n))
     return triplets
+
+
+def split_tables_oracle(spec, visual_means, counts, test_fraction=0.2):
+    """The synthetic visual tables built the plain way: every sample of
+    every taxon appended to one row list and stacked into a full matrix,
+    then each taxon's permutation split into test and train ids, and the
+    rows of each side copied out by id.  Same streams and draws as
+    synthgen.generate.  Returns ((ids, labels, matrix) of train, same of
+    test)."""
+    rng_visual = np.random.default_rng(derive_seed(spec.seed, "visual"))
+    ids, labels, rows = [], [], []
+    for taxon in range(len(counts)):
+        noise = rng_visual.normal(0.0, spec.sigma_v,
+                                  size=(counts[taxon], spec.dim))
+        for i in range(counts[taxon]):
+            ids.append(f"img{taxon:02d}_{i:04d}")
+            labels.append(taxon)
+            rows.append(visual_means[taxon] + noise[i])
+    full = np.array(rows)
+
+    rng_split = np.random.default_rng(derive_seed(spec.seed, "split"))
+    train_ids, test_ids, offset = [], [], 0
+    for taxon in range(len(counts)):
+        n = int(counts[taxon])
+        n_test = max(1, int(round(test_fraction * n)))
+        perm = rng_split.permutation(n)
+        test_ids += [ids[offset + i] for i in sorted(int(i) for i in perm[:n_test])]
+        train_ids += [ids[offset + i] for i in sorted(int(i) for i in perm[n_test:])]
+        offset += n
+    pos = {rid: i for i, rid in enumerate(ids)}
+    sides = []
+    for side_ids in (train_ids, test_ids):
+        idx = [pos[r] for r in side_ids]
+        sides.append((side_ids, np.array(labels)[idx], full[idx]))
+    return tuple(sides)
 
 
 def sgd_step_oracle(params, grads, lr, weight_decay,

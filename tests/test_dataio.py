@@ -77,6 +77,16 @@ def test_sequence_record_rejects_bad_letters():
         SequenceRecord("x", "ACGT9")
 
 
+def test_feature_table_names_the_first_five_duplicate_ids_sorted():
+    ids = [f"img{i:05d}" for i in range(30_000)]
+    for i in (29_999, 12, 20_000, 7, 7, 15_000, 3):  # six distinct repeats
+        ids.append(ids[i])
+    with pytest.raises(ValueError) as info:
+        FeatureTable(ids, np.zeros(len(ids), dtype=int), np.zeros((len(ids), 1)))
+    assert str(info.value) == ("duplicate ids in feature table: ['img00003',"
+                               " 'img00007', 'img00012', 'img15000', 'img20000']")
+
+
 def test_format_fasta_is_inverse_of_parse():
     records = [SequenceRecord("q", "ACGTRYSWKM")]
     assert parse_fasta(format_fasta(records)) == records
@@ -91,14 +101,6 @@ def test_feature_table_validation():
         FeatureTable(["a", "b"], [0, 1], np.array([[0.0, 1.0], [np.nan, 2.0]]))
     with pytest.raises(ValueError, match="inconsistent"):
         FeatureTable(["a", "b"], [0, 1, 2], np.zeros((2, 3)))
-
-
-def test_feature_table_rows_subsetting():
-    table = small_table()
-    sub = table.rows([2, 0])
-    assert sub.ids == ["item2", "item0"]
-    assert np.allclose(sub.matrix[0], table.matrix[2])
-    assert sub.labels[1] == table.labels[0]
 
 
 def test_feature_csv_round_trip_exact(tmp_path):

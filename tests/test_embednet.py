@@ -1,6 +1,8 @@
 """Projection head tests: forward, exact backward, SGD, max-norm, checkpoints."""
 
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -362,3 +364,113 @@ def test_checkpoint_validates_stage_and_dims(tmp_path):
     assert loaded.dims == DIMS and lineage == {}
     with pytest.raises(ValueError, match="dims"):
         load_checkpoint(path, expect_dims=(4, 5, 3, 9))
+
+
+def test_checkpoint_special_values_round_trip(tmp_path):
+    p = small_head(seed=4)
+    p.W1[0, :4] = [-0.0, 5e-324, 1e300, -1.5e-300]  # -0.0, subnormal, e+/e-
+    p.bc[:] = [1e16, 0.0]
+    path = tmp_path / "head.json"
+    save_checkpoint(p, path, "stage1")
+    assert load_checkpoint(path)[0].flat.tobytes() == p.flat.tobytes()
+
+
+def test_canonical_checkpoint_is_parsed_without_json(tmp_path, monkeypatch):
+    p = small_head(seed=5)
+    path = tmp_path / "head.json"
+    save_checkpoint(p, path, "stage2", seed_lineage={"seed": 5})
+
+    def no_json(*args, **kwargs):
+        raise AssertionError("a canonical checkpoint went through json.load")
+    monkeypatch.setattr(json, "load", no_json)
+    loaded, stage, lineage = load_checkpoint(path)
+    assert loaded.flat.tobytes() == p.flat.tobytes()
+    assert (stage, lineage) == ("stage2", {"seed": 5})
+
+
+def _first_w1_value(text, token):
+    return re.sub(r'("W1":\[\[)[^,\]]+', lambda m: m.group(1) + token, text,
+                  count=1)
+
+
+# each turns a canonical file into one the json path must read
+VARIANTS = {
+    "indent": lambda t: json.dumps(json.loads(t), indent=2, sort_keys=True),
+    "separators": lambda t: json.dumps(json.loads(t)),
+    "space": lambda t: _first_w1_value(t, "0.5 "),
+    "integer": lambda t: _first_w1_value(t, "2"),
+    "integer-minus-zero": lambda t: _first_w1_value(t, "-0"),
+    "exponent-zeros": lambda t: _first_w1_value(t, "1E+05"),
+    "plus": lambda t: _first_w1_value(t, "+0.5"),
+    "nan": lambda t: _first_w1_value(t, "NaN"),
+    "infinity": lambda t: _first_w1_value(t, "-Infinity"),
+    "overflow": lambda t: _first_w1_value(t, "1e999"),
+    "leading-zero": lambda t: _first_w1_value(t, "-01.5"),
+    "bare-dot": lambda t: _first_w1_value(t, "1."),
+    "dot-first": lambda t: _first_w1_value(t, ".5"),
+    "form-feed": lambda t: _first_w1_value(t, "0.5\f"),
+    "short-row": lambda t: _first_w1_value(t, "").replace("[[,", "[[", 1),
+    "extra-row": lambda t: t.replace('"W1":[[', '"W1":[[0.5,0.5,0.5,0.5],[', 1),
+    "row-separator": lambda t: t.replace("],[", "] ,", 1),
+    "empty-row": lambda t: t.replace('"W1":[[', '"W1":[[],[', 1),
+    "missing-key": lambda t: t.replace(',"stage":"stage1"', ""),
+    "repeated-key": lambda t: t.replace('"stage":', '"dims":{},"stage":'),
+    "truncated": lambda t: t[:len(t) // 2],
+}
+
+
+def _load_outcome(path):
+    try:
+        return load_checkpoint(path)[0].flat.tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_other_checkpoints_load_as_json_reads_them(tmp_path, monkeypatch,
+                                                  variant):
+    path = tmp_path / "head.json"
+    save_checkpoint(small_head(seed=6), path, "stage1")
+    path.write_text(VARIANTS[variant](path.read_text()))
+    got = _load_outcome(path)
+    # the json path alone: the loader as it was before the canonical parse
+    monkeypatch.setattr(embednet, "_load_canonical", lambda path: None)
+    assert got == _load_outcome(path)
+    if variant == "nan":
+        assert got == f"{path}: malformed checkpoint: non-finite values in W1"
+    if variant in ("plus", "leading-zero", "bare-dot", "dot-first"):
+        with pytest.raises(json.JSONDecodeError) as info:
+            json.loads(path.read_text())
+        assert got == f"{path}: malformed checkpoint: {info.value}"
+    if variant == "integer-minus-zero":  # json's integer 0, not -0.0
+        assert load_checkpoint(path)[0].W1[0, 0].tobytes() == b"\0" * 8
+
+
+def test_dims_beyond_the_text_allocate_no_head(tmp_path):
+    path = tmp_path / "head.json"
+    save_checkpoint(small_head(), path, "stage1")
+    path.write_text(path.read_text().replace('"d_in":4', '"d_in":10000000'))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="disagree with recorded dims"):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # a head of those dims is 400 MB
+
+
+def test_loading_a_checkpoint_holds_its_text_and_one_head(tmp_path):
+    p = init_head(256, 128, 64, 8, seed=0)
+    path = tmp_path / "head.json"
+    save_checkpoint(p, path, "stage1")
+    load_checkpoint(path)  # warm imports and caches
+    tracemalloc.start()
+    try:
+        load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the file's text, the head and one field being parsed; a Python
+    # float per value would add about 4x the head's bytes
+    assert peak <= path.stat().st_size + 3 * p.flat.nbytes

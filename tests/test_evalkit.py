@@ -49,6 +49,29 @@ def test_embed_features_matches_forward():
     assert out.ids == feats.ids and np.array_equal(out.labels, feats.labels)
 
 
+@pytest.mark.parametrize("block", [3, 7])
+def test_embed_features_in_blocks_equals_one_pass(monkeypatch, block):
+    params = embednet.init_head(5, 9, 4, 3, seed=2)
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 7, 8, 22):
+        feats = FeatureTable([f"x{i}" for i in range(n)], rng.integers(0, 3, n),
+                             rng.normal(size=(n, 5)))
+        one_pass = embednet.forward(params, feats.matrix)[0]
+        sizes = []
+
+        def spy(p, x, forward=embednet.forward):
+            sizes.append(len(x))
+            return forward(p, x)
+        monkeypatch.setattr(evalkit, "EMBED_BLOCK", block)
+        monkeypatch.setattr(embednet, "forward", spy)
+        out = embed_features(params, feats)
+        monkeypatch.undo()
+        assert out.matrix.tobytes() == one_pass.tobytes()
+        assert sum(sizes) == n and max(sizes) <= block
+        assert len(sizes) == -(-n // block)
+        assert min(sizes) > 1 or n == 1  # never a one-row product
+
+
 def test_knn_basic_and_scale_invariance():
     gallery = table([[1, 0], [0.9, 0.1], [0, 1], [-0.1, 0.9]], [0, 0, 1, 1])
     queries = table([[2, 0.1], [0.1, 3]], [0, 1], prefix="q")

@@ -1,12 +1,15 @@
 """Synthetic dataset generator tests: shape, taxonomy signal, determinism."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from xmodal import dataio
 from xmodal.synthgen import SynthSpec, _mutate, class_counts, generate, write_outputs
+
+from oracles import split_tables_oracle
 
 
 def small_spec(**kw):
@@ -95,6 +98,41 @@ def test_generate_is_deterministic():
     assert one.split.train == two.split.train
     assert [r.residues for r in one.records] == [r.residues for r in two.records]
     assert one.train_table.matrix.tobytes() != other.train_table.matrix.tobytes()
+
+
+# the benchmark's paper-width spec (32 taxa, 2048-d), with short sequences
+WIDE = dict(genera=4, species_per_genus=8, head=120, tail=10, ratio=0.9,
+            dim=2048, seq_len=100, seqs_per_species=4)
+
+
+@pytest.mark.parametrize("spec", [SynthSpec(), SynthSpec(seed=3, **WIDE)],
+                         ids=["default", "wide"])
+def test_generate_tables_match_the_row_list_oracle(spec):
+    data = generate(spec)
+    want = split_tables_oracle(spec, data.visual_means, data.counts)
+    for got, (ids, labels, matrix) in zip(
+            (data.train_table, data.test_table), want):
+        assert got.ids == ids
+        assert got.labels.tolist() == labels.tolist()
+        assert got.matrix.tobytes() == matrix.tobytes()
+    assert data.split.train == want[0][0] and data.split.test == want[1][0]
+
+
+def test_generate_holds_the_features_once():
+    spec = SynthSpec(seed=1, **WIDE)
+    generate(spec)  # warm imports and caches
+    tracemalloc.start()
+    try:
+        data = generate(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = sum(a.nbytes for a in (data.train_table.matrix,
+                                      data.test_table.matrix,
+                                      data.map_matrix, data.visual_means))
+    # the returned arrays, one taxon's noise block and the table checks;
+    # a full table plus per-row copies would be about 2.7x
+    assert peak <= 1.5 * returned
 
 
 def test_taxonomy_signal_in_sequences_and_anchors():

@@ -1,6 +1,7 @@
 """Two-stage training tests: config, sampling, batch math, both loops."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -265,11 +266,11 @@ def test_train_stage1_warm_start_and_validation():
 def test_anchor_matrix_accepts_dict_and_anchor_list():
     vecs = {0: np.array([1.0, 0.0]), 2: np.array([0.0, 2.0])}
     mat = _anchor_matrix(vecs, present_taxa=[0, 2])
-    assert mat.shape == (3, 2)
-    assert np.array_equal(mat[2], [0.0, 2.0])
+    assert mat.shape == (2, 2)  # one row per present taxon, in sorted order
+    assert np.array_equal(mat[1], [0.0, 2.0])
     anchors = [GeneticAnchor(taxon=1, vector=np.array([3.0, 0.0]), count=4)]
     mat = _anchor_matrix(anchors, present_taxa=[1])
-    assert np.array_equal(mat[1], [3.0, 0.0])
+    assert np.array_equal(mat, [[3.0, 0.0]])
 
 
 def test_anchor_matrix_rejects_bad_tables():
@@ -318,6 +319,24 @@ def test_align_stage2_pulls_embeddings_toward_anchors():
     aligned, history = align_stage2(config, start, anchors, x, labels)
     assert mean_anchor_cos(aligned) > mean_anchor_cos(start)
     assert history.entries[-1]["mean_loss"] < history.entries[0]["mean_loss"]
+
+
+def test_align_stage2_sizes_nothing_by_taxon_id():
+    x, labels = toy_data(seed=2, n_classes=2)
+    config = toy_config()
+    start = embednet.init_head(6, 8, 5, 2, seed=3)
+    vecs = anchors_for(labels, 5, seed=2)
+    small, _ = align_stage2(config, start, vecs, x, labels)
+    far = np.where(labels == 1, 10**6, 0)
+    tracemalloc.start()
+    try:
+        big, _ = align_stage2(config, start, {0: vecs[0], 10**6: vecs[1]},
+                              x, far)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert big.flat.tobytes() == small.flat.tobytes()
+    assert peak < 1_000_000  # an anchor row per id up to 10**6 is 40 MB
 
 
 def test_align_stage2_is_deterministic():
