@@ -28,7 +28,8 @@ def main():
 
     seq_ids, genetic = sgt.embed_sequences(data.records, kappa=spec.kappa)
     labels_g = np.array([data.seq_labels[i] for i in seq_ids])
-    anchors = sgt.anchors_from_table(seq_ids, genetic, labels_g)
+    anchors = {a.taxon: a.vector
+               for a in sgt.anchors_from_table(seq_ids, genetic, labels_g)}
 
     config = trainer.TrainConfig(d_in=spec.dim, seed=1, ltr_enabled=True)
     params, history = trainer.train_stage1(

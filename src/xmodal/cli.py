@@ -84,6 +84,12 @@ def _anchor_table(genetic):
 
 
 def _anchors_by_taxon(table):
+    """{taxon: vector} of an anchor table, which has one row per taxon."""
+    taxa, counts = np.unique(table.labels, return_counts=True)
+    if np.any(counts > 1):
+        raise ValueError(
+            f"anchor table has more than one row for taxa"
+            f" {taxa[counts > 1][:5].tolist()}")
     return {int(lbl): table.matrix[i] for i, lbl in enumerate(table.labels)}
 
 

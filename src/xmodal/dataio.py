@@ -277,7 +277,7 @@ def _load_feature_csv_rows(path):
     if not ids:
         raise ValueError(f"{path}: feature CSV has no data rows")
     if len(set(ids)) != len(ids):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
+        dupes = sorted(i for i, m in Counter(ids).items() if m > 1)
         raise ValueError(f"{path}: duplicate ids {dupes[:5]}")
     return FeatureTable(ids, np.array(labels), np.array(rows, dtype=np.float64))
 
@@ -342,8 +342,15 @@ def read_feature_bin(path):
     for row in reader:
         if not row:
             continue
+        where = f"{path}: id/label table line {reader.line_num}"
+        if len(row) != 2:
+            raise ValueError(f"{where}: expected 2 fields, got {len(row)}")
+        try:
+            labels.append(int(row[1]))
+        except ValueError:
+            raise ValueError(
+                f"{where}: label {row[1]!r} is not an integer") from None
         ids.append(row[0])
-        labels.append(int(row[1]))
     if len(ids) != n:
         raise ValueError(f"{path}: id/label table has {len(ids)} rows, expected {n}")
     return FeatureTable(ids, np.array(labels), matrix)
@@ -393,21 +400,32 @@ def load_label_counts(path):
         header = next(reader, None)
         if header is None:
             raise ValueError(f"{path}: empty counts CSV")
-        rows = [r for r in reader if r]
-    lowered = [h.strip().lower() for h in header]
-    counts = {}
-    if lowered[0] == "taxon_id" and lowered[-1] in ("train_count", "count"):
-        for row in rows:
-            counts[int(row[0])] = int(row[-1])
-    elif len(lowered) == 2 and lowered[1] in ("taxon_id", "label"):
-        for row in rows:
-            taxon = int(row[1])
-            counts[taxon] = counts.get(taxon, 0) + 1
-    else:
-        raise ValueError(
-            f"{path}: unrecognized counts header {header};"
-            " expected id,taxon_id or taxon_id[,name],train_count"
-        )
+        lowered = [h.strip().lower() for h in header]
+        direct = (lowered[0] == "taxon_id"
+                  and lowered[-1] in ("train_count", "count"))
+        if not direct and not (len(lowered) == 2
+                               and lowered[1] in ("taxon_id", "label")):
+            raise ValueError(
+                f"{path}: unrecognized counts header {header};"
+                " expected id,taxon_id or taxon_id[,name],train_count"
+            )
+        counts = {}
+        for row in reader:
+            if not row:
+                continue
+            where = f"{path}: line {reader.line_num}"
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{where}: expected {len(header)} fields, got {len(row)}")
+            try:
+                taxon = int(row[0] if direct else row[1])
+                count = int(row[-1]) if direct else counts.get(taxon, 0) + 1
+            except ValueError:
+                raise ValueError(f"{where}: non-integer taxon id or count"
+                                 f" in {row}") from None
+            if taxon < 0:
+                raise ValueError(f"{where}: negative taxon id {taxon}")
+            counts[taxon] = count
     if not counts:
         raise ValueError(f"{path}: no count rows")
     size = max(counts) + 1

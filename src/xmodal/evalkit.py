@@ -23,6 +23,7 @@ TAIL_THRESHOLD = 100
 HEAD_THRESHOLD = 1000
 KNN_CHUNK = 512  # queries per similarity block in knn_predict
 EMBED_BLOCK = 4096  # feature rows per forward pass in embed_features
+LAYOUT_RESTARTS = 8  # seeded starts tried by kamada_kawai_layout
 
 
 @dataclass
@@ -174,13 +175,11 @@ class MetricsReport:
         return obj
 
 
-def compute_metrics(predictions, truth, train_counts,
-                    tail_threshold=TAIL_THRESHOLD, head_threshold=HEAD_THRESHOLD,
-                    k=None):
+def compute_metrics(predictions, truth, train_counts, k=None):
     """Confusion matrix plus overall/macro/tail/head accuracy.
 
     `train_counts[c]` is class c's training sample count; it decides
-    tail (< tail_threshold) and head (> head_threshold) membership.
+    tail (< TAIL_THRESHOLD) and head (> HEAD_THRESHOLD) membership.
     Macro-style means run over classes with at least one test sample;
     an empty tail or head set is reported as None, never as 0.
     """
@@ -212,11 +211,11 @@ def compute_metrics(predictions, truth, train_counts,
         mask = mask & present
         return float(np.mean(recalls[mask])) if np.any(mask) else None
 
-    tail = group_mean(train_counts < tail_threshold)
-    head = group_mean(train_counts > head_threshold)
+    tail = group_mean(train_counts < TAIL_THRESHOLD)
+    head = group_mean(train_counts > HEAD_THRESHOLD)
     per_class = [None if np.isnan(r) else float(r) for r in recalls]
     return MetricsReport(overall, macro, tail, head, per_class, confusion,
-                         int(tail_threshold), int(head_threshold),
+                         TAIL_THRESHOLD, HEAD_THRESHOLD,
                          int(predictions.size), k)
 
 
@@ -248,12 +247,9 @@ def centroid_distance_matrix(table):
 def anchor_centroid_cosines(table, anchors):
     """Mean cosine between each class centroid and its genetic anchor.
 
-    `anchors` maps taxon -> 256-vector (dict or GeneticAnchor list).
-    Returns (mean cosine, {taxon: cosine}).  The quantity stage 2 is
-    supposed to push up.
+    `anchors` is a {taxon: 256-vector} dict.  Returns (mean cosine,
+    {taxon: cosine}).  The quantity stage 2 is supposed to push up.
     """
-    if not isinstance(anchors, dict):
-        anchors = {a.taxon: a.vector for a in anchors}
     class_ids, cents = class_centroids(table)
     cosines = {}
     for cid, cent in zip(class_ids, cents):
@@ -326,7 +322,7 @@ def _descend(points, dist, weights, iters, tol):
     return points, stress, done_iters
 
 
-def kamada_kawai_layout(dist, iters=2000, tol=1e-12, seed=0, restarts=8):
+def kamada_kawai_layout(dist, iters=2000, tol=1e-12, seed=0):
     """Press a distance matrix into 2-D by minimizing weighted stress.
 
     E = sum over pairs i<j of w_ij (||p_i - p_j|| - d_ij)^2 with
@@ -336,7 +332,7 @@ def kamada_kawai_layout(dist, iters=2000, tol=1e-12, seed=0, restarts=8):
     (sufficient-decrease test, step halving, step doubling after each
     accepted move), stopping at `iters` or when the relative improvement
     drops below `tol`.  The stress landscape has local minima (a square
-    can collapse into a crossed quadrilateral), so up to `restarts`
+    can collapse into a crossed quadrilateral), so up to LAYOUT_RESTARTS
     starts are tried, all drawn from one generator seeded with `seed`,
     and the lowest-stress layout wins; the search ends early once a
     start lands at machine-zero stress.  n_iters on the result sums the
@@ -352,8 +348,6 @@ def kamada_kawai_layout(dist, iters=2000, tol=1e-12, seed=0, restarts=8):
         raise ValueError("distance matrix must be symmetric")
     if np.any(np.diag(dist) != 0):
         raise ValueError("distance matrix diagonal must be zero")
-    if int(restarts) < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
     if n == 1:
         return Layout2D(np.zeros((1, 2)), 0.0, 0)
 
@@ -364,7 +358,7 @@ def kamada_kawai_layout(dist, iters=2000, tol=1e-12, seed=0, restarts=8):
     rng = np.random.default_rng(seed)
     best_points, best_stress = None, np.inf
     total_iters = 0
-    for _ in range(int(restarts)):
+    for _ in range(LAYOUT_RESTARTS):
         # uniform on the unit disk
         radius = np.sqrt(rng.random(n))
         angle = 2.0 * np.pi * rng.random(n)

@@ -127,26 +127,17 @@ class GeneticAnchor:
             raise ValueError("anchor needs at least one contributing embedding")
 
 
-def compute_anchor(embeddings, taxon, taxa=None):
+def compute_anchor(embeddings, taxon):
     """Elementwise median of a taxon's embeddings.
 
     For even counts each coordinate is the midpoint of the two middle
-    values.  If `taxa` is given it must match `taxon` everywhere; this
-    guards against accidentally pooling embeddings across taxa.
+    values.
     """
     mat = np.asarray(list(embeddings), dtype=np.float64)
     if mat.size == 0:
         raise ValueError(f"no embeddings for taxon {taxon}")
     if mat.ndim != 2:
         raise ValueError("embeddings must be equal-length vectors")
-    if taxa is not None:
-        wrong = [t for t in taxa if t != taxon]
-        if wrong:
-            raise ValueError(
-                f"embeddings from taxa {sorted(set(wrong))} mixed into taxon {taxon}"
-            )
-        if len(list(taxa)) != mat.shape[0]:
-            raise ValueError("taxa list length does not match embeddings")
     return GeneticAnchor(taxon, np.median(mat, axis=0), mat.shape[0])
 
 

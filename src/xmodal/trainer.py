@@ -1,5 +1,8 @@
 """Two-stage training of the projection head.
 
+The losses live in `losses` (softmax_rtl_batch, cosine_align_batch);
+this module samples the batches, runs the head and steps the weights.
+
 Stage 1 (metric pretraining): uniform random triplets, per batch the
 anchor's logits feed a cross-entropy term and the three embeddings feed
 a reciprocal-triplet term, mixed with weight lambda.  With LTR enabled
@@ -8,11 +11,12 @@ projection of the classifier rows, the pair of balance devices that
 keeps head classes from crowding out the tail.
 
 Stage 2 (cross-modal alignment): each triplet pairs a fixed genetic
-anchor with one same-taxon and one different-taxon visual embedding
-under the cosine loss.  Taxa are sampled uniformly, so a taxon with ten
-images gets the same pull toward its anchor as one with a thousand,
-which is where the tail recovery comes from.  The classifier layer is
-frozen throughout stage 2; only the projection layers move.
+anchor, given as a {taxon: vector} dict, with one same-taxon and one
+different-taxon visual embedding under the cosine loss.  Taxa are
+sampled uniformly, so a taxon with ten images gets the same pull toward
+its anchor as one with a thousand, which is where the tail recovery
+comes from.  The classifier layer is frozen throughout stage 2; only
+the projection layers move.
 
 Forward and backward run in float32 on a working copy refreshed from
 the float64 master head before every step; the SGD update, max-norm and
@@ -174,50 +178,6 @@ def _float32_features(x):
     return x32
 
 
-def _stage1_batch_grads(logits_a, class_ids, e_a, e_p, e_n, mix_lambda):
-    """Mean Eq.-style loss over a triplet batch plus upstream gradients.
-
-    Vectorized equivalent of calling losses.softmax_rtl per triplet and
-    averaging (tests pin the equivalence).  Returns (mean loss, mean
-    softmax part, mean rtl part, d_logits_a, d_e_a, d_e_p, d_e_n), the
-    gradients already carrying the 1/B batch factor.
-    """
-    b = logits_a.shape[0]
-    shifted = logits_a - logits_a.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1))
-    probs = np.exp(shifted - log_norm[:, None])
-    rows = np.arange(b)
-    ce = log_norm - shifted[rows, class_ids]
-
-    diff_ap = e_a - e_p
-    diff_an = e_a - e_n
-    d_ap = np.linalg.norm(diff_ap, axis=1)
-    d_an = np.linalg.norm(diff_an, axis=1)
-    inv = 1.0 / (d_an + losses.RTL_EPS)
-    rtl_vals = d_ap + inv
-
-    # unit direction vectors; zero at coincident points (hinge-style subgradient)
-    u_ap = np.divide(diff_ap, d_ap[:, None], out=np.zeros_like(diff_ap),
-                     where=d_ap[:, None] > 0)
-    u_an = np.divide(diff_an, d_an[:, None], out=np.zeros_like(diff_an),
-                     where=d_an[:, None] > 0)
-
-    d_logits = probs.copy()
-    d_logits[rows, class_ids] -= 1.0
-    d_logits /= b
-
-    scale = mix_lambda / b
-    inv2 = (inv * inv)[:, None]
-    d_e_a = scale * (u_ap - inv2 * u_an)
-    d_e_p = scale * (-u_ap)
-    d_e_n = scale * (inv2 * u_an)
-
-    mean_ce = float(ce.mean())
-    mean_rtl = float(rtl_vals.mean())
-    return (mean_ce + mix_lambda * mean_rtl, mean_ce, mean_rtl,
-            d_logits, d_e_a, d_e_p, d_e_n)
-
-
 def _apply_maxnorm(params, delta, scope):
     """The stage-1 cap on classifier rows (`scope` is "classifier"); a
     capping step returns a copy, so `params` is never written."""
@@ -271,9 +231,9 @@ def train_stage1(config, train_features, labels, params=None):
             np.copyto(work.flat, params.flat)
             emb, logits, cache = embednet.forward(work, x32[rows])
             b = len(trip)
-            loss, ce_part, rtl_part, d_logits_a, *d_emb = _stage1_batch_grads(
-                logits[:b], labels[rows[:b]], *np.split(emb, 3),
-                config.mix_lambda)
+            loss, ce_part, rtl_part, d_logits_a, *d_emb = (
+                losses.softmax_rtl_batch(logits[:b], labels[rows[:b]],
+                                         *np.split(emb, 3), config.mix_lambda))
             _check_loss(loss, "stage1", epoch, batch_idx,
                         {"softmax": ce_part, "rtl": rtl_part})
             d_log = np.zeros_like(logits)
@@ -290,18 +250,11 @@ def train_stage1(config, train_features, labels, params=None):
 
 
 def _anchor_matrix(anchors, present_taxa):
-    """Anchors (list of GeneticAnchor or {taxon: vector}) -> (T, E) matrix
-    whose row i is the anchor of the i-th taxon of sorted `present_taxa`,
-    so its size never follows the taxon ids.  Every present taxon must
-    have an anchor."""
-    items = (list(anchors.items()) if isinstance(anchors, dict)
-             else [(a.taxon, a.vector) for a in anchors])
-    by_taxon = {}
-    for taxon, vec in items:
-        taxon = int(taxon)
-        if taxon in by_taxon:
-            raise ValueError(f"duplicate anchor for taxon {taxon}")
-        by_taxon[taxon] = np.asarray(vec, dtype=np.float64)
+    """{taxon: vector} anchors -> (T, E) matrix whose row i is the anchor
+    of the i-th taxon of sorted `present_taxa`, so its size never follows
+    the taxon ids.  Every present taxon must have an anchor."""
+    by_taxon = {int(t): np.asarray(vec, dtype=np.float64)
+                for t, vec in anchors.items()}
     missing = [int(t) for t in present_taxa if int(t) not in by_taxon]
     if missing:
         raise ValueError(f"missing anchors for present taxa {missing}")
@@ -309,30 +262,6 @@ def _anchor_matrix(anchors, present_taxa):
     if any(vec.shape != (dim,) for vec in by_taxon.values()):
         raise ValueError("anchor vectors must share one dimension")
     return np.array([by_taxon[t] for t in sorted(int(t) for t in present_taxa)])
-
-
-def _stage2_batch_grads(anchor_vecs, e_p, e_n, margin_m):
-    """Mean cosine alignment loss over a batch plus gradients wrt pos/neg.
-
-    Vectorized twin of losses.cosine_align (anchors constant); gradients
-    carry the 1/B factor.
-    """
-    b = e_p.shape[0]
-    na = np.linalg.norm(anchor_vecs, axis=1)
-    npos = np.linalg.norm(e_p, axis=1)
-    nneg = np.linalg.norm(e_n, axis=1)
-    if np.any(npos == 0) or np.any(nneg == 0):
-        raise ArithmeticError("zero-norm embedding in alignment batch")
-    cos_p = np.einsum("ij,ij->i", anchor_vecs, e_p) / (na * npos)
-    cos_n = np.einsum("ij,ij->i", anchor_vecs, e_n) / (na * nneg)
-    hinge_on = cos_n > margin_m
-    values = (1.0 - cos_p) + np.where(hinge_on, cos_n - margin_m, 0.0)
-
-    grad_p = anchor_vecs / (na * npos)[:, None] - cos_p[:, None] * e_p / (npos ** 2)[:, None]
-    grad_n = anchor_vecs / (na * nneg)[:, None] - cos_n[:, None] * e_n / (nneg ** 2)[:, None]
-    d_e_p = -grad_p / b
-    d_e_n = np.where(hinge_on[:, None], grad_n, 0.0) / b
-    return float(values.mean()), d_e_p, d_e_n
 
 
 def align_stage2(config, params, anchors, train_features, labels):
@@ -380,7 +309,7 @@ def align_stage2(config, params, anchors, train_features, labels):
             taxa, *pos_neg = np.array(drawn).T
             np.copyto(work.flat, params.flat)
             emb, _, cache = embednet.forward(work, x32[np.concatenate(pos_neg)])
-            loss, *d_emb = _stage2_batch_grads(
+            loss, *d_emb = losses.cosine_align_batch(
                 anchor32[taxa], *np.split(emb, 2), config.margin_m)
             _check_loss(loss, "stage2", epoch, batch_idx, {"cosine": loss})
             embednet.backward(cache, np.concatenate(d_emb),

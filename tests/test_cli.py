@@ -186,6 +186,49 @@ def test_cli_reports_errors_as_exit_one(chain, capsys):
     assert "exceeds gallery" in capsys.readouterr().err
 
 
+BAD_COUNTS_CSVS = {
+    "short-row": ("id,taxon_id\na\n", "line 2: expected 2 fields, got 1"),
+    "count-not-integer": ("taxon_id,train_count\n0,3\n1,many\n",
+                          "line 3: non-integer taxon id or count"
+                          " in ['1', 'many']"),
+    "negative-taxon": ("taxon_id,train_count\n-1,3\n",
+                       "line 2: negative taxon id -1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_COUNTS_CSVS))
+def test_eval_rejects_bad_counts_file(chain, tmp_path, capsys, name):
+    text, message = BAD_COUNTS_CSVS[name]
+    counts = tmp_path / "counts.csv"
+    counts.write_text(text)
+    capsys.readouterr()
+    rc = main(["eval", "--ckpt", str(chain / "aligned.json"),
+               "--gallery", str(chain / "data" / "train.csv"),
+               "--queries", str(chain / "data" / "test.csv"), "--k", "3",
+               "--counts", str(counts), "--out", str(tmp_path / "m.json")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {counts}: {message}\n"
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_align_rejects_two_anchors_for_one_taxon(chain, tmp_path, capsys):
+    table = dataio.load_feature_csv(chain / "anchors.csv")
+    twice = dataio.FeatureTable(
+        table.ids + ["extra"], np.append(table.labels, table.labels[1]),
+        np.vstack([table.matrix, table.matrix[0]]))
+    anchors = tmp_path / "anchors.csv"
+    dataio.write_feature_csv(twice, anchors)
+    capsys.readouterr()
+    rc = main(["align", "--config", str(chain / "config.json"),
+               "--ckpt", str(chain / "ckpt.json"), "--anchors", str(anchors),
+               "--features", str(chain / "data" / "train.csv"),
+               "--out", str(tmp_path / "aligned.json")])
+    assert rc == 1
+    assert (capsys.readouterr().err == "error: anchor table has more than one"
+            f" row for taxa [{int(table.labels[1])}]\n")
+    assert not (tmp_path / "aligned.json").exists()
+
+
 # feature CSVs the row parser rejects, with its message after the path;
 # each reaches it through the streamed pass's fallback
 BAD_FEATURE_CSVS = {

@@ -77,14 +77,20 @@ def test_sequence_record_rejects_bad_letters():
         SequenceRecord("x", "ACGT9")
 
 
-def test_feature_table_names_the_first_five_duplicate_ids_sorted():
+def test_feature_table_names_the_first_five_duplicate_ids_sorted(tmp_path):
     ids = [f"img{i:05d}" for i in range(30_000)]
     for i in (29_999, 12, 20_000, 7, 7, 15_000, 3):  # six distinct repeats
         ids.append(ids[i])
+    first_five = "['img00003', 'img00007', 'img00012', 'img15000', 'img20000']"
     with pytest.raises(ValueError) as info:
         FeatureTable(ids, np.zeros(len(ids), dtype=int), np.zeros((len(ids), 1)))
-    assert str(info.value) == ("duplicate ids in feature table: ['img00003',"
-                               " 'img00007', 'img00012', 'img15000', 'img20000']")
+    assert str(info.value) == f"duplicate ids in feature table: {first_five}"
+    # the CSV row parser counts them in one pass and names the same five
+    path = tmp_path / "features.csv"
+    path.write_text("id,label,f0\n" + "".join(f"{i},0,1.0\n" for i in ids))
+    with pytest.raises(ValueError) as info:
+        dataio._load_feature_csv_rows(path)
+    assert str(info.value) == f"{path}: duplicate ids {first_five}"
 
 
 def test_format_fasta_is_inverse_of_parse():
@@ -175,6 +181,18 @@ def test_feature_bin_rejects_corruption(tmp_path):
     truncated.write_bytes(path.read_bytes()[:20])
     with pytest.raises(ValueError, match="truncated"):
         read_feature_bin(truncated)
+    # the id/label table follows the payload and its 8-byte length
+    start = 16 + table.n * table.dim * 4
+    for block, message in (
+            (b"id,label\nitem0,1\nitem1\n",
+             "id/label table line 3: expected 2 fields, got 1"),
+            (b"id,label\nitem0,x\n",
+             "id/label table line 2: label 'x' is not an integer")):
+        bad.write_bytes(path.read_bytes()[:start]
+                        + len(block).to_bytes(8, "little") + block)
+        with pytest.raises(ValueError) as info:
+            read_feature_bin(bad)
+        assert str(info.value) == f"{bad}: {message}"
 
 
 def test_labels_csv_round_trip(tmp_path):

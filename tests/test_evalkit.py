@@ -18,7 +18,6 @@ from xmodal.evalkit import (
     knn_predict,
     write_layout_csv,
 )
-from xmodal.sgt import GeneticAnchor
 
 from oracles import knn_oracle
 
@@ -259,8 +258,6 @@ def test_anchor_centroid_cosines():
     mean, per = anchor_centroid_cosines(t, anchors)
     assert per[0] == pytest.approx(1.0) and per[1] == pytest.approx(1.0)
     assert mean == pytest.approx(1.0)
-    as_list = [GeneticAnchor(0, [5.0, 0.0], 1), GeneticAnchor(1, [0.0, 0.1], 1)]
-    assert anchor_centroid_cosines(t, as_list)[0] == pytest.approx(1.0)
     with pytest.raises(ValueError, match="no anchor"):
         anchor_centroid_cosines(t, {0: np.array([1.0, 0.0])})
 

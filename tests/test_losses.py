@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
+from xmodal import losses, trainer
 from xmodal.losses import (
     RTL_EPS,
     contrastive,
     cosine_align,
-    log_softmax,
+    cosine_align_batch,
     rtl,
     softmax_rtl,
+    softmax_rtl_batch,
     triplet,
 )
 
@@ -110,10 +112,18 @@ def test_rtl_gradients_match_finite_differences():
             assert relative_error(out.grads[name], finite_difference(f, point)) < TOL
 
 
+def log_softmax(logits):
+    shifted = logits - logits.max()
+    return shifted - np.log(np.exp(shifted).sum())
+
+
 def test_log_softmax_stability():
-    log_p, p = log_softmax(np.array([1000.0, 1000.0, 999.0]))
-    assert np.all(np.isfinite(log_p))
-    assert p.sum() == pytest.approx(1.0)
+    logits = np.array([1000.0, 1000.0, 999.0])
+    a, p, n = np.eye(3)
+    out = softmax_rtl(logits, 2, a, p, n, 0.0)
+    assert out.value == pytest.approx(-log_softmax(logits)[2])
+    probs = out.grads["logits"] + np.eye(3)[2]
+    assert np.all(np.isfinite(probs)) and probs.sum() == pytest.approx(1.0)
 
 
 def test_softmax_rtl_combines_terms():
@@ -122,8 +132,8 @@ def test_softmax_rtl_combines_terms():
     a, p, n = rng.normal(size=(3, 4))
     lam = 0.01
     out = softmax_rtl(logits, 2, a, p, n, lam)
-    log_p, _ = log_softmax(logits)
-    assert out.value == pytest.approx(-log_p[2] + lam * rtl(a, p, n).value)
+    assert out.value == pytest.approx(-log_softmax(logits)[2]
+                                      + lam * rtl(a, p, n).value)
 
 
 def test_softmax_rtl_logit_gradient():
@@ -210,3 +220,70 @@ def test_cosine_align_rejects_zero_norm():
         cosine_align(anchor, z, anchor, m=0.5)
     with pytest.raises(ValueError):
         cosine_align(anchor, anchor, z, m=0.5)
+
+
+def test_stage1_batch_matches_per_triplet_losses():
+    rng = np.random.default_rng(5)
+    b, e_dim, c = 6, 4, 3
+    logits = rng.normal(size=(b, c)) * 2
+    class_ids = rng.integers(c, size=b)
+    e_a, e_p, e_n = (rng.normal(size=(b, e_dim)) for _ in range(3))
+    lam = 0.01
+
+    loss, ce, rtl_part, d_logits, d_e_a, d_e_p, d_e_n = softmax_rtl_batch(
+        logits, class_ids, e_a, e_p, e_n, lam)
+
+    singles = [softmax_rtl(logits[i], int(class_ids[i]),
+                           e_a[i], e_p[i], e_n[i], lam)
+               for i in range(b)]
+    assert loss == pytest.approx(np.mean([s.value for s in singles]))
+    assert loss == pytest.approx(ce + lam * rtl_part)
+    for i in range(b):
+        assert d_logits[i] == pytest.approx(singles[i].grads["logits"] / b)
+        assert d_e_a[i] == pytest.approx(singles[i].grads["x_a"] / b)
+        assert d_e_p[i] == pytest.approx(singles[i].grads["x_p"] / b)
+        assert d_e_n[i] == pytest.approx(singles[i].grads["x_n"] / b)
+
+
+def test_stage2_batch_matches_per_triplet_losses():
+    rng = np.random.default_rng(8)
+    b, e_dim = 5, 4
+    anchors = rng.normal(size=(b, e_dim))
+    e_p = rng.normal(size=(b, e_dim))
+    # the first two negatives sit on their anchors, past the hinge
+    e_n = np.concatenate([anchors[:2] * 3.0, rng.normal(size=(3, e_dim))])
+
+    loss, d_e_p, d_e_n = cosine_align_batch(anchors, e_p, e_n, 0.5)
+
+    singles = [cosine_align(anchors[i], e_p[i], e_n[i], m=0.5)
+               for i in range(b)]
+    assert loss == pytest.approx(np.mean([s.value for s in singles]))
+    for i in range(b):
+        assert d_e_p[i] == pytest.approx(singles[i].grads["pos"] / b)
+        assert d_e_n[i] == pytest.approx(singles[i].grads["neg"] / b)
+
+
+def test_cosine_align_batch_rejects_zero_norm_embedding():
+    rows = np.eye(2)
+    with pytest.raises(ArithmeticError, match="zero-norm"):
+        cosine_align_batch(rows, rows, np.zeros((2, 2)), 0.5)
+
+
+def test_trainers_run_the_batch_losses(monkeypatch):
+    calls = []
+    for name in ("softmax_rtl_batch", "cosine_align_batch"):
+        def spy(*args, _real=getattr(losses, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(losses, name, spy)
+    rng = np.random.default_rng(0)
+    labels = np.repeat([0, 1], 6)
+    x = rng.normal(size=(12, 4)) + labels[:, None]
+    config = trainer.TrainConfig(d_in=4, hidden=6, embed_dim=3,
+                                 batch_size=4, epochs_stage1=2,
+                                 epochs_stage2=1, align_enabled=False)
+    params, _ = trainer.train_stage1(config, x, labels)
+    assert calls == ["softmax_rtl_batch"] * 6
+    trainer.align_stage2(config, params, {0: np.ones(3), 1: -np.ones(3)},
+                         x, labels)
+    assert calls[6:] == ["cosine_align_batch"] * 3

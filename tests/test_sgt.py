@@ -131,13 +131,6 @@ def test_compute_anchor_resists_one_outlier():
     assert np.all(anchor.vector == 0.0)
 
 
-def test_compute_anchor_taxa_guard():
-    rows = np.zeros((3, 4))
-    compute_anchor(rows, 2, taxa=[2, 2, 2])
-    with pytest.raises(ValueError, match="mixed into"):
-        compute_anchor(rows, 2, taxa=[2, 3, 2])
-
-
 def test_anchors_from_table_groups_by_label():
     rng = np.random.default_rng(2)
     matrix = rng.normal(size=(6, 256))

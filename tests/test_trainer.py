@@ -1,4 +1,4 @@
-"""Two-stage training tests: config, sampling, batch math, both loops."""
+"""Two-stage training tests: config, sampling, both loops."""
 
 import json
 import tracemalloc
@@ -7,14 +7,11 @@ import numpy as np
 import pytest
 
 from oracles import sample_triplets_oracle
-from xmodal import embednet, losses
-from xmodal.sgt import GeneticAnchor
+from xmodal import embednet
 from xmodal.trainer import (
     TrainConfig,
     TrainHistory,
     _anchor_matrix,
-    _stage1_batch_grads,
-    _stage2_batch_grads,
     _triplet_tables,
     align_stage2,
     sample_triplets,
@@ -112,45 +109,6 @@ def test_sample_triplets_rejects_degenerate_labels():
         sample_triplets(np.array([0, 0, 0]), 4, rng)
     with pytest.raises(ValueError, match="positive pair"):
         sample_triplets(np.array([0, 1]), 4, rng)
-
-
-def test_stage1_batch_matches_per_triplet_losses():
-    rng = np.random.default_rng(5)
-    b, e_dim, c = 6, 4, 3
-    logits = rng.normal(size=(b, c)) * 2
-    class_ids = rng.integers(c, size=b)
-    e_a, e_p, e_n = (rng.normal(size=(b, e_dim)) for _ in range(3))
-    lam = 0.01
-
-    loss, ce, rtl_part, d_logits, d_e_a, d_e_p, d_e_n = _stage1_batch_grads(
-        logits, class_ids, e_a, e_p, e_n, lam)
-
-    singles = [losses.softmax_rtl(logits[i], int(class_ids[i]),
-                                  e_a[i], e_p[i], e_n[i], lam)
-               for i in range(b)]
-    assert loss == pytest.approx(np.mean([s.value for s in singles]))
-    for i in range(b):
-        assert d_logits[i] == pytest.approx(singles[i].grads["logits"] / b)
-        assert d_e_a[i] == pytest.approx(singles[i].grads["x_a"] / b)
-        assert d_e_p[i] == pytest.approx(singles[i].grads["x_p"] / b)
-        assert d_e_n[i] == pytest.approx(singles[i].grads["x_n"] / b)
-
-
-def test_stage2_batch_matches_per_triplet_losses():
-    rng = np.random.default_rng(8)
-    b, e_dim = 5, 4
-    anchors = rng.normal(size=(b, e_dim))
-    e_p = rng.normal(size=(b, e_dim))
-    e_n = np.concatenate([anchors[:2] * 3.0, rng.normal(size=(3, e_dim))])
-
-    loss, d_e_p, d_e_n = _stage2_batch_grads(anchors, e_p, e_n, 0.5)
-
-    singles = [losses.cosine_align(anchors[i], e_p[i], e_n[i], m=0.5)
-               for i in range(b)]
-    assert loss == pytest.approx(np.mean([s.value for s in singles]))
-    for i in range(b):
-        assert d_e_p[i] == pytest.approx(singles[i].grads["pos"] / b)
-        assert d_e_n[i] == pytest.approx(singles[i].grads["neg"] / b)
 
 
 def test_train_stage1_descends_and_records():
@@ -263,20 +221,16 @@ def test_train_stage1_warm_start_and_validation():
         train_stage1(toy_config(), x, np.zeros(len(x), dtype=int))
 
 
-def test_anchor_matrix_accepts_dict_and_anchor_list():
-    vecs = {0: np.array([1.0, 0.0]), 2: np.array([0.0, 2.0])}
-    mat = _anchor_matrix(vecs, present_taxa=[0, 2])
+def test_anchor_matrix_has_one_row_per_present_taxon():
+    vecs = {0: np.array([1.0, 0.0]), 2: np.array([0.0, 2.0]),
+            5: np.array([3.0, 3.0])}
+    mat = _anchor_matrix(vecs, present_taxa=[2, 0])
     assert mat.shape == (2, 2)  # one row per present taxon, in sorted order
-    assert np.array_equal(mat[1], [0.0, 2.0])
-    anchors = [GeneticAnchor(taxon=1, vector=np.array([3.0, 0.0]), count=4)]
-    mat = _anchor_matrix(anchors, present_taxa=[1])
-    assert np.array_equal(mat, [[3.0, 0.0]])
+    assert np.array_equal(mat, [[1.0, 0.0], [0.0, 2.0]])
 
 
 def test_anchor_matrix_rejects_bad_tables():
     a = np.array([1.0, 0.0])
-    with pytest.raises(ValueError, match="duplicate"):
-        _anchor_matrix([GeneticAnchor(0, a, 1), GeneticAnchor(0, a, 1)], [0])
     with pytest.raises(ValueError, match="missing anchors"):
         _anchor_matrix({0: a}, present_taxa=[0, 1])
     with pytest.raises(ValueError, match="dimension"):
