@@ -333,7 +333,12 @@ def read_feature_bin(path):
     off += 8
     if len(data) < off + block_len:
         raise ValueError(f"{path}: truncated id/label table")
-    block = data[off : off + block_len].decode("utf-8")
+    try:
+        block = data[off : off + block_len].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data[off : off + exc.start].count(b"\n") + 1
+        raise ValueError(
+            f"{path}: id/label table line {line}: not UTF-8 text") from None
     reader = csv.reader(io.StringIO(block))
     header = next(reader, None)
     if header != ["id", "label"]:
@@ -346,10 +351,13 @@ def read_feature_bin(path):
         if len(row) != 2:
             raise ValueError(f"{where}: expected 2 fields, got {len(row)}")
         try:
-            labels.append(int(row[1]))
+            label = int(row[1])
         except ValueError:
             raise ValueError(
                 f"{where}: label {row[1]!r} is not an integer") from None
+        if label < 0:
+            raise ValueError(f"{where}: negative label {label}")
+        labels.append(label)
         ids.append(row[0])
     if len(ids) != n:
         raise ValueError(f"{path}: id/label table has {len(ids)} rows, expected {n}")
@@ -369,7 +377,12 @@ def load_labels_csv(path):
                 continue
             if len(row) != 2:
                 raise ValueError(f"{path}: line {lineno}: expected 2 fields")
-            sid, taxon = row[0], int(row[1])
+            sid = row[0]
+            try:
+                taxon = int(row[1])
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: taxon id {row[1]!r}"
+                                 " is not an integer") from None
             if taxon < 0:
                 raise ValueError(f"{path}: line {lineno}: negative taxon id")
             if sid in mapping:

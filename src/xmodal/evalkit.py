@@ -4,8 +4,10 @@ Classification is visual-only at test time: train-set embeddings form
 the gallery, each query votes among its k most cosine-similar gallery
 items.  Queries are scored in chunks of at most KNN_CHUNK rows, so KNN
 memory is bounded by one chunk's similarity block (KNN_CHUNK x N x 8
-bytes for an N-row gallery) and one copy of it, whatever the number of
-queries.  Metrics are reported overall and per class, with the
+bytes for an N-row gallery), whatever the number of queries.  The k-th
+largest of a row's column-group maxima bounds its k-th largest
+similarity from below, so only the groups that reach it are sorted.
+Metrics are reported overall and per class, with the
 per-class means additionally restricted to tail classes (train count
 below 100) and head classes (above 1000), the split that makes
 imbalance damage visible.  Class-centroid cosine distance matrices can
@@ -13,6 +15,7 @@ be pressed into 2-D with a Kamada-Kawai style stress minimizer for
 figures.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,6 +82,13 @@ def _normalize_rows(matrix):
     return matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
 
 
+def _group_width(n, k):
+    """Width w of the column groups knn_predict bounds each row with:
+    about sqrt(n / k), and never so wide that fewer than k groups of w
+    fit in n columns."""
+    return math.isqrt(n // k)
+
+
 def knn_predict(gallery, queries, k):
     """Majority vote among the k most cosine-similar gallery items.
 
@@ -87,9 +97,14 @@ def knn_predict(gallery, queries, k):
     the smaller mean cosine distance, then to the smaller class id.
 
     Queries run in near-equal chunks of at most KNN_CHUNK rows, through
-    two KNN_CHUNK x N float64 blocks allocated once per call: the chunk's
-    similarities, and a copy partitioned in place to find the k-th largest
-    per row; only items at or above it are sorted.  Votes count over the
+    one KNN_CHUNK x N float64 similarity block allocated once per call.
+    The first g*w columns fall into g interleaved groups of width w
+    (column i*g + j is in group j, w from _group_width), and one max over
+    each group gives g group maxima per row.  k distinct groups hold an
+    item at or above the k-th largest group maximum, so it bounds the
+    row's k-th largest similarity from below: every neighbor sits in a
+    group whose maximum reaches the bound or in the last n - g*w
+    columns, and only those items are sorted.  Votes count over the
     distinct gallery labels, so taxon ids may be arbitrary.
     """
     k = int(k)
@@ -103,33 +118,46 @@ def knn_predict(gallery, queries, k):
         raise ValueError("gallery/query embedding dims differ")
 
     n = gallery.n
+    w = _group_width(n, k)
+    g = n // w
+    grouped, spare = g * w, np.arange(g * w, n)
     normed = _normalize_rows(gallery.matrix)
     # compact class codes: votes are sized by the distinct labels, never
     # by the largest taxon id; codes sort like the ids they stand for
     classes, codes = np.unique(gallery.labels, return_inverse=True)
     out = np.empty(queries.n, dtype=np.int64)
     sims_block = np.empty((min(queries.n, KNN_CHUNK), n))
-    part_block = np.empty_like(sims_block)
     for lo, hi in _blocks(queries.n, KNN_CHUNK):
-        sims, part = sims_block[:hi - lo], part_block[:hi - lo]
+        rows = hi - lo
+        sims = sims_block[:rows]
         np.matmul(_normalize_rows(queries.matrix[lo:hi]), normed.T, out=sims)
-        np.copyto(part, sims)
-        part.partition(n - k, axis=1)
-        kth = part[:, [n - k]]
-        # every item at or above the k-th similarity, ordered by
-        # (row, -similarity, gallery index); the first k of a row are its
-        # neighbors, so similarity ties keep the lower gallery index
-        cand_rows, cand_cols = np.nonzero(sims >= kth)
+        group_max = sims[:, :grouped].reshape(rows, w, g).max(axis=1)
+        bound = np.partition(group_max, g - k, axis=1)[:, g - k]
+        # candidates: every column of a group that reaches the bound, and
+        # every column past the groups, kept if at or above the bound
+        hit_rows, hit_groups = np.nonzero(group_max >= bound[:, None])
+        cand_rows = np.concatenate([np.repeat(hit_rows, w),
+                                    np.repeat(np.arange(rows), len(spare))])
+        cand_cols = np.concatenate([
+            (hit_groups[:, None] + g * np.arange(w)).ravel(),
+            np.tile(spare, rows)])
         cand_sims = sims[cand_rows, cand_cols]
+        above = cand_sims >= bound[cand_rows]
+        cand_rows, cand_cols = cand_rows[above], cand_cols[above]
+        cand_sims = cand_sims[above]
+        # ordered by (row, -similarity, gallery index): the first k of a
+        # row are its neighbors, so similarity ties keep the lower index;
+        # a candidate's rank is its sorted position minus where its row's
+        # run starts
         order = np.lexsort((cand_cols, -cand_sims, cand_rows))
-        # the sort keeps each row's block in place, so a candidate's rank
-        # is its sorted position minus where its row's block starts
-        rank = np.arange(len(order)) - np.searchsorted(cand_rows, cand_rows)
+        sorted_rows = cand_rows[order]
+        rank = (np.arange(len(order))
+                - np.searchsorted(sorted_rows, sorted_rows))
         keep = order[rank < k]
-        neigh_sims = cand_sims[keep].reshape(hi - lo, k)
-        neigh_codes = codes[cand_cols[keep]].reshape(hi - lo, k)
-        votes = np.zeros((hi - lo, len(classes)), dtype=np.int64)
-        np.add.at(votes, (np.arange(hi - lo)[:, None], neigh_codes), 1)
+        neigh_sims = cand_sims[keep].reshape(rows, k)
+        neigh_codes = codes[cand_cols[keep]].reshape(rows, k)
+        votes = np.zeros((rows, len(classes)), dtype=np.int64)
+        np.add.at(votes, (np.arange(rows)[:, None], neigh_codes), 1)
         top = votes == votes.max(axis=1, keepdims=True)
         pred = np.argmax(top, axis=1)
         for r in np.flatnonzero(top.sum(axis=1) > 1):

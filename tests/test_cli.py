@@ -211,6 +211,22 @@ def test_eval_rejects_bad_counts_file(chain, tmp_path, capsys, name):
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("row, message", [
+    ("s1,x", "line 2: taxon id 'x' is not an integer"),
+    ("s1,-2", "line 2: negative taxon id"),
+])
+def test_sgt_embed_rejects_bad_labels_file(chain, tmp_path, capsys, row,
+                                           message):
+    labels = tmp_path / "labels.csv"
+    labels.write_text(f"sequence_id,taxon_id\n{row}\n")
+    capsys.readouterr()
+    rc = main(["sgt-embed", "--fasta", str(chain / "data" / "sequences.fa"),
+               "--labels", str(labels), "--out", str(tmp_path / "g.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {labels}: {message}\n"
+    assert not (tmp_path / "g.csv").exists()
+
+
 def test_align_rejects_two_anchors_for_one_taxon(chain, tmp_path, capsys):
     table = dataio.load_feature_csv(chain / "anchors.csv")
     twice = dataio.FeatureTable(

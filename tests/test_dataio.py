@@ -187,7 +187,11 @@ def test_feature_bin_rejects_corruption(tmp_path):
             (b"id,label\nitem0,1\nitem1\n",
              "id/label table line 3: expected 2 fields, got 1"),
             (b"id,label\nitem0,x\n",
-             "id/label table line 2: label 'x' is not an integer")):
+             "id/label table line 2: label 'x' is not an integer"),
+            (b"id,label\nitem0,1\nitem1,-3\n",
+             "id/label table line 3: negative label -3"),
+            (b"id,label\nitem0,1\nit\xffem1,0\n",
+             "id/label table line 3: not UTF-8 text")):
         bad.write_bytes(path.read_bytes()[:start]
                         + len(block).to_bytes(8, "little") + block)
         with pytest.raises(ValueError) as info:

@@ -1,5 +1,6 @@
 """Evaluation tests: KNN vs the exhaustive oracle, metrics, 2-D layout."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -183,6 +184,73 @@ def test_knn_peak_memory_does_not_grow_with_queries():
             tracemalloc.stop()
 
     assert peak(4000) / peak(500) <= 1.25
+
+
+# 8-d directions with one or four entries of +-1: unit rows hold 0, +-0.5
+# and +-1 only, so every similarity is a multiple of 0.25, exact in any
+# summation order, and many of them tie
+def quantized_directions():
+    rows = [np.eye(8)[i] * s for i in range(8) for s in (1, -1)]
+    for idx in itertools.combinations(range(8), 4):
+        for signs in itertools.product((1, -1), repeat=4):
+            row = np.zeros(8)
+            row[list(idx)] = signs
+            rows.append(row)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("layout", ["class-sorted", "shuffled"])
+def test_knn_group_bound_matches_oracle(monkeypatch, layout):
+    n, n_classes = 1499, 24
+    rng = np.random.default_rng(11)
+    dirs = quantized_directions()
+    # three directions only the planted columns use
+    d_spare, d_tie, d_pair = dirs[:3]
+    pool = dirs[3:]
+    labels = rng.integers(0, n_classes, size=n)
+    if layout == "class-sorted":
+        labels = np.sort(labels)
+    scale = 2.0 ** rng.integers(-2, 3, size=(n, 1))
+    base = pool[rng.integers(len(pool), size=n)] * scale
+    q = np.vstack([d_spare, 2 * d_spare, 0.5 * d_tie, d_pair, 4 * d_pair,
+                   pool[rng.integers(len(pool), size=7)]])
+    queries = table(q, np.zeros(len(q), dtype=int), prefix="q")
+    for k in (1, 5, 10, n):
+        w = evalkit._group_width(n, k)
+        g = n // w
+        assert w == 1 or n % w, "some columns must fall outside the groups"
+        matrix = base.copy()
+        if w > 1:
+            # the one item of d_spare is past the groups
+            matrix[n - 1] = d_spare
+            # k + 2 items of d_tie in k + 1 groups, two of them in group 3:
+            # the bound is 1, and k + 1 group maxima tie it
+            matrix[[3, 3 + g] + [7 + t for t in range(k)]] = d_tie * 2
+            # k items of d_pair in k - 1 groups: the bound sits below them
+            if k > 1:
+                matrix[[30, 30 + g] + [40 + t for t in range(k - 2)]] = d_pair
+        gallery = table(matrix, labels)
+        want = knn_oracle(matrix, labels, q, k)
+        assert knn_predict(gallery, queries, k).tolist() == list(want), f"k={k}"
+        with monkeypatch.context() as patch:
+            patch.setattr(evalkit, "KNN_CHUNK", 3)
+            got = knn_predict(gallery, queries, k)
+        assert got.tolist() == list(want), f"k={k}, chunks of 3"
+
+
+def test_knn_holds_one_similarity_block():
+    rng = np.random.default_rng(5)
+    n = 4000
+    gallery = table(rng.normal(size=(n, 8)), rng.integers(0, 8, size=n))
+    queries = table(rng.normal(size=(600, 8)), np.zeros(600, dtype=int),
+                    prefix="q")
+    tracemalloc.start()
+    try:
+        knn_predict(gallery, queries, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * evalkit.KNN_CHUNK * n * 8
 
 
 def test_knn_validates_inputs():
