@@ -73,9 +73,9 @@ def main():
             embs.append(sgt.sgt_embed(sgt.tokenize_bigrams(seq)))
             labels.append(taxon)
             ids.append(f"t{taxon}_{i}")
-    table = sgt.anchors_from_table(ids, np.array(embs), np.array(labels))
-    a0, a1 = table[0], table[1]
-    print(f"  anchor counts: taxon 0 has {a0.count}, taxon 1 has {a1.count}")
+    a0, a1 = sgt.anchors_from_table(ids, np.array(embs), np.array(labels))
+    print(f"  anchors for taxa {a0.taxon} and {a1.taxon}, each from"
+          f" {labels.count(a0.taxon)} embeddings")
     print(f"  cos(anchor_0, ancestor embedding) {cosine(a0.vector, vec['ancestor']):.4f}")
     print(f"  cos(anchor_0, anchor_1)           {cosine(a0.vector, a1.vector):.4f}")
 

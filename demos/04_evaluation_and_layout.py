@@ -42,7 +42,7 @@ def main():
     preds = evalkit.knn_predict(gallery, queries, k=5)
     report = evalkit.compute_metrics(preds, queries.labels, train_counts, k=5)
     print("\nper-class recall (train count in parentheses):")
-    for cid, recall in enumerate(report.per_class):
+    for cid, recall in zip(report.taxa, report.per_class):
         if recall is None:
             continue
         bucket = "tail" if train_counts[cid] < evalkit.TAIL_THRESHOLD else "    "

@@ -36,6 +36,7 @@ import argparse
 import ctypes
 import json
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
@@ -76,11 +77,9 @@ def _anchor_table(genetic):
     """Per-taxon median anchors of a genetic FeatureTable, one row each."""
     anchors = sgt.anchors_from_table(genetic.ids, genetic.matrix,
                                      genetic.labels)
-    return dataio.FeatureTable(
-        [f"anchor{a.taxon:02d}" for a in anchors],
-        [a.taxon for a in anchors],
-        np.stack([a.vector for a in anchors]),
-    )
+    taxa = [a.taxon for a in anchors]
+    return dataio.FeatureTable([f"anchor{t:02d}" for t in taxa], taxa,
+                               [a.vector for a in anchors])
 
 
 def _anchors_by_taxon(table):
@@ -108,25 +107,29 @@ def _evaluate(params, gallery_feats, query_feats, k, counts=None,
               centroids=False):
     """Embed gallery and queries once, cosine-KNN, long-tailed metrics.
 
-    `counts` defaults to a tally of the gallery labels; either way it is
-    zero-padded to cover every gallery and query label.  With
+    `counts` ({taxon: train count}, by default the gallery tally) gives 0
+    to the taxa it leaves out.  The report's rows are the sorted taxa of
+    gallery, queries and `counts`, listed in its `taxa`.  With
     `centroids`, class centroids stand in for the gallery.  Returns
     (MetricsReport, gallery EmbeddingTable).
     """
     gallery = evalkit.embed_features(params, gallery_feats)
     queries = evalkit.embed_features(params, query_feats)
-    if counts is None:
-        counts = np.bincount(gallery.labels)
-    size = max(len(counts), gallery.labels.max() + 1,
-               queries.labels.max() + 1)
-    counts = np.pad(counts, (0, size - len(counts)))
+    counts = Counter(gallery.labels.tolist()) if counts is None else counts
+    taxa = np.unique(np.concatenate([gallery.labels, queries.labels,
+                                     list(counts)]))
+    train_counts = np.zeros(len(taxa), dtype=np.int64)
+    train_counts[np.searchsorted(taxa, list(counts))] = list(counts.values())
     reference = gallery
     if centroids:
         class_ids, cents = evalkit.class_centroids(gallery)
         reference = evalkit.EmbeddingTable(
             [f"centroid{c:02d}" for c in class_ids], class_ids, cents)
     preds = evalkit.knn_predict(reference, queries, k)
-    report = evalkit.compute_metrics(preds, queries.labels, counts, k=k)
+    report = evalkit.compute_metrics(np.searchsorted(taxa, preds),
+                                     np.searchsorted(taxa, queries.labels),
+                                     train_counts, k=k)
+    report.taxa = taxa.tolist()
     return report, gallery
 
 
@@ -425,8 +428,9 @@ def build_parser():
     p.add_argument("--queries", required=True, help="query feature CSV")
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--counts", default=None,
-                   help="CSV for per-class train counts (id,taxon rows or"
-                        " taxon_id,train_count); default: tally the gallery")
+                   help="CSV of per-taxon train counts (id,taxon_id rows"
+                        " to tally, or taxon_id,train_count rows); taxa it"
+                        " does not list count 0; default: tally the gallery")
     p.add_argument("--centroids", action="store_true",
                    help="use class centroids as the gallery")
     p.add_argument("--out", required=True, help="output metrics JSON")

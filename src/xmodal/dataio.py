@@ -401,12 +401,11 @@ def write_labels_csv(mapping, path):
 
 
 def load_label_counts(path):
-    """Read per-taxon counts from a CSV.
+    """Read per-taxon counts from a CSV -> {taxon id: count}.
 
     Accepts either a two-column id->taxon file (counts are tallied per
     taxon) or a ``taxon_id[,name],train_count`` table (counts read
-    directly).  Returns an int array indexed by taxon id; taxa missing
-    from the file get count 0.
+    directly, one row per taxon, each count non-negative).
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -438,14 +437,14 @@ def load_label_counts(path):
                                  f" in {row}") from None
             if taxon < 0:
                 raise ValueError(f"{where}: negative taxon id {taxon}")
+            if direct and taxon in counts:
+                raise ValueError(f"{where}: second count for taxon {taxon}")
+            if count < 0:
+                raise ValueError(f"{where}: negative count {count}")
             counts[taxon] = count
     if not counts:
         raise ValueError(f"{path}: no count rows")
-    size = max(counts) + 1
-    out = np.zeros(size, dtype=np.int64)
-    for taxon, cnt in counts.items():
-        out[taxon] = cnt
-    return out
+    return counts
 
 
 @dataclass

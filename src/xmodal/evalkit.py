@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import embednet
+from . import dataio, embednet
 
 TAIL_THRESHOLD = 100
 HEAD_THRESHOLD = 1000
@@ -29,33 +29,16 @@ EMBED_BLOCK = 4096  # feature rows per forward pass in embed_features
 LAYOUT_RESTARTS = 8  # seeded starts tried by kamada_kawai_layout
 
 
-@dataclass
-class EmbeddingTable:
-    """N embedding rows with ids and integer labels; zero rows rejected
-    (cosine needs a direction)."""
-
-    ids: list
-    labels: np.ndarray
-    matrix: np.ndarray
+class EmbeddingTable(dataio.FeatureTable):
+    """A FeatureTable of embedding rows; zero rows rejected (cosine needs
+    a direction)."""
 
     def __post_init__(self):
-        self.ids = list(self.ids)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        self.matrix = np.asarray(self.matrix, dtype=np.float64)
-        if self.matrix.ndim != 2 or self.matrix.shape[0] != len(self.ids):
-            raise ValueError("embedding matrix must be (N, E) aligned with ids")
-        if self.labels.shape != (len(self.ids),):
-            raise ValueError("labels must align with ids")
-        if not np.all(np.isfinite(self.matrix)):
-            raise ValueError("non-finite embedding values")
+        super().__post_init__()
         norms = np.linalg.norm(self.matrix, axis=1)
         if np.any(norms == 0):
             bad = self.ids[int(np.argmin(norms))]
             raise ValueError(f"zero-norm embedding row {bad!r}")
-
-    @property
-    def n(self):
-        return len(self.ids)
 
 
 def _blocks(n, size):
@@ -171,7 +154,8 @@ def knn_predict(gallery, queries, k):
 
 @dataclass
 class MetricsReport:
-    """Accuracy breakdown; tail/head are None when no class qualifies."""
+    """Accuracy breakdown; tail/head are None when no class qualifies.
+    Row i of `confusion` and entry i of `per_class` are taxon `taxa[i]`."""
 
     overall: float
     macro: float
@@ -182,6 +166,7 @@ class MetricsReport:
     tail_threshold: int
     head_threshold: int
     n_test: int
+    taxa: list
     k: object = None
     alignment: dict = field(default_factory=dict)
 
@@ -197,6 +182,7 @@ class MetricsReport:
             "head_threshold": self.head_threshold,
             "n_test": self.n_test,
             "k": self.k,
+            "taxa": self.taxa,
         }
         if self.alignment:
             obj["alignment"] = self.alignment
@@ -206,6 +192,8 @@ class MetricsReport:
 def compute_metrics(predictions, truth, train_counts, k=None):
     """Confusion matrix plus overall/macro/tail/head accuracy.
 
+    Classes are 0..len(train_counts)-1, which the report's `taxa` lists
+    (a caller that coded its taxon ids sets `taxa` to them).
     `train_counts[c]` is class c's training sample count; it decides
     tail (< TAIL_THRESHOLD) and head (> HEAD_THRESHOLD) membership.
     Macro-style means run over classes with at least one test sample;
@@ -244,7 +232,7 @@ def compute_metrics(predictions, truth, train_counts, k=None):
     per_class = [None if np.isnan(r) else float(r) for r in recalls]
     return MetricsReport(overall, macro, tail, head, per_class, confusion,
                          TAIL_THRESHOLD, HEAD_THRESHOLD,
-                         int(predictions.size), k)
+                         int(predictions.size), list(range(n_classes)), k)
 
 
 def class_centroids(table):

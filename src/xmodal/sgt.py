@@ -18,7 +18,7 @@ Per-taxon genetic anchors are elementwise medians of the taxon's
 embeddings, so single outlier sequences cannot drag the anchor.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -111,48 +111,25 @@ def embed_sequences(records, kappa=1.0):
     return ids, np.array(rows)
 
 
-@dataclass
-class GeneticAnchor:
-    """Per-taxon anchor: elementwise median over the taxon's embeddings."""
+class GeneticAnchor(NamedTuple):
+    """One taxon's genetic anchor."""
 
     taxon: int
     vector: np.ndarray
-    count: int
-
-    def __post_init__(self):
-        self.vector = np.asarray(self.vector, dtype=np.float64)
-        if self.vector.ndim != 1:
-            raise ValueError("anchor vector must be 1-D")
-        if self.count < 1:
-            raise ValueError("anchor needs at least one contributing embedding")
-
-
-def compute_anchor(embeddings, taxon):
-    """Elementwise median of a taxon's embeddings.
-
-    For even counts each coordinate is the midpoint of the two middle
-    values.
-    """
-    mat = np.asarray(list(embeddings), dtype=np.float64)
-    if mat.size == 0:
-        raise ValueError(f"no embeddings for taxon {taxon}")
-    if mat.ndim != 2:
-        raise ValueError("embeddings must be equal-length vectors")
-    return GeneticAnchor(taxon, np.median(mat, axis=0), mat.shape[0])
 
 
 def anchors_from_table(ids, matrix, labels):
-    """Build one anchor per distinct taxon from a labelled embedding matrix.
+    """One anchor per distinct taxon of a labelled embedding matrix, sorted
+    by taxon id: the elementwise median of the taxon's rows (for even
+    counts each coordinate is the midpoint of the two middle values).
 
-    `labels` maps position -> taxon id (array-like).  Returns anchors
-    sorted by taxon id.
+    `ids` and `labels` (taxon ids) align with the rows of `matrix`.
     """
     labels = np.asarray(labels)
     matrix = np.asarray(matrix, dtype=np.float64)
-    if len(labels) != matrix.shape[0]:
-        raise ValueError("labels length does not match matrix rows")
-    anchors = []
-    for taxon in sorted(set(int(t) for t in labels)):
-        rows = matrix[labels == taxon]
-        anchors.append(compute_anchor(rows, taxon))
-    return anchors
+    if matrix.ndim != 2 or not len(ids) == len(labels) == matrix.shape[0]:
+        raise ValueError(
+            f"anchor table sizes differ: {len(ids)} ids, {len(labels)}"
+            f" labels, matrix of shape {matrix.shape}")
+    return [GeneticAnchor(int(t), np.median(matrix[labels == t], axis=0))
+            for t in np.unique(labels)]

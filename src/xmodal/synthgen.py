@@ -35,7 +35,7 @@ import numpy as np
 
 from .dataio import FeatureTable, SequenceRecord, SplitSpec
 from .seeds import derive_seed
-from .sgt import BASES, compute_anchor, sgt_embed, tokenize_bigrams
+from .sgt import BASES, sgt_embed, tokenize_bigrams
 
 TEST_FRACTION = 0.2
 
@@ -106,7 +106,7 @@ class SynthData:
     spec: SynthSpec
     records: list
     seq_labels: dict
-    anchors: list
+    anchors: np.ndarray
     visual_means: np.ndarray
     map_matrix: np.ndarray
     counts: np.ndarray
@@ -164,7 +164,8 @@ def generate(spec):
     ]
 
     rng_ind = np.random.default_rng(derive_seed(spec.seed, "individual"))
-    records, seq_labels, anchors = [], {}, []
+    records, seq_labels = [], {}
+    anchors = np.empty((c, 256))  # row t: taxon t's genetic anchor
     for taxon in range(c):
         embeddings = []
         for i in range(spec.seqs_per_species):
@@ -174,15 +175,14 @@ def generate(spec):
             seq_labels[rec.id] = taxon
             embeddings.append(sgt_embed(tokenize_bigrams(rec.residues),
                                         spec.kappa))
-        anchors.append(compute_anchor(embeddings, taxon))
+        anchors[taxon] = np.median(embeddings, axis=0)
 
     # entry scale map_scale/sqrt(256) puts feature norms in the range of
     # typical backbone descriptors, which the pinned learning rate expects
     rng_map = np.random.default_rng(derive_seed(spec.seed, "map"))
     map_matrix = rng_map.normal(0.0, spec.map_scale / np.sqrt(256.0),
                                 size=(spec.dim, 256))
-    anchor_mat = np.stack([a.vector for a in anchors])
-    visual_means = anchor_mat @ map_matrix.T
+    visual_means = anchors @ map_matrix.T
     visual_means += rng_map.normal(0.0, spec.sigma_map, size=(c, spec.dim))
 
     rng_split = np.random.default_rng(derive_seed(spec.seed, "split"))

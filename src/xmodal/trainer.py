@@ -195,10 +195,11 @@ def _check_loss(value, stage, epoch, batch_idx, components):
 def train_stage1(config, train_features, labels, params=None):
     """Metric pretraining; returns (HeadParams, TrainHistory).
 
-    The head is initialized from derive_seed(seed, 'init') unless an
-    existing `params` is passed in.  With ltr_enabled, weight decay is
-    applied in every step and the max-norm projection follows each step;
-    without it both devices are off, which is the naive baseline.
+    Classifier row i is the i-th smallest taxon id in `labels`.  The head
+    is initialized from derive_seed(seed, 'init') unless an existing
+    `params` is passed in.  With ltr_enabled, weight decay is applied in
+    every step and the max-norm projection follows each step; without it
+    both devices are off, which is the naive baseline.
     """
     x = np.asarray(train_features, dtype=np.float64)
     labels = np.asarray(labels)
@@ -206,19 +207,19 @@ def train_stage1(config, train_features, labels, params=None):
         raise ValueError("features must be (N, D) aligned with labels")
     if x.shape[1] != config.d_in:
         raise ValueError(f"feature dim {x.shape[1]} != config d_in {config.d_in}")
-    n_classes = int(labels.max()) + 1
-    if n_classes < 2:
+    taxa, codes = np.unique(labels, return_inverse=True)
+    if taxa.size < 2:
         raise ValueError("stage 1 needs >= 2 classes")
 
     if params is None:
         params = embednet.init_head(config.d_in, config.hidden, config.embed_dim,
-                                    n_classes, derive_seed(config.seed, "init"),
+                                    taxa.size, derive_seed(config.seed, "init"),
                                     scale=config.init_scale,
                                     classifier_scale=config.classifier_init_scale)
     params, work, grads, scratch, batches = _run_setup(
         params, config.epochs_stage1, config.batch_size, x.shape[0])
     x32 = _float32_features(x)
-    tables = _triplet_tables(labels)
+    tables = _triplet_tables(codes)
     rng = np.random.default_rng(derive_seed(config.seed, "stage1"))
     wd = config.weight_decay if config.ltr_enabled else 0.0
     history = TrainHistory("stage1")
@@ -226,13 +227,13 @@ def train_stage1(config, train_features, labels, params=None):
     for epoch in range(config.epochs_stage1):
         sums = np.zeros(3)  # loss, softmax part, rtl part
         for batch_idx in range(batches):
-            trip = sample_triplets(labels, config.batch_size, rng, tables)
+            trip = sample_triplets(codes, config.batch_size, rng, tables)
             rows = np.array(trip).T.ravel()  # anchors, positives, negatives
             np.copyto(work.flat, params.flat)
             emb, logits, cache = embednet.forward(work, x32[rows])
             b = len(trip)
             loss, ce_part, rtl_part, d_logits_a, *d_emb = (
-                losses.softmax_rtl_batch(logits[:b], labels[rows[:b]],
+                losses.softmax_rtl_batch(logits[:b], codes[rows[:b]],
                                          *np.split(emb, 3), config.mix_lambda))
             _check_loss(loss, "stage1", epoch, batch_idx,
                         {"softmax": ce_part, "rtl": rtl_part})

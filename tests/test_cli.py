@@ -142,9 +142,57 @@ def test_eval_counts_pads_to_query_labels(tmp_path):
                "--out", str(out)])
     assert rc == 0
     metrics = json.loads(out.read_text())
+    assert metrics["taxa"] == [0, 1, 2]
     assert np.array(metrics["confusion"]).shape == (3, 3)
     assert len(metrics["per_class"]) == 3
     assert metrics["per_class"][2] == 0.0
+
+
+def _two_taxon_chain(root, taxa):
+    """train -> align -> eval through main on 60 rows of 8-d features
+    labelled by the two ids in `taxa`; returns (stage-1 checkpoint bytes,
+    metrics dict)."""
+    root.mkdir()
+    rng = np.random.default_rng(0)
+    labels = np.repeat(taxa, 30)
+    matrix = rng.normal(size=(60, 8)) + 3.0 * (labels == taxa[1])[:, None]
+    for name, rows in (("train", slice(0, 60, 2)), ("test", slice(1, 60, 2))):
+        ids = [f"{name}{i}" for i in range(60)][rows]
+        dataio.write_feature_csv(
+            dataio.FeatureTable(ids, labels[rows], matrix[rows]),
+            root / f"{name}.csv")
+    dataio.write_feature_csv(
+        dataio.FeatureTable(["a0", "a1"], taxa, rng.normal(size=(2, 256))),
+        root / "anchors.csv")
+    (root / "config.json").write_text(json.dumps(TINY_TRAIN))
+    config, train, ckpt, aligned = (str(root / name) for name in (
+        "config.json", "train.csv", "ckpt.json", "aligned.json"))
+    steps = [
+        ["train", "--config", config, "--features", train, "--out", ckpt],
+        ["align", "--config", config, "--ckpt", ckpt,
+         "--anchors", str(root / "anchors.csv"), "--features", train,
+         "--out", aligned],
+        ["eval", "--ckpt", aligned, "--gallery", train,
+         "--queries", str(root / "test.csv"), "--k", "3",
+         "--out", str(root / "metrics.json")],
+    ]
+    for argv in steps:
+        assert main(argv) == 0, argv[0]
+    return ((root / "ckpt.json").read_bytes(),
+            json.loads((root / "metrics.json").read_text()))
+
+
+@pytest.mark.parametrize("taxa", [[0, 3000], [0, 10**6], [0, 7 * 10**12]],
+                         ids=["3000", "1e6", "7e12"])
+def test_sparse_taxon_ids_size_nothing(tmp_path, taxa):
+    """Taxon ids name rows, never size them: any two ids train the same
+    head as ids 0 and 1, and the metrics list the ids they were given."""
+    ckpt, metrics = _two_taxon_chain(tmp_path / "dense", [0, 1])
+    sparse_ckpt, sparse_metrics = _two_taxon_chain(tmp_path / "sparse", taxa)
+    assert sparse_ckpt == ckpt
+    assert metrics["taxa"] == [0, 1]
+    assert sparse_metrics["taxa"] == taxa
+    assert {**sparse_metrics, "taxa": [0, 1]} == metrics
 
 
 @pytest.mark.parametrize("damage", ["missing-key", "truncated"])
@@ -193,6 +241,10 @@ BAD_COUNTS_CSVS = {
                           " in ['1', 'many']"),
     "negative-taxon": ("taxon_id,train_count\n-1,3\n",
                        "line 2: negative taxon id -1"),
+    "repeated-taxon": ("taxon_id,train_count\n0,500\n0,7\n",
+                       "line 3: second count for taxon 0"),
+    "negative-count": ("taxon_id,train_count\n1,-5\n",
+                       "line 2: negative count -5"),
 }
 
 

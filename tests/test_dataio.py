@@ -216,15 +216,13 @@ def test_labels_csv_duplicate(tmp_path):
 def test_load_label_counts_direct_table(tmp_path):
     path = tmp_path / "counts.csv"
     path.write_text("taxon_id,name,train_count\n0,alpha,500\n2,gamma,10\n")
-    counts = load_label_counts(path)
-    assert counts.tolist() == [500, 0, 10]
+    assert load_label_counts(path) == {0: 500, 2: 10}
 
 
 def test_load_label_counts_tally(tmp_path):
     path = tmp_path / "labels.csv"
     path.write_text("sequence_id,taxon_id\na,0\nb,0\nc,1\n")
-    counts = load_label_counts(path)
-    assert counts.tolist() == [2, 1]
+    assert load_label_counts(path) == {0: 2, 1: 1}
 
 
 def test_split_spec_overlap():

@@ -30,7 +30,7 @@ def table(matrix, labels, prefix="g"):
 
 
 def test_embedding_table_validation():
-    with pytest.raises(ValueError, match="aligned"):
+    with pytest.raises(ValueError, match="inconsistent table sizes"):
         EmbeddingTable(["a"], [0, 1], np.ones((2, 2)))
     with pytest.raises(ValueError, match="zero-norm"):
         EmbeddingTable(["a", "b"], [0, 1], np.array([[1.0, 0.0], [0.0, 0.0]]))
@@ -288,6 +288,7 @@ def test_compute_metrics_absent_class_and_empty_groups():
     assert report.tail is None and report.head is None
     d = report.to_dict()
     assert d["tail"] is None and d["confusion"][0][0] == 1 and d["k"] is None
+    assert d["taxa"] == [0, 1, 2]
 
 
 def test_compute_metrics_validation():

@@ -7,7 +7,6 @@ from xmodal.sgt import (
     BIGRAM_ALPHABET,
     GeneticAnchor,
     anchors_from_table,
-    compute_anchor,
     embed_sequences,
     sgt_embed,
     tokenize_bigrams,
@@ -114,20 +113,19 @@ def test_embed_sequences_shapes_and_order():
     assert np.allclose(matrix[0], sgt_embed(tokenize_bigrams("ACGTACGTACGT")))
 
 
-def test_compute_anchor_is_componentwise_median():
+def test_anchors_from_table_is_componentwise_median():
     rng = np.random.default_rng(11)
     rows = rng.normal(size=(5, 256))
-    anchor = compute_anchor(rows, 7)
+    (anchor,) = anchors_from_table([f"s{i}" for i in range(5)], rows, [7] * 5)
     assert isinstance(anchor, GeneticAnchor)
     assert anchor.taxon == 7
-    assert anchor.count == 5
     assert np.allclose(anchor.vector, np.median(rows, axis=0))
 
 
-def test_compute_anchor_resists_one_outlier():
+def test_anchors_from_table_resists_one_outlier():
     rows = np.zeros((5, 3))
     rows[4] = 1e6
-    anchor = compute_anchor(rows, 0)
+    (anchor,) = anchors_from_table(list("abcde"), rows, [0] * 5)
     assert np.all(anchor.vector == 0.0)
 
 
@@ -135,8 +133,18 @@ def test_anchors_from_table_groups_by_label():
     rng = np.random.default_rng(2)
     matrix = rng.normal(size=(6, 256))
     ids = [f"s{i}" for i in range(6)]
-    labels = np.array([0, 1, 0, 1, 1, 2])
+    labels = np.array([2, 1, 2, 1, 1, 0])
     anchors = anchors_from_table(ids, matrix, labels)
     assert [a.taxon for a in anchors] == [0, 1, 2]
-    assert anchors[0].count == 2
+    assert np.array_equal(anchors[0].vector, matrix[5])
     assert np.allclose(anchors[1].vector, np.median(matrix[[1, 3, 4]], axis=0))
+    # an even count takes the midpoint of the two middle values
+    assert np.allclose(anchors[2].vector, (matrix[0] + matrix[2]) / 2)
+
+
+def test_anchors_from_table_rejects_misaligned_inputs():
+    matrix = np.ones((3, 4))
+    with pytest.raises(ValueError, match="2 ids, 3 labels"):
+        anchors_from_table(["a", "b"], matrix, [0, 0, 1])
+    with pytest.raises(ValueError, match="3 ids, 2 labels"):
+        anchors_from_table(["a", "b", "c"], matrix, [0, 1])
