@@ -30,6 +30,7 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
+import orjson
 
 FIELDS = ("W1", "b1", "W2", "b2", "Wc", "bc")
 WEIGHT_FIELDS = ("W1", "W2", "Wc")
@@ -251,32 +252,37 @@ def maxnorm_project(params, delta):
 
 
 def _dumps(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+
+
+def _check_stage(stage):
+    if stage not in ("stage1", "stage2"):
+        raise ValueError(f"stage must be 'stage1' or 'stage2', got {stage!r}")
 
 
 def save_checkpoint(params, path, stage, seed_lineage=None):
     """Write params as JSON: dims, stage tag, seed lineage, full arrays.
 
-    Floats are serialized via repr so load(save(p)) reproduces every bit.
     The file is the sorted-key, compact JSON of the whole checkpoint,
-    written one array row at a time: json.dump of the whole object runs
-    the pure-Python encoder, and one json.dumps holds all of its text
-    (49 MB for a 2048 -> 1000 -> 256 head) in memory at once.
-    """
-    if stage not in ("stage1", "stage2"):
-        raise ValueError(f"stage must be 'stage1' or 'stage2', got {stage!r}")
+    written one array row at a time (one dump would hold all 49 MB of a
+    2048 -> 1000 -> 256 head's text), each by orjson in shortest round-trip
+    text: load(save(p)) is bit-exact, and values keep repr's digits but
+    may print positionally (0.0000663 where repr gives 6.63e-05)."""
+    _check_stage(stage)
     d, h, e, c = params.dims
     dims = {"d_in": d, "hidden": h, "embed_dim": e, "n_classes": c}
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "wb") as fh:
         # top-level keys in sorted order: dims, params, seed_lineage, stage
-        fh.write('{"dims":' + _dumps(dims) + ',"params":{')
+        fh.write(b'{"dims":' + _dumps(dims) + b',"params":{')
         for i, name in enumerate(sorted(FIELDS)):
-            fh.write(("," if i else "") + _dumps(name) + ":[")
-            for j, row in enumerate(getattr(params, name)):
-                fh.write(("," if j else "") + _dumps(row.tolist()))
-            fh.write("]")
-        fh.write('},"seed_lineage":' + _dumps(seed_lineage or {})
-                 + ',"stage":' + _dumps(stage) + "}\n")
+            arr = getattr(params, name)
+            fh.write((b"," if i else b"") + _dumps(name) + b":" + b"[" * (arr.ndim - 1))
+            for j, row in enumerate(arr.reshape(-1, arr.shape[-1])):
+                fh.write((b"," if j else b"")
+                         + orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY))
+            fh.write(b"]" * (arr.ndim - 1))
+        fh.write(b'},"seed_lineage":' + _dumps(seed_lineage or {})
+                 + b',"stage":' + _dumps(stage) + b"}\n")
 
 
 # save_checkpoint's text up to the first array: dims in sorted-key order
@@ -285,36 +291,28 @@ _CANONICAL_DIMS = re.compile(
     rb'"hidden":([1-9][0-9]{0,8}),"n_classes":([1-9][0-9]{0,8})\},"params":\{')
 
 
-def _json_numbers(row):
-    """True if `row` is comma-separated JSON numbers, which np.loadtxt
-    reads as json does: only digits, '.eE+-'; each starts with a digit
-    after an optional '-', never 0 then a digit; a digit after each '.'."""
-    if row.translate(None, b"0123456789.eE+-,"):
-        return False
-    c = np.frombuffer(b"," + row + b",,", np.uint8)
-    digit = (c >= ord("0")) & (c <= ord("9"))
-    starts = np.flatnonzero(c[:-2] == ord(",")) + 1
-    starts += c[starts] == ord("-")
-    return bool(digit[starts].all() and digit[np.flatnonzero(c == ord(".")) + 1].all()
-                and not (digit[starts + 1] & (c[starts] == ord("0"))).any())
-
-
-def _rows(text, start, stop):
-    """The '],['-separated rows of text[start:stop] as str, each checked."""
-    while start <= stop:
-        end = text.find(b"]", start, stop)
-        end = stop if end < 0 else end
-        if not _json_numbers(text[start:end]) or (
-                end < stop and text[end:end + 3] != b"],["):
+def _parse_rows(text, pos, rows):
+    """Parse the ','-separated rows at text[pos:] into `rows`, return the
+    position after them.  Only JSON number characters pass (no quote,
+    true or space), and orjson holds them to JSON's number grammar."""
+    for j, row in enumerate(rows):
+        end = text.find(b"]", pos) + 1
+        chunk = text[pos + (j > 0):end]  # the row's text from its '['
+        if (not text.startswith(b",[" if j else b"[", pos)
+                or chunk[1:-1].translate(None, b"0123456789.eE+-,")):
             raise ValueError("not a canonical row")
-        yield text[start:end].decode("ascii")
-        start = end + 3
+        values = orjson.loads(chunk)
+        if len(values) != len(row):
+            raise ValueError("not a canonical row")
+        row[:] = values
+        pos = end
+    return pos
 
 
 def _load_canonical(path):
     """(head, the object after "params") of a file in exactly the layout
-    save_checkpoint writes, else None.  Each field's rows go through
-    np.loadtxt into the head's buffer, so no Python float is made."""
+    save_checkpoint writes, else None.  orjson parses each array row
+    straight into the head's buffer: one row's Python floats at a time."""
     with open(path, "rb") as fh:
         text = fh.read()
     m = _CANONICAL_DIMS.match(text)
@@ -325,25 +323,27 @@ def _load_canonical(path):
     try:
         for i, name in enumerate(sorted(FIELDS)):
             arr = getattr(head, name)
-            key = (b"," if i else b"") + _dumps(name).encode() + b":" + b"[" * arr.ndim
-            stop = text.find(b"]" * arr.ndim, pos)
-            if not text.startswith(key, pos) or stop < 0:
+            key = (b"," if i else b"") + _dumps(name) + b":" + b"[" * (arr.ndim - 1)
+            if not text.startswith(key, pos):
                 return None
-            values = np.loadtxt(_rows(text, pos + len(key), stop),
-                                delimiter=",", comments=None, ndmin=2)
-            if values.shape != (arr.size // arr.shape[-1], arr.shape[-1]):
+            pos = _parse_rows(text, pos + len(key), arr.reshape(-1, arr.shape[-1]))
+            if not text.startswith(b"]" * (arr.ndim - 1), pos):
                 return None
-            arr[...] = values.reshape(arr.shape)
-            pos = stop + arr.ndim
+            pos += arr.ndim - 1
         rest = json.loads(b"{" + text[pos + 2:]) if text.startswith(b"},", pos) else {}
     except ValueError:
         return None
-    flat = head.flat
-    # json gives non-finite values their error, and the JSON integer -0 is +0.0
-    if ("stage" not in rest or not set(rest) <= {"seed_lineage", "stage"}
-            or not np.all(np.isfinite(flat)) or np.any(np.signbit(flat[flat == 0]))):
+    if "stage" not in rest or not set(rest) <= {"seed_lineage", "stage"}:
         return None
     return head, rest
+
+
+def _numbers(name, value):
+    """JSON list `value` as float64, if all entries are numbers (not "0.5")."""
+    arr = np.array(value, dtype=np.float64)  # raises for ragged lists
+    if not all(type(v) in (int, float) for v in np.array(value, dtype=object).flat):
+        raise ValueError(f"{name} holds an entry that is not a number")
+    return arr
 
 
 def load_checkpoint(path, expect_dims=None):
@@ -351,12 +351,12 @@ def load_checkpoint(path, expect_dims=None):
 
     `expect_dims` is an optional (D, H, E, C) tuple; a mismatch against
     the stored dims raises rather than returning a head the caller's
-    config cannot drive.  A file that is not valid JSON, lacks a field
-    or holds arrays of the wrong shape raises one ValueError naming
-    `path`.  A file in save_checkpoint's exact layout is parsed into the
-    head's buffer (its text plus one head, no Python float per value);
-    json reads any other file and decides its content or its error.
-    """
+    config cannot drive.  Invalid JSON, a missing field, a non-number
+    entry, a misshapen array, a stage save_checkpoint refuses or a
+    non-object seed lineage raise one ValueError naming `path`.  A file in
+    save_checkpoint's layout (orjson or older repr numbers) is parsed row
+    by row into the head; json reads any other file and decides its
+    content or its error."""
     try:
         params, obj = _load_canonical(path) or (None, None)
         stored = params.dims if params else None
@@ -367,15 +367,15 @@ def load_checkpoint(path, expect_dims=None):
             stored = (dims["d_in"], dims["hidden"], dims["embed_dim"],
                       dims["n_classes"])
             # popped, so each field's JSON lists are freed once converted
-            arrays = {name: np.array(obj["params"].pop(name), dtype=np.float64)
-                      for name in FIELDS}
-            for name in ("b1", "b2", "bc"):
-                arrays[name] = arrays[name].reshape(-1)
-            params = HeadParams(**arrays)
-        stage = obj["stage"]
+            params = HeadParams(**{name: _numbers(name, obj["params"].pop(name))
+                                   for name in FIELDS})
+        stage, lineage = obj["stage"], obj.get("seed_lineage", {})
+        _check_stage(stage)
+        if not isinstance(lineage, dict):
+            raise ValueError("seed_lineage is not a JSON object")
     except KeyError as exc:
         raise ValueError(f"{path}: checkpoint has no field {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: malformed checkpoint: {exc}") from None
     if expect_dims is not None and tuple(expect_dims) != stored:
         raise ValueError(
@@ -383,4 +383,4 @@ def load_checkpoint(path, expect_dims=None):
         )
     if params.dims != stored:
         raise ValueError(f"{path}: stored arrays disagree with recorded dims")
-    return params, stage, obj.get("seed_lineage", {})
+    return params, stage, lineage

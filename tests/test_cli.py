@@ -1,7 +1,9 @@
 """Command line tests: every subcommand end to end on a tiny dataset."""
 
+import ast
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -195,13 +197,15 @@ def test_sparse_taxon_ids_size_nothing(tmp_path, taxa):
     assert {**sparse_metrics, "taxa": [0, 1]} == metrics
 
 
-@pytest.mark.parametrize("damage", ["missing-key", "truncated"])
+@pytest.mark.parametrize("damage", ["missing-key", "string-value", "truncated"])
 def test_eval_reports_malformed_checkpoint(chain, tmp_path, capsys, damage):
     text = (chain / "aligned.json").read_text()
     if damage == "missing-key":
         obj = json.loads(text)
         del obj["dims"]
         text = json.dumps(obj)
+    elif damage == "string-value":
+        text = re.sub(r'"W1":\[\[([^,\]]+)', r'"W1":[["\1"', text, count=1)
     else:
         text = text[:len(text) // 2]
     bad = tmp_path / "bad.json"
@@ -218,6 +222,8 @@ def test_eval_reports_malformed_checkpoint(chain, tmp_path, capsys, damage):
     assert str(bad) in lines[0]
     if damage == "missing-key":
         assert "'dims'" in lines[0]
+    if damage == "string-value":
+        assert "W1 holds an entry that is not a number" in lines[0]
     assert "Traceback" not in err
     assert not (tmp_path / "metrics.json").exists()
 
@@ -473,8 +479,8 @@ SUBCOMMANDS = ("synth", "sgt-embed", "anchors", "train", "align", "eval",
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
-def _declared_entry_point(name):
-    """The `module:attr` that `[project.scripts]` maps `name` to."""
+def _pyproject(table, key):
+    """The value of `key` in `[table]` of pyproject.toml."""
     try:
         import tomllib
     except ModuleNotFoundError:  # Python 3.10: scan the table by hand
@@ -482,15 +488,17 @@ def _declared_entry_point(name):
         for line in PYPROJECT.read_text().splitlines():
             line = line.split("#", 1)[0].strip()
             if line.startswith("["):
-                in_table = line == "[project.scripts]"
+                in_table = line == f"[{table}]"
             elif in_table and "=" in line:
-                key, value = (part.strip().strip("\"'")
-                              for part in line.split("=", 1))
-                if key == name:
-                    return value
-        raise AssertionError(f"{name} not declared in [project.scripts]")
+                name, value = (part.strip() for part in line.split("=", 1))
+                if name.strip("\"'") == key:
+                    return ast.literal_eval(value)
+        raise AssertionError(f"{key} not declared in [{table}]")
     with PYPROJECT.open("rb") as f:
-        return tomllib.load(f)["project"]["scripts"][name]
+        value = tomllib.load(f)
+    for part in (*table.split("."), key):
+        value = value[part]
+    return value
 
 
 def _assert_help_lists_subcommands(out):
@@ -502,6 +510,23 @@ def _assert_help_lists_subcommands(out):
         assert sub in listed, sub
 
 
+def test_third_party_imports_are_declared_dependencies():
+    """Each package src/xmodal imports outside the standard library is
+    in [project].dependencies, so installing xmodal installs it."""
+    imported = set()
+    for path in Path(xmodal.__file__).resolve().parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"xmodal"}
+    declared = {re.split(r"[ ;<>=!~\[]", dep, maxsplit=1)[0].lower()
+                for dep in _pyproject("project", "dependencies")}
+    assert "numpy" in third_party
+    assert third_party <= declared, sorted(third_party - declared)
+
+
 def test_console_script_is_installed():
     """The declared `xmodal` entry point runs, installed or not.
 
@@ -509,7 +534,7 @@ def test_console_script_is_installed():
     against the same `xmodal` sources this test process imported; an
     installed `xmodal` script is run too wherever one is on PATH.
     """
-    module, attr = _declared_entry_point("xmodal").split(":")
+    module, attr = _pyproject("project.scripts", "xmodal").split(":")
     package_root = str(Path(xmodal.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -5,6 +5,7 @@ import re
 import tracemalloc
 
 import numpy as np
+import orjson
 import pytest
 
 from xmodal import embednet
@@ -348,10 +349,10 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
         assert getattr(loaded, name).tobytes() == getattr(p, name).tobytes()
     # the file is the sorted-key, compact JSON of the whole checkpoint
     whole = {"dims": dict(zip(("d_in", "hidden", "embed_dim", "n_classes"), p.dims)),
-             "params": {name: getattr(p, name).tolist() for name in FIELDS},
+             "params": {name: getattr(p, name) for name in FIELDS},
              "seed_lineage": {"seed": 8, "label": "init"}, "stage": "stage1"}
-    assert path.read_text(encoding="utf-8") == json.dumps(
-        whole, sort_keys=True, separators=(",", ":")) + "\n"
+    assert path.read_bytes() == orjson.dumps(
+        whole, option=orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY) + b"\n"
 
 
 def test_checkpoint_validates_stage_and_dims(tmp_path):
@@ -370,22 +371,38 @@ def test_checkpoint_special_values_round_trip(tmp_path):
     p = small_head(seed=4)
     p.W1[0, :4] = [-0.0, 5e-324, 1e300, -1.5e-300]  # -0.0, subnormal, e+/e-
     p.bc[:] = [1e16, 0.0]
-    path = tmp_path / "head.json"
-    save_checkpoint(p, path, "stage1")
-    assert load_checkpoint(path)[0].flat.tobytes() == p.flat.tobytes()
+    # values that orjson prints positionally or otherwise unlike repr
+    p.W2.flat[:6] = [6.6e-05, 8e-06, 1e16, 1e22, 2.2250738585072014e-308,
+                     1.7976931348623157e308]
+    # 10,000 random finite bit patterns, all of W1 in a 100 -> 100 head
+    values = np.random.default_rng(21).integers(
+        0, 2**64, 10_100, dtype=np.uint64).view(np.float64)
+    wide = init_head(100, 100, 1, 1, seed=0)
+    wide.W1.flat[:] = values[np.isfinite(values)][:10_000]
+    for head in (p, wide):
+        path = tmp_path / "head.json"
+        save_checkpoint(head, path, "stage1")
+        assert load_checkpoint(path)[0].flat.tobytes() == head.flat.tobytes()
 
 
 def test_canonical_checkpoint_is_parsed_without_json(tmp_path, monkeypatch):
     p = small_head(seed=5)
-    path = tmp_path / "head.json"
+    p.W1[0, :2] = [6.63480772013432e-05, 1e22]
+    path, old = tmp_path / "head.json", tmp_path / "old.json"
     save_checkpoint(p, path, "stage2", seed_lineage={"seed": 5})
+    # the stdlib json text older versions wrote: repr floats, 6.63e-05
+    # where orjson writes 0.0000663
+    old.write_text(json.dumps(json.loads(path.read_text()), sort_keys=True,
+                              separators=(",", ":")) + "\n")
+    assert b"6.63480772013432e-05" in old.read_bytes()
 
     def no_json(*args, **kwargs):
         raise AssertionError("a canonical checkpoint went through json.load")
     monkeypatch.setattr(json, "load", no_json)
-    loaded, stage, lineage = load_checkpoint(path)
-    assert loaded.flat.tobytes() == p.flat.tobytes()
-    assert (stage, lineage) == ("stage2", {"seed": 5})
+    for file in (path, old):
+        loaded, stage, lineage = load_checkpoint(file)
+        assert loaded.flat.tobytes() == p.flat.tobytes()
+        assert (stage, lineage) == ("stage2", {"seed": 5})
 
 
 def _first_w1_value(text, token):
@@ -414,9 +431,20 @@ VARIANTS = {
     "row-separator": lambda t: t.replace("],[", "] ,", 1),
     "empty-row": lambda t: t.replace('"W1":[[', '"W1":[[],[', 1),
     "missing-key": lambda t: t.replace(',"stage":"stage1"', ""),
+    "string-value": lambda t: _first_w1_value(t, '"0.5"'),
+    "true": lambda t: _first_w1_value(t, "true"),
+    "huge-integer": lambda t: _first_w1_value(t, "1" + "0" * 400),
+    "bias-column": lambda t: re.sub(r'"b2":\[([^\]]*)\]', lambda m: '"b2":[['
+                                    + m.group(1).replace(",", "],[") + "]]", t),
+    "unknown-stage": lambda t: t.replace('"stage":"stage1"', '"stage":"warmup"'),
+    "lineage-list": lambda t: t.replace('"seed_lineage":{}', '"seed_lineage":[5]'),
     "repeated-key": lambda t: t.replace('"stage":', '"dims":{},"stage":'),
     "truncated": lambda t: t[:len(t) // 2],
 }
+
+# entries save_checkpoint never writes, which both paths reject
+NOT_LOADED = ("string-value", "true", "huge-integer", "bias-column", "unknown-stage",
+              "lineage-list")
 
 
 def _load_outcome(path):
@@ -442,6 +470,8 @@ def test_other_checkpoints_load_as_json_reads_them(tmp_path, monkeypatch,
         with pytest.raises(json.JSONDecodeError) as info:
             json.loads(path.read_text())
         assert got == f"{path}: malformed checkpoint: {info.value}"
+    if variant in NOT_LOADED:
+        assert got.startswith(f"{path}: malformed checkpoint: "), got
     if variant == "integer-minus-zero":  # json's integer 0, not -0.0
         assert load_checkpoint(path)[0].W1[0, 0].tobytes() == b"\0" * 8
 
