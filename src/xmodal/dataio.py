@@ -28,7 +28,7 @@ import json
 import re
 import struct
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -467,3 +467,22 @@ def write_split(split, path):
         json.dump({"train": split.train, "test": split.test}, fh, indent=2,
                   sort_keys=True)
         fh.write("\n")
+
+
+# what a config field declared bool, int or float must hold
+_FIELD_KINDS = {bool: ("true or false", (bool, np.bool_)),
+                int: ("an integer", (int, np.integer)),
+                float: ("a number", (int, float, np.integer, np.floating))}
+
+
+def check_field_types(config):
+    """Raise ValueError naming the first field of dataclass `config` whose
+    value, as JSON configs can give, is not of its declared kind: an int
+    field holding 64.5, 2.0, true or "8", a float field holding "0.1" or
+    a bool field holding 1.  Python and NumPy scalars pass."""
+    for f in fields(config):
+        kind, types = _FIELD_KINDS[f.type]
+        value = getattr(config, f.name)
+        if not isinstance(value, types) or (f.type is not bool
+                                            and isinstance(value, bool)):
+            raise ValueError(f"{f.name} must be {kind}, got {value!r}")

@@ -260,27 +260,33 @@ def _check_stage(stage):
         raise ValueError(f"stage must be 'stage1' or 'stage2', got {stage!r}")
 
 
-def save_checkpoint(params, path, stage, seed_lineage=None):
-    """Write params as JSON: dims, stage tag, seed lineage, full arrays.
+def _arrays(head):
+    """save_checkpoint's layout of `head`'s arrays, which load_checkpoint
+    reads back: per field in sorted-key order, its name, the bytes before
+    its ','-separated rows, the rows as views into `head`, the bytes after."""
+    for i, name in enumerate(sorted(FIELDS)):
+        arr = getattr(head, name)
+        yield (name, (b"," if i else b"") + _dumps(name) + b":" + b"[" * (arr.ndim - 1),
+               arr.reshape(-1, arr.shape[-1]), b"]" * (arr.ndim - 1))
 
-    The file is the sorted-key, compact JSON of the whole checkpoint,
-    written one array row at a time (one dump would hold all 49 MB of a
-    2048 -> 1000 -> 256 head's text), each by orjson in shortest round-trip
-    text: load(save(p)) is bit-exact, and values keep repr's digits but
-    may print positionally (0.0000663 where repr gives 6.63e-05)."""
+
+def save_checkpoint(params, path, stage, seed_lineage=None):
+    """Write the sorted-key, compact JSON of dims, params, seed lineage and
+    stage, one array row at a time (not one 49 MB dump at paper width), by
+    orjson in shortest round-trip text: load(save(p)) is bit-exact, and
+    values keep repr's digits but may print positionally (0.0000663 where
+    repr gives 6.63e-05)."""
     _check_stage(stage)
     d, h, e, c = params.dims
     dims = {"d_in": d, "hidden": h, "embed_dim": e, "n_classes": c}
     with open(path, "wb") as fh:
-        # top-level keys in sorted order: dims, params, seed_lineage, stage
         fh.write(b'{"dims":' + _dumps(dims) + b',"params":{')
-        for i, name in enumerate(sorted(FIELDS)):
-            arr = getattr(params, name)
-            fh.write((b"," if i else b"") + _dumps(name) + b":" + b"[" * (arr.ndim - 1))
-            for j, row in enumerate(arr.reshape(-1, arr.shape[-1])):
+        for _, opening, rows, closing in _arrays(params):
+            fh.write(opening)
+            for j, row in enumerate(rows):
                 fh.write((b"," if j else b"")
                          + orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY))
-            fh.write(b"]" * (arr.ndim - 1))
+            fh.write(closing)
         fh.write(b'},"seed_lineage":' + _dumps(seed_lineage or {})
                  + b',"stage":' + _dumps(stage) + b"}\n")
 
@@ -291,96 +297,65 @@ _CANONICAL_DIMS = re.compile(
     rb'"hidden":([1-9][0-9]{0,8}),"n_classes":([1-9][0-9]{0,8})\},"params":\{')
 
 
-def _parse_rows(text, pos, rows):
-    """Parse the ','-separated rows at text[pos:] into `rows`, return the
-    position after them.  Only JSON number characters pass (no quote,
-    true or space), and orjson holds them to JSON's number grammar."""
+def _expect(text, pos, token, field):
+    """The position after `token` at text[pos:]; raises naming `field`."""
+    if not text.startswith(token, pos):
+        raise ValueError(f"{field!r} leaves save_checkpoint's layout at byte {pos}")
+    return pos + len(token)
+
+
+def _parse_rows(text, pos, name, rows):
+    """Parse field `name`'s ','-separated rows at text[pos:] into `rows`;
+    return the position after them.  A character check keeps quotes, true
+    and spaces out, and orjson holds the rest to JSON's number grammar."""
     for j, row in enumerate(rows):
-        end = text.find(b"]", pos) + 1
-        chunk = text[pos + (j > 0):end]  # the row's text from its '['
-        if (not text.startswith(b",[" if j else b"[", pos)
-                or chunk[1:-1].translate(None, b"0123456789.eE+-,")):
-            raise ValueError("not a canonical row")
-        values = orjson.loads(chunk)
-        if len(values) != len(row):
-            raise ValueError("not a canonical row")
+        start = _expect(text, pos, b",[" if j else b"[", name) - 1
+        end = text.find(b"]", start) + 1 or len(text)
+        bad = text[start + 1:end - 1].translate(None, b"0123456789.eE+-,")
+        if bad:
+            at = text.index(bad[:1], start + 1)
+            raise ValueError(f"{name} holds an entry that is not a number at byte {at}")
+        try:
+            values = orjson.loads(text[start:end])
+            if len(values) != len(row):
+                raise ValueError(f"{len(values)} values, not {len(row)}")
+        except ValueError as exc:
+            raise ValueError(f"{name} row at byte {start}: {exc}") from None
         row[:] = values
         pos = end
     return pos
 
 
-def _load_canonical(path):
-    """(head, the object after "params") of a file in exactly the layout
-    save_checkpoint writes, else None.  orjson parses each array row
-    straight into the head's buffer: one row's Python floats at a time."""
-    with open(path, "rb") as fh:
-        text = fh.read()
-    m = _CANONICAL_DIMS.match(text)
-    dims = m and tuple(int(v) for v in m.group(1, 3, 2, 4))  # D, H, E, C
-    if not m or 2 * _layout(dims)[-1][3] > len(text):
-        return None  # not canonical, or too short for the arrays of its dims
-    head, pos = HeadParams.empty(dims), m.end()
-    try:
-        for i, name in enumerate(sorted(FIELDS)):
-            arr = getattr(head, name)
-            key = (b"," if i else b"") + _dumps(name) + b":" + b"[" * (arr.ndim - 1)
-            if not text.startswith(key, pos):
-                return None
-            pos = _parse_rows(text, pos + len(key), arr.reshape(-1, arr.shape[-1]))
-            if not text.startswith(b"]" * (arr.ndim - 1), pos):
-                return None
-            pos += arr.ndim - 1
-        rest = json.loads(b"{" + text[pos + 2:]) if text.startswith(b"},", pos) else {}
-    except ValueError:
-        return None
-    if "stage" not in rest or not set(rest) <= {"seed_lineage", "stage"}:
-        return None
-    return head, rest
-
-
-def _numbers(name, value):
-    """JSON list `value` as float64, if all entries are numbers (not "0.5")."""
-    arr = np.array(value, dtype=np.float64)  # raises for ragged lists
-    if not all(type(v) in (int, float) for v in np.array(value, dtype=object).flat):
-        raise ValueError(f"{name} holds an entry that is not a number")
-    return arr
-
-
-def load_checkpoint(path, expect_dims=None):
+def load_checkpoint(path):
     """Read a checkpoint -> (HeadParams, stage, seed_lineage).
 
-    `expect_dims` is an optional (D, H, E, C) tuple; a mismatch against
-    the stored dims raises rather than returning a head the caller's
-    config cannot drive.  Invalid JSON, a missing field, a non-number
-    entry, a misshapen array, a stage save_checkpoint refuses or a
-    non-object seed lineage raise one ValueError naming `path`.  A file in
-    save_checkpoint's layout (orjson or older repr numbers) is parsed row
-    by row into the head; json reads any other file and decides its
-    content or its error."""
+    The file must be in exactly save_checkpoint's layout, its numbers in
+    orjson's or older versions' repr notation; orjson parses each array
+    row straight into the head's buffer.  Any other text raises one
+    ValueError naming `path` and the field or byte where it leaves that
+    layout (a non-number entry, a misshapen array, an unknown stage...)."""
+    with open(path, "rb") as fh:
+        text = fh.read()
     try:
-        params, obj = _load_canonical(path) or (None, None)
-        stored = params.dims if params else None
-        if params is None:
-            with open(path, encoding="utf-8") as fh:
-                obj = json.load(fh)
-            dims = obj["dims"]
-            stored = (dims["d_in"], dims["hidden"], dims["embed_dim"],
-                      dims["n_classes"])
-            # popped, so each field's JSON lists are freed once converted
-            params = HeadParams(**{name: _numbers(name, obj["params"].pop(name))
-                                   for name in FIELDS})
-        stage, lineage = obj["stage"], obj.get("seed_lineage", {})
-        _check_stage(stage)
-        if not isinstance(lineage, dict):
-            raise ValueError("seed_lineage is not a JSON object")
-    except KeyError as exc:
-        raise ValueError(f"{path}: checkpoint has no field {exc}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
+        m = _CANONICAL_DIMS.match(text)
+        if not m:
+            raise ValueError("'dims' leaves save_checkpoint's layout at byte 0")
+        dims = tuple(int(v) for v in m.group(1, 3, 2, 4))  # D, H, E, C
+        if 2 * _layout(dims)[-1][3] > len(text):  # a value takes >= 2 bytes
+            raise ValueError("stored arrays disagree with recorded dims")
+        head, pos = HeadParams.empty(dims), m.end()
+        for name, opening, rows, closing in _arrays(head):
+            pos = _parse_rows(text, _expect(text, pos, opening, name), name, rows)
+            pos = _expect(text, pos, closing, name)
+        pos = _expect(text, pos, b"},", "params")
+        try:
+            rest = json.loads(b"{" + text[pos:])
+            if (list(rest) != ["seed_lineage", "stage"]
+                    or not isinstance(rest["seed_lineage"], dict)):
+                raise ValueError('not {"seed_lineage": {...}, "stage": ...}')
+            _check_stage(rest["stage"])
+        except ValueError as exc:
+            raise ValueError(f"trailer at byte {pos}: {exc}") from None
+    except ValueError as exc:
         raise ValueError(f"{path}: malformed checkpoint: {exc}") from None
-    if expect_dims is not None and tuple(expect_dims) != stored:
-        raise ValueError(
-            f"checkpoint dims {stored} do not match expected {tuple(expect_dims)}"
-        )
-    if params.dims != stored:
-        raise ValueError(f"{path}: stored arrays disagree with recorded dims")
-    return params, stage, lineage
+    return head, rest["stage"], rest["seed_lineage"]

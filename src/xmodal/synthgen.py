@@ -33,9 +33,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataio import FeatureTable, SequenceRecord, SplitSpec
+from .dataio import FeatureTable, SequenceRecord, SplitSpec, check_field_types
 from .seeds import derive_seed
-from .sgt import BASES, sgt_embed, tokenize_bigrams
+from .sgt import BASES, anchors_from_table, embed_sequences
 
 TEST_FRACTION = 0.2
 
@@ -60,9 +60,10 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         for name in ("genera", "species_per_genus", "head", "tail",
                      "seqs_per_species", "dim"):
-            if int(getattr(self, name)) < 1:
+            if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         for name in ("mu_genus", "mu_species", "mu_individual"):
             rate = getattr(self, name)
@@ -165,17 +166,16 @@ def generate(spec):
 
     rng_ind = np.random.default_rng(derive_seed(spec.seed, "individual"))
     records, seq_labels = [], {}
-    anchors = np.empty((c, 256))  # row t: taxon t's genetic anchor
     for taxon in range(c):
-        embeddings = []
         for i in range(spec.seqs_per_species):
             seq = _mutate(species_masters[taxon], spec.mu_individual, rng_ind)
             rec = SequenceRecord(f"seq{taxon:02d}_{i:02d}", _to_string(seq))
             records.append(rec)
             seq_labels[rec.id] = taxon
-            embeddings.append(sgt_embed(tokenize_bigrams(rec.residues),
-                                        spec.kappa))
-        anchors[taxon] = np.median(embeddings, axis=0)
+    ids, genetic = embed_sequences(records, spec.kappa)
+    # row t: taxon t's genetic anchor
+    anchors = np.array([a.vector for a in anchors_from_table(
+        ids, genetic, [seq_labels[i] for i in ids])])
 
     # entry scale map_scale/sqrt(256) puts feature norms in the range of
     # typical backbone descriptors, which the pinned learning rate expects

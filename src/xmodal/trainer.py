@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import embednet, losses
+from . import dataio, embednet, losses
 from .seeds import derive_seed
 
 
@@ -57,13 +57,14 @@ class TrainConfig:
     classifier_init_scale: float = 0.35
 
     def __post_init__(self):
+        dataio.check_field_types(self)
         if self.lr < 0:
             raise ValueError("lr must be non-negative")
         for name in ("batch_size", "d_in", "hidden", "embed_dim"):
-            if int(getattr(self, name)) < 1:
+            if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         for name in ("epochs_stage1", "epochs_stage2"):
-            if int(getattr(self, name)) < 0:
+            if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         for name in ("mix_lambda", "weight_decay"):
             if getattr(self, name) < 0:

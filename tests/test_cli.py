@@ -197,19 +197,43 @@ def test_sparse_taxon_ids_size_nothing(tmp_path, taxa):
     assert {**sparse_metrics, "taxa": [0, 1]} == metrics
 
 
-@pytest.mark.parametrize("damage", ["missing-key", "string-value", "truncated"])
+def _without_dims(data):
+    obj = json.loads(data)
+    del obj["dims"]
+    return json.dumps(obj).encode()
+
+
+def _cut(fraction):
+    return lambda data: data[:int(fraction * len(data))]
+
+
+def _in_a_row(byte, fraction):
+    """Replace the first digit at or after `fraction` of the file."""
+    def damage(data):
+        at = re.compile(rb"[0-9]").search(data, int(fraction * len(data))).start()
+        return data[:at] + byte + data[at + 1:]
+    return damage
+
+
+# a missing key, a quoted number, truncation at several offsets, and bytes
+# no number holds written over a digit of an array row
+CHECKPOINT_DAMAGE = {
+    "missing-key": _without_dims,
+    "string-value": lambda data: re.sub(rb'"W1":\[\[([^,\]]+)', rb'"W1":[["\1"',
+                                        data, count=1),
+    "truncated": _cut(0.5),
+    **{f"truncated-at-{f:g}": _cut(f) for f in (0, 1e-4, 0.01, 0.3, 0.99)},
+    "truncated-before-brace": lambda data: data[:-2],
+    **{f"byte-{byte.hex()}-at-{f:g}": _in_a_row(byte, f)
+       for byte, f in ((b"x", 0.01), (b'"', 0.2), (b" ", 0.4), (b"\0", 0.6),
+                       (b"\xff", 0.8), (b"[", 0.9))},
+}
+
+
+@pytest.mark.parametrize("damage", sorted(CHECKPOINT_DAMAGE))
 def test_eval_reports_malformed_checkpoint(chain, tmp_path, capsys, damage):
-    text = (chain / "aligned.json").read_text()
-    if damage == "missing-key":
-        obj = json.loads(text)
-        del obj["dims"]
-        text = json.dumps(obj)
-    elif damage == "string-value":
-        text = re.sub(r'"W1":\[\[([^,\]]+)', r'"W1":[["\1"', text, count=1)
-    else:
-        text = text[:len(text) // 2]
     bad = tmp_path / "bad.json"
-    bad.write_text(text)
+    bad.write_bytes(CHECKPOINT_DAMAGE[damage]((chain / "aligned.json").read_bytes()))
     capsys.readouterr()
     rc = main(["eval", "--ckpt", str(bad),
                "--gallery", str(chain / "data" / "train.csv"),
@@ -220,12 +244,65 @@ def test_eval_reports_malformed_checkpoint(chain, tmp_path, capsys, damage):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), err
     assert str(bad) in lines[0]
+    assert lines[0].startswith(f"error: {bad}: malformed checkpoint: "), err
     if damage == "missing-key":
         assert "'dims'" in lines[0]
     if damage == "string-value":
         assert "W1 holds an entry that is not a number" in lines[0]
     assert "Traceback" not in err
     assert not (tmp_path / "metrics.json").exists()
+
+
+def _config_argv(chain, tmp_path, command, path):
+    if command == "synth":
+        return ["synth", "--spec", str(path), "--out", str(tmp_path / "data")]
+    argv = [command, "--config", str(path),
+            "--features", str(chain / "data" / "train.csv"),
+            "--out", str(tmp_path / "ckpt.json"),
+            "--history", str(tmp_path / "hist.json")]
+    if command == "align":
+        argv += ["--ckpt", str(chain / "ckpt.json"),
+                 "--anchors", str(chain / "anchors.csv")]
+    return argv
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("synth", "dim", 64.5),
+    ("synth", "seqs_per_species", 4.0),
+    ("synth", "seed", True),
+    ("train", "epochs_stage1", 1.5),
+    ("train", "batch_size", 2.5),
+    ("train", "hidden", "16"),
+    ("train", "ltr_enabled", 1),
+    ("train", "lr", "0.1"),
+    ("align", "batch_size", 2.5),
+    ("align", "align_enabled", "yes"),
+    ("align", "margin_m", None),
+    ("synth", "ratio", False),
+])
+def test_config_values_of_the_wrong_kind_give_one_error_line(
+        chain, tmp_path, capsys, command, key, value):
+    base = TINY_SPEC if command == "synth" else TINY_TRAIN
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**base, key: value}))
+    capsys.readouterr()
+    assert main(_config_argv(chain, tmp_path, command, path)) == 1
+    err = capsys.readouterr().err
+    kind = ("true or false" if key.endswith("_enabled") else
+            "a number" if key in ("lr", "margin_m", "ratio") else "an integer")
+    assert err == f"error: {key} must be {kind}, got {value!r}\n"
+    assert not (tmp_path / "data").exists()
+    assert not (tmp_path / "ckpt.json").exists()
+
+
+def test_config_values_may_be_numpy_scalars():
+    spec = SynthSpec.from_dict({**TINY_SPEC, "dim": np.int32(8),
+                                "seed": np.uint64(3), "ratio": np.float32(0.5)})
+    assert spec.dim == 8 and spec.seed == 3
+    config = trainer.TrainConfig.from_dict({**TINY_TRAIN, "lr": 1,
+                                            "batch_size": np.int64(8),
+                                            "ltr_enabled": np.bool_(False)})
+    assert config.batch_size == 8 and not config.ltr_enabled
 
 
 def test_cli_reports_errors_as_exit_one(chain, capsys):
