@@ -29,7 +29,10 @@ would run every branch at half speed.  Everything outside the pool
 (data generation, sequence embedding, the other subcommands) keeps the
 library's default thread count, because wide matmuls there do use
 every core.  With one BLAS thread per branch, branch results also no
-longer depend on how many cores the machine has.
+longer depend on how many cores the machine has.  Each training stage
+draws its whole batch schedule before its first step: every scalar
+draw releases and retakes the GIL, and draws between the steps made
+the two branches hand it back and forth for every triplet.
 """
 
 import argparse
@@ -232,7 +235,12 @@ class PipelineConfig:
         if unknown:
             raise ValueError(f"unknown pipeline config keys: {sorted(unknown)}")
         self.train_overrides = dict(obj.get("train", {}))
-        self.k = int(obj.get("k", 5))
+        k = obj.get("k", 5)
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+            raise ValueError(f"k must be an integer, got {k!r}")
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        self.k = int(k)
         self.synth_spec = obj.get("synth_spec", "default")
 
     @classmethod
@@ -307,8 +315,7 @@ def run_pipeline(spec, pipe_config=None, out_dir=None):
     """
     pipe = pipe_config or PipelineConfig()
     data = synthgen.generate(spec)
-    genetic = _genetic_table(data.records, data.seq_labels, spec.kappa)
-    anchor_table = _anchor_table(genetic)
+    anchor_table = _anchor_table(data.genetic)
     anchors = _anchors_by_taxon(anchor_table)
     train, test = data.train_table, data.test_table
     base = dict(d_in=spec.dim, embed_dim=256, seed=spec.seed)
@@ -348,7 +355,7 @@ def run_pipeline(spec, pipe_config=None, out_dir=None):
         out = Path(out_dir)
         (out / "data").mkdir(parents=True, exist_ok=True)
         synthgen.write_outputs(data, out / "data")
-        dataio.write_feature_csv(genetic, out / "genetic.csv")
+        dataio.write_feature_csv(data.genetic, out / "genetic.csv")
         dataio.write_feature_csv(anchor_table, out / "anchors.csv")
         for tag, fname in (("naive", "naive"), ("wd+m", "wdm")):
             config, params, aligned, histories, *_ = branches[tag]

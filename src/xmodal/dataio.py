@@ -23,7 +23,6 @@ memory.
 
 import csv
 import io
-import itertools
 import json
 import re
 import struct
@@ -31,6 +30,7 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+import orjson
 
 # ACGT/U, N, and the IUPAC ambiguity letters.
 IUPAC_LETTERS = frozenset("ACGTUNRYSWKMBDHV")
@@ -184,54 +184,85 @@ def load_feature_csv(path):
 
 
 def _plain(line):
-    """`line` holds none of the characters that make csv differ from a
-    split at commas: a quote, a carriage return or a NUL."""
-    return '"' not in line and "\r" not in line and "\0" not in line
+    """`line` holds none of the bytes that make csv differ from a split
+    at commas: a quote, a carriage return or a NUL."""
+    return b'"' not in line and b"\r" not in line and b"\0" not in line
+
+
+# the bytes of a feature part that orjson may parse: JSON's number grammar
+# is a subset of float()'s over them, with the same correctly rounded
+# values except that the integer -0 reads as 0, not -0.0
+_NUMBER_BYTES = b"0123456789.eE+-,"
+
+
+def _feature_row(feats, dim):
+    """The `dim` values of one line's feature part (bytes): orjson parses
+    a part of number bytes and no integer -0 ("-0," also catches harmless
+    exponents like "1e-0,"); np.loadtxt, which rounds as float() does,
+    parses any other part and any part orjson rejects.  Raises ValueError
+    if the part does not hold exactly `dim` values."""
+    text, values = b"[" + feats + b"]", None
+    if (not feats.translate(None, _NUMBER_BYTES)
+            and b"-0," not in text and not text.endswith(b"-0]")):
+        try:
+            values = orjson.loads(text)
+        except ValueError:
+            pass
+    if values is None:  # one line gives a 1-D array
+        values = np.loadtxt([feats.decode()], delimiter=",", comments=None,
+                            ndmin=1)
+    if len(values) != dim:  # a 1-value row must not broadcast
+        raise ValueError("row does not match the header")
+    return values
 
 
 def _load_feature_csv_streamed(path):
-    """The streamed pass of load_feature_csv: np.loadtxt parses the
-    feature part of each line as it is read, and ids and labels are
-    collected on the way.  loadtxt and float() both round through
-    PyOS_string_to_double, so the matrix is the row parser's bit for bit.
+    """The streamed pass of load_feature_csv.  One binary pass counts the
+    lines and bytes, which bound the rows, so the (rows, D) matrix is
+    allocated once; the second pass parses each line's feature part
+    straight into its row (see _feature_row) and collects ids and labels
+    on the way.  Blank lines leave slack at the end, trimmed by a view.
+    orjson, loadtxt and float() all round correctly, so the matrix is the
+    row parser's bit for bit.
 
     Raises ValueError, without naming the line, for anything the row
-    parser might read differently or reject: a line that is not plain, a
-    bad header, no rows, a short or long row, a label that is not a
-    non-negative integer, a non-finite or unparsable value, or a
+    parser might read differently or reject: a line that is not plain or
+    not UTF-8, a bad header, no rows, a short or long row, a label that is
+    not a non-negative integer, a non-finite or unparsable value, or a
     duplicate id.
     """
     ids, labels = [], []
-
-    def feature_parts(lines):
-        for line in lines:
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        dim = header.count(b",") - 1
+        if (dim < 1 or not _plain(header)
+                or header.decode().rstrip("\n").split(",")
+                != _expected_header(dim)):
+            raise ValueError("bad header")
+        start = fh.tell()
+        newlines = nbytes = 0
+        for block in iter(lambda: fh.read(1 << 16), b""):
+            newlines += block.count(b"\n")
+            nbytes += len(block)
+        # a row of D values takes at least 2D + 2 bytes (",0," and "1,")
+        # before its newline, so no row index reaches this bound
+        matrix = np.empty((min(newlines + 1, nbytes // (2 * dim + 2)), dim))
+        fh.seek(start)
+        for line in fh:
             if not _plain(line):
                 raise ValueError("not a plain CSV line")
-            line = line.rstrip("\n")
+            line = line.rstrip(b"\n")
             if line:  # csv skips blank lines too
-                rid, label, feats = line.split(",", 2)
+                rid, label, feats = line.split(b",", 2)
                 if not feats:  # loadtxt would skip it as a blank line
                     raise ValueError("empty feature field")
-                ids.append(rid)
-                labels.append(int(label))
-                yield feats
-
-    with open(path, encoding="utf-8", newline="\n") as fh:
-        header = fh.readline()
-        dim = header.count(",") - 1
-        if (dim < 1 or not _plain(header)
-                or header.rstrip("\n").split(",") != _expected_header(dim)):
-            raise ValueError("bad header")
-        rows = feature_parts(fh)
-        first = next(rows, None)
-        if first is None:  # loadtxt would warn on empty input
-            raise ValueError("no data rows")
-        matrix = np.loadtxt(itertools.chain([first], rows), delimiter=",",
-                            comments=None, ndmin=2)
-    if matrix.shape != (len(ids), dim):
-        raise ValueError("rows do not match the header")
+                labels.append(int(label.decode()))
+                matrix[len(ids)] = _feature_row(feats, dim)
+                ids.append(rid.decode())
+    if not ids:
+        raise ValueError("no data rows")
     # rejects negative labels, non-finite values and duplicate ids
-    return FeatureTable(ids, np.array(labels), matrix)
+    return FeatureTable(ids, np.array(labels), matrix[:len(ids)])
 
 
 def _load_feature_csv_rows(path):

@@ -19,7 +19,8 @@ upstream gradients by 1/B, which keeps the chain rule plain.
 A head is one contiguous buffer, `flat`, with W1, b1, W2, b2, Wc, bc as
 named views into it in that order; backward fills a gradient head of
 the same layout and dtype.  sgd_step updates a float64 head in place,
-block by block, with weight decay on the three weight matrices only.
+block by block, with weight decay on the three weight matrices only,
+and can write each updated block's float32 cast into a working head.
 maxnorm_project caps the L2 norm of each classifier row at delta, the
 balance device that stops head classes from growing oversized logit
 scales.
@@ -189,15 +190,18 @@ def backward(cache, d_embedding, d_logits, out=None):
 
 
 def sgd_step(params, grads, lr, weight_decay=0.0, projection_only=False,
-             scratch=None):
+             scratch=None, work=None):
     """One SGD update of `params`, in place: p <- p - lr*(g + wd*p) element
     by element, with wd = 0.0 on the biases and float32 `grads` upcast.
 
     Each field is walked in blocks of SGD_BLOCK doubles through one
-    scratch block (`scratch`, or a new one), and each updated block is
-    checked for finite values while it is in cache: a non-finite value
-    raises ValueError naming its field, after the blocks before it were
-    updated.  With projection_only, Wc and bc are not touched."""
+    scratch block (`scratch`, or a new one).  Each updated block is cast
+    into the working head `work` (if given; the float32 copy that forward
+    and backward run on) and checked for finite values while it is in
+    cache: the block's sum is finite unless a value is not, and only then
+    are the values checked one by one, so a non-finite value raises
+    ValueError naming its field, after the blocks before it were updated.
+    With projection_only, Wc and bc are not touched."""
     if lr < 0:
         raise ValueError(f"learning rate must be non-negative, got {lr}")
     if weight_decay < 0:
@@ -207,16 +211,22 @@ def sgd_step(params, grads, lr, weight_decay=0.0, projection_only=False,
             f"gradient shape mismatch: dims {grads.dims} != {params.dims}")
     s = np.empty(SGD_BLOCK) if scratch is None else scratch
     n_fields = FIELDS.index("Wc") if projection_only else len(FIELDS)
-    for name, _, start, stop in _layout(params.dims)[:n_fields]:
-        wd = weight_decay if name in WEIGHT_FIELDS else 0.0
-        for lo in range(start, stop, SGD_BLOCK):
-            hi = min(lo + SGD_BLOCK, stop)
-            p, t = params.flat[lo:hi], s[:hi - lo]
-            np.multiply(wd, p, out=t)
-            np.add(grads.flat[lo:hi], t, out=t)
-            np.multiply(lr, t, out=t)
-            np.subtract(p, t, out=p)
-            _check_finite(name, p)
+    # a sum of finite values may overflow; only the raise reports a
+    # non-finite value
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, _, start, stop in _layout(params.dims)[:n_fields]:
+            wd = weight_decay if name in WEIGHT_FIELDS else 0.0
+            for lo in range(start, stop, SGD_BLOCK):
+                hi = min(lo + SGD_BLOCK, stop)
+                p, t = params.flat[lo:hi], s[:hi - lo]
+                np.multiply(wd, p, out=t)
+                np.add(grads.flat[lo:hi], t, out=t)
+                np.multiply(lr, t, out=t)
+                np.subtract(p, t, out=p)
+                if work is not None:
+                    np.copyto(work.flat[lo:hi], p)
+                if not np.isfinite(np.add.reduce(p)):
+                    _check_finite(name, p)
 
 
 def maxnorm_rows(matrix, delta):

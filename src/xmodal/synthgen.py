@@ -107,6 +107,7 @@ class SynthData:
     spec: SynthSpec
     records: list
     seq_labels: dict
+    genetic: FeatureTable  # each record's SGT embedding, labelled by taxon
     anchors: np.ndarray
     visual_means: np.ndarray
     map_matrix: np.ndarray
@@ -172,10 +173,11 @@ def generate(spec):
             rec = SequenceRecord(f"seq{taxon:02d}_{i:02d}", _to_string(seq))
             records.append(rec)
             seq_labels[rec.id] = taxon
-    ids, genetic = embed_sequences(records, spec.kappa)
+    ids, matrix = embed_sequences(records, spec.kappa)
+    genetic = FeatureTable(ids, [seq_labels[i] for i in ids], matrix)
     # row t: taxon t's genetic anchor
     anchors = np.array([a.vector for a in anchors_from_table(
-        ids, genetic, [seq_labels[i] for i in ids])])
+        genetic.ids, genetic.matrix, genetic.labels)])
 
     # entry scale map_scale/sqrt(256) puts feature norms in the range of
     # typical backbone descriptors, which the pinned learning rate expects
@@ -231,7 +233,7 @@ def generate(spec):
             for t in range(c)
         ],
     }
-    return SynthData(spec, records, seq_labels, anchors, visual_means,
+    return SynthData(spec, records, seq_labels, genetic, anchors, visual_means,
                      map_matrix, counts, train_table, test_table, split,
                      manifest)
 

@@ -18,14 +18,18 @@ its anchor as one with a thousand, which is where the tail recovery
 comes from.  The classifier layer is frozen throughout stage 2; only
 the projection layers move.
 
-Forward and backward run in float32 on a working copy refreshed from
-the float64 master head before every step; the SGD update, max-norm and
-the returned head stay float64 (the usual mixed-precision split).
+Forward and backward run in float32 on a working copy of the float64
+master head: copied once per run, then kept equal to the master's
+float32 cast by sgd_step, which writes each updated block into it, and
+by a refresh of its Wc after each capping max-norm.  The SGD update,
+max-norm and the returned head stay float64 (the usual mixed-precision
+split).
 
 Everything is driven by seeded generators in a documented draw order
 (per triplet: anchor, positive, negative in stage 1; taxon, positive,
 negative in stage 2), so a (config, data, seed) tuple fully determines
-the resulting checkpoint.
+the resulting checkpoint.  Each stage draws its whole schedule of
+batches before its first step.
 """
 
 import json
@@ -225,14 +229,18 @@ def train_stage1(config, train_features, labels, params=None):
     wd = config.weight_decay if config.ltr_enabled else 0.0
     history = TrainHistory("stage1")
 
+    # the whole run's batches, drawn before any step: anchors, positives,
+    # negatives of each batch
+    schedule = [np.array(sample_triplets(codes, config.batch_size, rng,
+                                         tables)).T.ravel()
+                for _ in range(config.epochs_stage1 * batches)]
+    np.copyto(work.flat, params.flat)
     for epoch in range(config.epochs_stage1):
         sums = np.zeros(3)  # loss, softmax part, rtl part
         for batch_idx in range(batches):
-            trip = sample_triplets(codes, config.batch_size, rng, tables)
-            rows = np.array(trip).T.ravel()  # anchors, positives, negatives
-            np.copyto(work.flat, params.flat)
+            rows = schedule[epoch * batches + batch_idx]
             emb, logits, cache = embednet.forward(work, x32[rows])
-            b = len(trip)
+            b = config.batch_size
             loss, ce_part, rtl_part, d_logits_a, *d_emb = (
                 losses.softmax_rtl_batch(logits[:b], codes[rows[:b]],
                                          *np.split(emb, 3), config.mix_lambda))
@@ -241,10 +249,12 @@ def train_stage1(config, train_features, labels, params=None):
             d_log = np.zeros_like(logits)
             d_log[:b] = d_logits_a
             embednet.backward(cache, np.concatenate(d_emb), d_log, out=grads)
-            embednet.sgd_step(params, grads, config.lr, wd, scratch=scratch)
+            embednet.sgd_step(params, grads, config.lr, wd, scratch=scratch,
+                              work=work)
             if config.ltr_enabled:
                 params = _apply_maxnorm(params, config.maxnorm_delta,
                                         "classifier")
+                np.copyto(work.Wc, params.Wc)  # the cap moves Wc alone
             sums += (loss, ce_part, rtl_part)
         mean = sums / batches
         history.record(epoch, mean[0], {"softmax": mean[1], "rtl": mean[2]})
@@ -299,17 +309,22 @@ def align_stage2(config, params, anchors, train_features, labels):
     wd = config.weight_decay if config.ltr_enabled else 0.0
     history = TrainHistory("stage2")
 
+    def draw_batch():
+        drawn = []  # (taxon index, positive, negative), in draw order
+        for _ in range(config.batch_size):
+            j = rng.integers(present.size)
+            t = int(present[j])
+            p = per_taxon[t][rng.integers(per_taxon[t].size)]
+            drawn.append((j, p, other_taxa[t][rng.integers(other_taxa[t].size)]))
+        return np.array(drawn).T
+
+    # the whole run's batches, drawn before any step
+    schedule = [draw_batch() for _ in range(config.epochs_stage2 * batches)]
+    np.copyto(work.flat, params.flat)
     for epoch in range(config.epochs_stage2):
         loss_sum = 0.0
         for batch_idx in range(batches):
-            drawn = []  # (taxon index, positive, negative), in draw order
-            for _ in range(config.batch_size):
-                j = rng.integers(present.size)
-                t = int(present[j])
-                p = per_taxon[t][rng.integers(per_taxon[t].size)]
-                drawn.append((j, p, other_taxa[t][rng.integers(other_taxa[t].size)]))
-            taxa, *pos_neg = np.array(drawn).T
-            np.copyto(work.flat, params.flat)
+            taxa, *pos_neg = schedule[epoch * batches + batch_idx]
             emb, _, cache = embednet.forward(work, x32[np.concatenate(pos_neg)])
             loss, *d_emb = losses.cosine_align_batch(
                 anchor32[taxa], *np.split(emb, 2), config.margin_m)
@@ -317,7 +332,7 @@ def align_stage2(config, params, anchors, train_features, labels):
             embednet.backward(cache, np.concatenate(d_emb),
                               np.zeros_like(cache.logits), out=grads)
             embednet.sgd_step(params, grads, config.lr, wd,
-                              projection_only=True, scratch=scratch)
+                              projection_only=True, scratch=scratch, work=work)
             loss_sum += loss
         history.record(epoch, loss_sum / batches, {"cosine": loss_sum / batches})
     return params, history

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import xmodal
-from xmodal import cli, dataio, embednet, trainer
+from xmodal import cli, dataio, embednet, sgt, synthgen, trainer
 from xmodal.cli import PipelineConfig, main, run_pipeline
 from xmodal.synthgen import SynthSpec
 
@@ -457,6 +457,51 @@ def test_pipeline_config_validation():
             PipelineConfig({key: 10})
     pipe = PipelineConfig({"k": 3, "train": {"epochs_stage1": 1}})
     assert pipe.k == 3 and pipe.train_overrides == {"epochs_stage1": 1}
+
+
+@pytest.mark.parametrize("k, message", [
+    (2.5, "k must be an integer, got 2.5"),
+    (True, "k must be an integer, got True"),
+    ("5", "k must be an integer, got '5'"),
+    (None, "k must be an integer, got None"),
+    (0, "k must be >= 1, got 0"),
+    (-3, "k must be >= 1, got -3"),
+])
+def test_pipeline_config_k_must_be_a_positive_integer(tmp_path, capsys, k,
+                                                      message):
+    config_path = tmp_path / "pipe.json"
+    config_path.write_text(json.dumps(
+        {"k": k, "train": TINY_TRAIN, "synth_spec": TINY_SPEC}))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["pipeline", "--config", str(config_path),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_run_pipeline_embeds_each_sequence_once(monkeypatch, tmp_path):
+    calls = []
+    real_embed = sgt.embed_sequences
+
+    def spy(records, kappa=1.0):
+        calls.append(len(records))
+        return real_embed(records, kappa)
+
+    monkeypatch.setattr(sgt, "embed_sequences", spy)
+    monkeypatch.setattr(synthgen, "embed_sequences", spy)
+    spec = SynthSpec.from_dict(TINY_SPEC)
+    run_pipeline(spec, PipelineConfig({"k": 3, "train": TINY_TRAIN}),
+                 out_dir=tmp_path / "out")
+    assert len(calls) == 1
+    data = synthgen.generate(spec)
+    assert calls == [len(data.records)] * 2
+    # genetic.csv is what sgt-embed writes for the same records
+    dataio.write_feature_csv(
+        cli._genetic_table(data.records, data.seq_labels, spec.kappa),
+        tmp_path / "genetic.csv")
+    assert ((tmp_path / "out" / "genetic.csv").read_bytes()
+            == (tmp_path / "genetic.csv").read_bytes())
 
 
 def test_pipeline_branches_run_on_one_blas_thread(monkeypatch):

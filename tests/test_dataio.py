@@ -1,5 +1,8 @@
 """File format round-trip and validation tests."""
 
+import tracemalloc
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -230,12 +233,67 @@ def test_split_spec_overlap():
         SplitSpec(train=["a", "b"], test=["b"])
 
 
+def _midpoints(x):
+    """Decimal text of the exact midpoint between double `x` and the next
+    one up, and of the decimals one unit in the 60th digit below and above
+    it, which must round down and up."""
+    with localcontext() as ctx:
+        ctx.prec = 1200  # exact for every double and midpoint
+        lo, hi = Decimal(x), Decimal(float(np.nextafter(x, np.inf)))
+        mid = (lo + hi) / 2
+        step = mid.scaleb(-60).copy_abs()
+        return [str(mid), str(mid - step), str(mid + step)]
+
+
+def _csv_of(values, width):
+    """A plain features CSV holding `values`, `width` to a row."""
+    rows = [values[i:i + width] for i in range(0, len(values), width)]
+    return ("id,label," + ",".join(f"f{i}" for i in range(width)) + "\n"
+            + "".join(f"r{i},{i % 3},{','.join(row)}\n"
+                      for i, row in enumerate(rows)))
+
+
+_RNG = np.random.default_rng(15)
 PLAIN_CSVS = {
     "blank-lines": "id,label,f0,f1\n\na,0,1.5,-2e-300\n\n\nb,3,5e-324,1e308\n\n",
     "spaces-in-ids": ("id,label,f0,f1\nitem one,1, 0.5 ,+2\n lead,0,.5,5.\n"
                       "trail ,2,-0.0,1E5\n"),
     "one-column": "id,label,f0\nx,0,1.25\ny,1,-3\nz,1,7e-3",
     "label-spellings": "id,label,f0\np, 2,0.1\nq,+4,0.2\nr,1_0,0.3\n",
+    # mantissas of 17 to 25 digits, past what a double holds
+    "long-mantissas": _csv_of(
+        ["0.12345678901234567", "-1.2345678901234567890123",
+         "9.87654321098765432109876e-5", "123456789012345678901234.5",
+         "3.1415926535897932384626e300", "-2.7182818284590452353602e-300"]
+        + [f"{sign}{digits[0]}.{digits[1:]}e{e}"
+           for sign, digits, e in zip(
+               _RNG.choice(["", "-"], 60),
+               ("".join(map(str, _RNG.integers(1, 10, n)))
+                for n in _RNG.integers(17, 26, 60)),
+               _RNG.integers(-300, 300, 60).tolist())],
+        6),
+    # exact ties between adjacent doubles round to even
+    "midpoints": _csv_of(
+        [v for x in (0.0, 5e-324, 2.0 ** -1022 - 5e-324, 2.0 ** -1022, 0.1,
+                     1.0, 2.0 ** 52, 2.0 ** 53, 1e23, 1.7976931348623155e308)
+         for v in _midpoints(x)], 6),
+    "subnormals-and-huge": _csv_of(
+        ["5e-324", "4.9406564584124654e-324", "2.4703282292062328e-324",
+         "2.2250738585072009e-308", "2.2250738585072014e-308", "1e-320",
+         "-2.5e-315", "1e-400", "1.7976931348623157e308",
+         "1.7976931348623158e308", "-1.7976931348623157E+308", "9.9e307"],
+        4),
+    # orjson reads integers exactly up to 2**64 - 1 and as doubles above
+    "big-integers": _csv_of(
+        ["9007199254740993", "9007199254740995", "-9007199254740993",
+         "9223372036854775807", "9223372036854775808",
+         "-9223372036854775808", "-9223372036854775809",
+         "18446744073709551615", "18446744073709551616",
+         "18446744073709551617", "123456789012345678901234567890",
+         "-99999999999999999999999"], 3),
+    # the integer -0 must read as -0.0, like float("-0")
+    "zeros": _csv_of(["-0", "-0.0", "0e0", "-0e0", "0", "-0E+0", "1e-0",
+                      "0.0", "-0", "-0"], 2),
 }
 
 
@@ -282,3 +340,56 @@ def test_valid_csv_the_streamed_pass_declines_takes_the_row_parser(
     table = load_feature_csv(path)
     assert table.ids == ids
     assert table.matrix.ravel().tolist() == values
+
+
+def _load_traced(load, path):
+    """load(path) and the peak bytes tracemalloc saw it allocate."""
+    tracemalloc.start()
+    try:
+        return load(path), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_feature_csv_loads_at_paper_width_in_little_more_than_its_matrix(
+        tmp_path):
+    n, dim = 950, 2048
+    rng = np.random.default_rng(16)
+    path = tmp_path / "features.csv"
+    fmt = ",".join(["%.9g"] * dim)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(dataio._expected_header(dim)) + "\n")
+        for i, row in enumerate(rng.normal(size=(n, dim))):
+            fh.write(f"img{i:04d},{i % 32}," + fmt % tuple(row) + "\n")
+    _, peak = _load_traced(load_feature_csv, path)
+    assert peak <= 1.25 * n * dim * 8
+
+
+def test_blank_lines_do_not_size_the_feature_matrix(tmp_path):
+    # one row under a 512-column header, then 200,000 blank lines: rows
+    # are bounded by the bytes as well as by the lines, so the matrix
+    # takes at most 4 bytes per byte of text ("0," holds a double)
+    path = tmp_path / "features.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(dataio._expected_header(512)) + "\n")
+        fh.write("a,0," + ",".join(["0.5"] * 512) + "\n")
+        fh.write("\n" * 200_000)
+    table, peak = _load_traced(dataio._load_feature_csv_streamed, path)
+    assert table.matrix.shape == (1, 512)
+    assert peak < 5 * path.stat().st_size
+
+
+@pytest.mark.parametrize("row", [
+    "a,0,1",          # orjson reads one value
+    "a,0, 1",         # loadtxt reads one value
+    "a,0,1,2,3",      # orjson reads three
+    "a,0,1,2, 3",     # loadtxt reads three
+])
+def test_rows_of_the_wrong_width_are_declined_not_broadcast(tmp_path, row):
+    path = tmp_path / "features.csv"
+    path.write_text(f"id,label,f0,f1\nok,1,0.5,0.25\n{row}\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError):
+        dataio._load_feature_csv_streamed(path)
+    with pytest.raises(ValueError, match="line 3: expected 4 fields"):
+        load_feature_csv(path)

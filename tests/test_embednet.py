@@ -306,6 +306,41 @@ def test_sgd_step_rejects_nan_in_last_partial_block(monkeypatch, field):
         sgd_step(p, grads, lr=0.1)
 
 
+@pytest.mark.parametrize("block", [3, 7, 1000])
+@pytest.mark.parametrize("projection_only", [False, True])
+def test_sgd_step_writes_the_float32_cast_into_the_working_head(
+        monkeypatch, block, projection_only):
+    monkeypatch.setattr(embednet, "SGD_BLOCK", block)
+    p, grads = random_head_and_grads(6)
+    stale = HeadParams.empty(p.dims, np.float32)
+    stale.flat[:] = np.arange(stale.flat.size)
+    work = stale.copy()
+    sgd_step(p, grads, lr=0.037, weight_decay=0.21,
+             projection_only=projection_only, work=work)
+    for name in FIELDS:
+        frozen = projection_only and name in ("Wc", "bc")
+        want = getattr(stale if frozen else p, name).astype(np.float32)
+        assert getattr(work, name).tobytes() == want.tobytes(), name
+
+
+@pytest.mark.filterwarnings("error")
+def test_sgd_step_checks_values_not_their_sum(monkeypatch):
+    monkeypatch.setattr(embednet, "SGD_BLOCK", 7)
+    p = small_head()
+    # finite values whose block sums overflow to inf are accepted
+    p.flat[:] = 1.5e308
+    sgd_step(p, filled_grads(p.dims, 0.0), lr=0.1)
+    assert np.all(p.flat == 1.5e308)
+    # +inf and -inf in one block sum to NaN and are reported by field
+    p, grads = random_head_and_grads(7)
+    grads.W2.flat[:2] = (np.inf, -np.inf)
+    work = float32_copy(p)
+    with pytest.raises(ValueError, match="non-finite values in W2"):
+        sgd_step(p, grads, lr=0.1, work=work)
+    # the blocks before the bad one were updated and cast into work
+    assert work.W1.tobytes() == p.W1.astype(np.float32).tobytes()
+
+
 def test_maxnorm_rows_caps_and_is_idempotent():
     m = np.array([[3.0, 4.0], [0.1, 0.2], [0.0, 0.0]])
     out = maxnorm_rows(m, delta=1.0)

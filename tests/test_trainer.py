@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import sample_triplets_oracle
-from xmodal import embednet
+from xmodal import embednet, trainer
 from xmodal.trainer import (
     TrainConfig,
     TrainHistory,
@@ -193,6 +193,88 @@ def test_trainers_run_forward_in_float32(monkeypatch):
     align_stage2(config, trained, anchors_for(labels, 5), x, labels)
     assert 0 < n_stage1 < len(seen)
     assert set(seen) == {(np.dtype(np.float32), np.dtype(np.float32))}
+
+
+def test_each_stage_draws_its_schedule_before_its_first_step(monkeypatch):
+    events = []
+    real_forward, real_sample = embednet.forward, trainer.sample_triplets
+    real_default_rng = np.random.default_rng
+
+    class LoggedGenerator:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def integers(self, *args, **kwargs):
+            events.append("draw")
+            return self.rng.integers(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+    def forward(params, features):
+        events.append("forward")
+        return real_forward(params, features)
+
+    def sample(*args, **kwargs):
+        events.append("sample")
+        return real_sample(*args, **kwargs)
+
+    monkeypatch.setattr(embednet, "forward", forward)
+    monkeypatch.setattr(trainer, "sample_triplets", sample)
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: LoggedGenerator(real_default_rng(seed)))
+    x, labels = toy_data(seed=3)
+    config = toy_config()
+    trained, _ = train_stage1(config, x, labels)
+    batches = -(-len(labels) // config.batch_size)
+    steps = config.epochs_stage1 * batches
+    first = events.index("forward")
+    assert events[:first].count("sample") == steps
+    assert "sample" not in events[first:] and "draw" not in events[first:]
+    assert events.count("forward") == steps
+    events.clear()
+    align_stage2(config, trained, anchors_for(labels, 5), x, labels)
+    steps = config.epochs_stage2 * batches
+    first = events.index("forward")
+    assert events[:first].count("draw") == 3 * config.batch_size * steps
+    assert "draw" not in events[first:]
+    assert events.count("forward") == steps
+
+
+def test_working_head_is_the_masters_float32_cast_at_every_step(monkeypatch):
+    seen, want, capped = [], [], []
+    real_forward, real_step = embednet.forward, embednet.sgd_step
+    real_cap = trainer._apply_maxnorm
+
+    def forward(params, features):
+        seen.append(params.flat.tobytes())
+        return real_forward(params, features)
+
+    def step(params, *args, **kwargs):
+        real_step(params, *args, **kwargs)
+        want.append(params.flat.astype(np.float32).tobytes())
+
+    def cap(params, delta, scope):
+        out = real_cap(params, delta, scope)
+        capped.append(out is not params)
+        want[-1] = out.flat.astype(np.float32).tobytes()
+        return out
+
+    monkeypatch.setattr(embednet, "forward", forward)
+    monkeypatch.setattr(embednet, "sgd_step", step)
+    monkeypatch.setattr(trainer, "_apply_maxnorm", cap)
+    x, labels = toy_data(seed=6)
+    # classifier rows reach the cap during stage 1: some steps cap them
+    config = toy_config(maxnorm_delta=0.5)
+    start = embednet.init_head(6, 8, 5, 3, seed=3, classifier_scale=0.5)
+    for train in (train_stage1, lambda *args: align_stage2(
+            config, start, anchors_for(labels, 5), x, labels)):
+        seen.clear()
+        want[:] = [start.flat.astype(np.float32).tobytes()]
+        out, _ = train(config, x, labels, start)
+        assert len(seen) > 1 and seen == want[:-1]
+        assert want[-1] == out.flat.astype(np.float32).tobytes()
+    assert any(capped) and not all(capped)
 
 
 def test_features_beyond_float32_are_rejected():
