@@ -243,11 +243,6 @@ class PipelineConfig:
         self.k = int(k)
         self.synth_spec = obj.get("synth_spec", "default")
 
-    @classmethod
-    def load(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            return cls(json.load(fh))
-
 
 # (get, set) symbol names of the BLAS thread count: the scipy-openblas
 # build bundled with numpy 2 wheels, the 64-bit-suffixed OpenBLAS of
@@ -371,9 +366,10 @@ def run_pipeline(spec, pipe_config=None, out_dir=None):
 
 
 def cmd_pipeline(args):
-    pipe = PipelineConfig.load(args.config) if args.config else PipelineConfig()
-    if args.k is not None:
-        pipe.k = args.k
+    obj = json.loads(Path(args.config).read_text("utf-8")) if args.config else {}
+    if args.k is not None:  # one check covers the flag and the config
+        obj = {**obj, "k": args.k}
+    pipe = PipelineConfig(obj)
     spec = _load_synth_spec(args.spec if args.spec is not None
                             else pipe.synth_spec, args.seed)
     report = run_pipeline(spec, pipe, out_dir=args.out)

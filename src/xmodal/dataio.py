@@ -9,7 +9,9 @@ locate the offending record.
 Formats
 -------
 features.csv   header ``id,label,f0,...,f{D-1}``; one row per item;
-               label is a non-negative integer taxon id.
+               label is a non-negative integer taxon id.  Records end
+               as csv's do, and a field may be quoted, but not across
+               a line end.
 features.vgfb  little-endian binary: magic ``VGFB``, u32 version (=1),
                u32 N, u32 D, N*D float32 row-major, u64 byte length of
                the trailing id/label table, then that table as CSV
@@ -24,6 +26,7 @@ memory.
 import csv
 import io
 import json
+import math
 import re
 import struct
 from collections import Counter
@@ -170,147 +173,132 @@ def _expected_header(dim):
     return ["id", "label"] + [f"f{i}" for i in range(dim)]
 
 
-def load_feature_csv(path):
-    """Load a ``features.csv`` file; D is inferred from the header.
-
-    A plain file is parsed in one streamed pass; any file that pass
-    cannot vouch for is read again by the row parser, whose errors name
-    the offending line or row.
-    """
-    try:
-        return _load_feature_csv_streamed(path)
-    except ValueError:
-        return _load_feature_csv_rows(path)
-
-
-def _plain(line):
-    """`line` holds none of the bytes that make csv differ from a split
-    at commas: a quote, a carriage return or a NUL."""
-    return b'"' not in line and b"\r" not in line and b"\0" not in line
-
-
-# the bytes of a feature part that orjson may parse: JSON's number grammar
-# is a subset of float()'s over them, with the same correctly rounded
-# values except that the integer -0 reads as 0, not -0.0
+# the bytes of a row of JSON numbers: over them, JSON's number grammar is
+# a subset of float()'s, with the same correctly rounded values except
+# that the integer -0 reads as 0, not -0.0
 _NUMBER_BYTES = b"0123456789.eE+-,"
 
 
-def _feature_row(feats, dim):
-    """The `dim` values of one line's feature part (bytes): orjson parses
-    a part of number bytes and no integer -0 ("-0," also catches harmless
-    exponents like "1e-0,"); np.loadtxt, which rounds as float() does,
-    parses any other part and any part orjson rejects.  Raises ValueError
-    if the part does not hold exactly `dim` values."""
-    text, values = b"[" + feats + b"]", None
-    if (not feats.translate(None, _NUMBER_BYTES)
-            and b"-0," not in text and not text.endswith(b"-0]")):
-        try:
-            values = orjson.loads(text)
-        except ValueError:
-            pass
-    if values is None:  # one line gives a 1-D array
-        values = np.loadtxt([feats.decode()], delimiter=",", comments=None,
-                            ndmin=1)
-    if len(values) != dim:  # a 1-value row must not broadcast
-        raise ValueError("row does not match the header")
+def _number_row(text, width):
+    """The `width` values of `text`, a JSON array as bytes ("[0.5,-2]"),
+    or None if a byte between its brackets is outside _NUMBER_BYTES: a
+    quote, a space, a letter...  orjson holds the rest to JSON's number
+    grammar.  Raises ValueError on text outside that grammar, on
+    overflow, and on a row of other than `width` values."""
+    if text[1:-1].translate(None, _NUMBER_BYTES):
+        return None
+    values = orjson.loads(text)
+    if len(values) != width:
+        raise ValueError(f"{len(values)} values, not {width}")
     return values
 
 
-def _load_feature_csv_streamed(path):
-    """The streamed pass of load_feature_csv.  One binary pass counts the
-    lines and bytes, which bound the rows, so the (rows, D) matrix is
-    allocated once; the second pass parses each line's feature part
-    straight into its row (see _feature_row) and collects ids and labels
-    on the way.  Blank lines leave slack at the end, trimmed by a view.
-    orjson, loadtxt and float() all round correctly, so the matrix is the
-    row parser's bit for bit.
-
-    Raises ValueError, without naming the line, for anything the row
-    parser might read differently or reject: a line that is not plain or
-    not UTF-8, a bad header, no rows, a short or long row, a label that is
-    not a non-negative integer, a non-finite or unparsable value, or a
-    duplicate id.
-    """
-    ids, labels = [], []
-    with open(path, "rb") as fh:
-        header = fh.readline()
-        dim = header.count(b",") - 1
-        if (dim < 1 or not _plain(header)
-                or header.decode().rstrip("\n").split(",")
-                != _expected_header(dim)):
-            raise ValueError("bad header")
-        start = fh.tell()
-        newlines = nbytes = 0
-        for block in iter(lambda: fh.read(1 << 16), b""):
-            newlines += block.count(b"\n")
-            nbytes += len(block)
-        # a row of D values takes at least 2D + 2 bytes (",0," and "1,")
-        # before its newline, so no row index reaches this bound
-        matrix = np.empty((min(newlines + 1, nbytes // (2 * dim + 2)), dim))
-        fh.seek(start)
-        for line in fh:
-            if not _plain(line):
-                raise ValueError("not a plain CSV line")
-            line = line.rstrip(b"\n")
-            if line:  # csv skips blank lines too
-                rid, label, feats = line.split(b",", 2)
-                if not feats:  # loadtxt would skip it as a blank line
-                    raise ValueError("empty feature field")
-                labels.append(int(label.decode()))
-                matrix[len(ids)] = _feature_row(feats, dim)
-                ids.append(rid.decode())
-    if not ids:
-        raise ValueError("no data rows")
-    # rejects negative labels, non-finite values and duplicate ids
-    return FeatureTable(ids, np.array(labels), matrix[:len(ids)])
+def _records(fh):
+    """The records of binary file `fh`, each ended as csv ends one: by a
+    line feed, a carriage return and line feed, or a lone carriage
+    return."""
+    for line in fh:
+        yield from line.splitlines() if b"\r" in line else (line.rstrip(b"\n"),)
 
 
-def _load_feature_csv_rows(path):
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+def _fields(record, n):
+    """The fields of record `n` (bytes) as csv reads them; a record that
+    holds no quote is split at commas."""
+    try:
+        text = record.decode()
+        return next(csv.reader([text])) if '"' in text else text.split(",")
+    except UnicodeDecodeError:
+        raise ValueError(f"line {n}: not UTF-8 text") from None
+    except csv.Error as exc:
+        raise ValueError(f"line {n}: {exc}") from None
+
+
+def _row(record, dim, n):
+    """The id, label and `dim` values of record `n` (bytes, not blank).
+
+    A record with no quote, a non-negative integer label and a feature
+    part that _number_row reads, with no integer -0 in it, is taken as
+    is.  Any other record is split into fields and checked in order:
+    the field count, the label, then each value by float(); the first
+    fault raises, naming the line or the row id."""
+    if b'"' not in record:
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty feature CSV") from None
-        dim = len(header) - 2
-        if dim < 1 or header != _expected_header(dim):
-            raise ValueError(
-                f"{path}: bad header, expected id,label,f0,...,f{{D-1}}"
-            )
-        ids, labels, rows = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != dim + 2:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected {dim + 2} fields, got {len(row)}"
-                )
-            rid = row[0]
-            try:
-                label = int(row[1])
-            except ValueError:
-                raise ValueError(
-                    f"{path}: row {rid!r}: label {row[1]!r} is not an integer"
-                ) from None
-            if label < 0:
-                raise ValueError(f"{path}: row {rid!r}: negative label {label}")
-            try:
-                feats = [float(v) for v in row[2:]]
-            except ValueError:
-                raise ValueError(
-                    f"{path}: row {rid!r}: non-numeric feature value"
-                ) from None
-            if not all(np.isfinite(feats)):
-                raise ValueError(f"{path}: row {rid!r}: non-finite feature value")
-            ids.append(rid)
-            labels.append(label)
-            rows.append(feats)
-    if not ids:
-        raise ValueError(f"{path}: feature CSV has no data rows")
-    if len(set(ids)) != len(ids):
-        dupes = sorted(i for i, m in Counter(ids).items() if m > 1)
-        raise ValueError(f"{path}: duplicate ids {dupes[:5]}")
-    return FeatureTable(ids, np.array(labels), np.array(rows, dtype=np.float64))
+            rid, label, feats = record.split(b",", 2)
+            rid, label = rid.decode(), int(label)
+            if label >= 0 and b"-0," not in feats and not feats.endswith(b"-0"):
+                values = _number_row(b"[" + feats + b"]", dim)
+                if values is not None:
+                    return rid, label, values
+        except ValueError:
+            pass
+    fields = _fields(record, n)
+    if len(fields) != dim + 2:
+        raise ValueError(f"line {n}: expected {dim + 2} fields, got {len(fields)}")
+    rid = fields[0]
+    try:
+        label = int(fields[1])
+    except ValueError:
+        raise ValueError(
+            f"row {rid!r}: label {fields[1]!r} is not an integer") from None
+    if label < 0:
+        raise ValueError(f"row {rid!r}: negative label {label}")
+    try:
+        values = [float(v) for v in fields[2:]]
+    except ValueError:
+        raise ValueError(f"row {rid!r}: non-numeric feature value") from None
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"row {rid!r}: non-finite feature value")
+    return rid, label, values
+
+
+def load_feature_csv(path):
+    """Load a ``features.csv`` file; D is inferred from the header.
+
+    The file is opened once.  A binary pass counts its records and
+    bytes, which bound the rows, so the (rows, D) matrix is allocated
+    once; a second pass parses each record straight into its row (see
+    _row) and collects ids and labels on the way.  Blank records leave
+    slack at the end, trimmed by a view.  orjson and float() both round
+    correctly, so every value is float()'s bit for bit.
+
+    Any fault raises one ValueError naming `path` and, where it has one,
+    the line or row id: the first fault in file order, then duplicate
+    ids.  A quoted field that holds a line break is a short record.
+    """
+    try:
+        with open(path, "rb") as fh:
+            lines = nbytes = 0
+            for block in iter(lambda: fh.read(1 << 16), b""):
+                nbytes += len(block)
+                lines += block.count(b"\n")
+                if b"\r" in block:  # a lone \r ends a record too
+                    lines += block.count(b"\r") - block.count(b"\r\n")
+            fh.seek(0)
+            records = _records(fh)
+            header = next(records, None)
+            if header is None:
+                raise ValueError("empty feature CSV")
+            header = _fields(header, 1)
+            dim = len(header) - 2
+            if dim < 1 or header != _expected_header(dim):
+                raise ValueError("bad header, expected id,label,f0,...,f{D-1}")
+            # a row of D values takes at least 2D + 2 bytes (",0," and "1,")
+            # before its line end, so no row index reaches this bound
+            matrix = np.empty((min(lines + 1, nbytes // (2 * dim + 2)), dim))
+            ids, labels = [], []
+            for n, record in enumerate(records, start=2):
+                if record:  # csv skips blank records too
+                    rid, label, matrix[len(ids)] = _row(record, dim, n)
+                    ids.append(rid)
+                    labels.append(label)
+        if not ids:
+            raise ValueError("feature CSV has no data rows")
+        if len(set(ids)) != len(ids):
+            dupes = sorted(i for i, m in Counter(ids).items() if m > 1)
+            raise ValueError(f"duplicate ids {dupes[:5]}")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return FeatureTable(ids, np.array(labels), matrix[:len(ids)])
 
 
 def write_feature_csv(table, path):
@@ -371,11 +359,12 @@ def read_feature_bin(path):
         raise ValueError(
             f"{path}: id/label table line {line}: not UTF-8 text") from None
     reader = csv.reader(io.StringIO(block))
-    header = next(reader, None)
+    rows = _csv_rows(reader, f"{path}: id/label table")
+    header = next(rows, None)
     if header != ["id", "label"]:
         raise ValueError(f"{path}: bad id/label table header {header}")
     ids, labels = [], []
-    for row in reader:
+    for row in rows:
         if not row:
             continue
         where = f"{path}: id/label table line {reader.line_num}"
@@ -395,15 +384,24 @@ def read_feature_bin(path):
     return FeatureTable(ids, np.array(labels), matrix)
 
 
+def _csv_rows(reader, where):
+    """The rows of csv `reader`; a csv.Error (a field over csv's size
+    limit...) raises ValueError naming `where` and the line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"{where} line {reader.line_num}: {exc}") from None
+
+
 def load_labels_csv(path):
     """Load a sequence->taxon map from a ``sequence_id,taxon_id`` CSV."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        rows = _csv_rows(csv.reader(fh), f"{path}:")
+        header = next(rows, None)
         if header is None or len(header) != 2:
             raise ValueError(f"{path}: expected a two-column sequence_id,taxon_id CSV")
         mapping = {}
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in enumerate(rows, start=2):
             if not row:
                 continue
             if len(row) != 2:
@@ -440,7 +438,8 @@ def load_label_counts(path):
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        rows = _csv_rows(reader, f"{path}:")
+        header = next(rows, None)
         if header is None:
             raise ValueError(f"{path}: empty counts CSV")
         lowered = [h.strip().lower() for h in header]
@@ -453,7 +452,7 @@ def load_label_counts(path):
                 " expected id,taxon_id or taxon_id[,name],train_count"
             )
         counts = {}
-        for row in reader:
+        for row in rows:
             if not row:
                 continue
             where = f"{path}: line {reader.line_num}"

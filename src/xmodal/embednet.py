@@ -33,6 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 import orjson
 
+from .dataio import _NUMBER_BYTES, _number_row
+
 FIELDS = ("W1", "b1", "W2", "b2", "Wc", "bc")
 WEIGHT_FIELDS = ("W1", "W2", "Wc")
 # doubles per block of the SGD update: a block of params, gradients and
@@ -321,16 +323,14 @@ def _parse_rows(text, pos, name, rows):
     for j, row in enumerate(rows):
         start = _expect(text, pos, b",[" if j else b"[", name) - 1
         end = text.find(b"]", start) + 1 or len(text)
-        bad = text[start + 1:end - 1].translate(None, b"0123456789.eE+-,")
-        if bad:
-            at = text.index(bad[:1], start + 1)
-            raise ValueError(f"{name} holds an entry that is not a number at byte {at}")
         try:
-            values = orjson.loads(text[start:end])
-            if len(values) != len(row):
-                raise ValueError(f"{len(values)} values, not {len(row)}")
+            values = _number_row(text[start:end], len(row))
         except ValueError as exc:
             raise ValueError(f"{name} row at byte {start}: {exc}") from None
+        if values is None:
+            bad = text[start + 1:end - 1].translate(None, _NUMBER_BYTES)
+            at = text.index(bad[:1], start + 1)
+            raise ValueError(f"{name} holds an entry that is not a number at byte {at}")
         row[:] = values
         pos = end
     return pos

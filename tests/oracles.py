@@ -4,15 +4,19 @@ Everything here is written for obviousness, not speed: the SGT oracle
 is the literal all-pairs double loop, the KNN oracle scans every
 gallery item per query with plain Python, the triplet sampler rescans
 the labels for every draw, the SGD update builds each new field whole,
-the synthetic tables are built from one row list, and gradients come
-from central finite differences.  None of it imports the production
-code paths it checks.
+the synthetic tables are built from one row list, feature CSVs are read
+by csv.reader with float() per value, and gradients come from central
+finite differences.  None of it imports the production code paths it
+checks.
 """
 
+import csv
 import math
+from collections import Counter
 
 import numpy as np
 
+from xmodal.dataio import FeatureTable
 from xmodal.seeds import derive_seed
 
 
@@ -115,6 +119,57 @@ def split_tables_oracle(spec, visual_means, counts, test_fraction=0.2):
         idx = [pos[r] for r in side_ids]
         sides.append((side_ids, np.array(labels)[idx], full[idx]))
     return tuple(sides)
+
+
+def feature_csv_oracle(path):
+    """A features.csv read record by record with csv.reader, each value
+    by float(); every fault raises ValueError naming `path` and the line
+    or row id."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty feature CSV") from None
+        dim = len(header) - 2
+        if dim < 1 or header != ["id", "label"] + [f"f{i}" for i in range(dim)]:
+            raise ValueError(
+                f"{path}: bad header, expected id,label,f0,...,f{{D-1}}"
+            )
+        ids, labels, rows = [], [], []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != dim + 2:
+                raise ValueError(
+                    f"{path}: line {lineno}: expected {dim + 2} fields, got {len(row)}"
+                )
+            rid = row[0]
+            try:
+                label = int(row[1])
+            except ValueError:
+                raise ValueError(
+                    f"{path}: row {rid!r}: label {row[1]!r} is not an integer"
+                ) from None
+            if label < 0:
+                raise ValueError(f"{path}: row {rid!r}: negative label {label}")
+            try:
+                feats = [float(v) for v in row[2:]]
+            except ValueError:
+                raise ValueError(
+                    f"{path}: row {rid!r}: non-numeric feature value"
+                ) from None
+            if not all(np.isfinite(feats)):
+                raise ValueError(f"{path}: row {rid!r}: non-finite feature value")
+            ids.append(rid)
+            labels.append(label)
+            rows.append(feats)
+    if not ids:
+        raise ValueError(f"{path}: feature CSV has no data rows")
+    if len(set(ids)) != len(ids):
+        dupes = sorted(i for i, m in Counter(ids).items() if m > 1)
+        raise ValueError(f"{path}: duplicate ids {dupes[:5]}")
+    return FeatureTable(ids, np.array(labels), np.array(rows, dtype=np.float64))
 
 
 def sgd_step_oracle(params, grads, lr, weight_decay,

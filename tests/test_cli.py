@@ -317,6 +317,10 @@ def test_cli_reports_errors_as_exit_one(chain, capsys):
     assert "exceeds gallery" in capsys.readouterr().err
 
 
+# a field one character over csv's default limit
+LONG_FIELD = "x" * 131_073
+FIELD_LIMIT = "field larger than field limit (131072)"
+
 BAD_COUNTS_CSVS = {
     "short-row": ("id,taxon_id\na\n", "line 2: expected 2 fields, got 1"),
     "count-not-integer": ("taxon_id,train_count\n0,3\n1,many\n",
@@ -328,6 +332,8 @@ BAD_COUNTS_CSVS = {
                        "line 3: second count for taxon 0"),
     "negative-count": ("taxon_id,train_count\n1,-5\n",
                        "line 2: negative count -5"),
+    "field-too-long": (f"id,taxon_id\na,0\n{LONG_FIELD},1\n",
+                       f"line 3: {FIELD_LIMIT}"),
 }
 
 
@@ -349,6 +355,8 @@ def test_eval_rejects_bad_counts_file(chain, tmp_path, capsys, name):
 @pytest.mark.parametrize("row, message", [
     ("s1,x", "line 2: taxon id 'x' is not an integer"),
     ("s1,-2", "line 2: negative taxon id"),
+    pytest.param(f"{LONG_FIELD},0", f"line 2: {FIELD_LIMIT}",
+                 id="field-too-long"),
 ])
 def test_sgt_embed_rejects_bad_labels_file(chain, tmp_path, capsys, row,
                                            message):
@@ -380,8 +388,8 @@ def test_align_rejects_two_anchors_for_one_taxon(chain, tmp_path, capsys):
     assert not (tmp_path / "aligned.json").exists()
 
 
-# feature CSVs the row parser rejects, with its message after the path;
-# each reaches it through the streamed pass's fallback
+# rejected feature CSVs, with the message after the path; "\udcff" is
+# written as the byte 0xff
 BAD_FEATURE_CSVS = {
     "quoted-bad-label": ('id,label,f0\n"a",x,1.0\n',
                          "row 'a': label 'x' is not an integer"),
@@ -411,6 +419,11 @@ BAD_FEATURE_CSVS = {
     "empty-feature": ("id,label,f0\na,0,\n", "row 'a': non-numeric feature value"),
     "duplicate-id": ("id,label,f0\na,0,1.0\nb,0,1.0\na,1,2.0\n",
                      "duplicate ids ['a']"),
+    "not-utf8-row": ("id,label,f0\na\udcff,0,1.0\n", "line 2: not UTF-8 text"),
+    "not-utf8-header": ("id,la\udcffbel,f0\na,0,1.0\n",
+                        "line 1: not UTF-8 text"),
+    "quoted-field-too-long": (f'id,label,f0\na,0,1.0\n"{LONG_FIELD}",0,1.0\n',
+                              f"line 3: {FIELD_LIMIT}"),
 }
 
 
@@ -420,7 +433,7 @@ BAD_FEATURE_CSVS = {
 def test_bad_feature_csv_gives_one_error_line(tmp_path, capsys, name):
     text, message = BAD_FEATURE_CSVS[name]
     path = tmp_path / "features.csv"
-    path.write_text(text, encoding="utf-8", newline="")
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     rc = main(["anchors", "--in", str(path), "--out", str(tmp_path / "a.csv")])
     assert rc == 1
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
@@ -477,6 +490,24 @@ def test_pipeline_config_k_must_be_a_positive_integer(tmp_path, capsys, k,
     assert main(["pipeline", "--config", str(config_path),
                  "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_pipeline_k_flag_fails_before_any_training(tmp_path, capsys,
+                                                   monkeypatch, k):
+    calls = []
+    monkeypatch.setattr(trainer, "train_stage1",
+                        lambda *args, **kwargs: calls.append(args))
+    config_path = tmp_path / "pipe.json"
+    config_path.write_text(json.dumps(
+        {"k": 3, "train": TINY_TRAIN, "synth_spec": TINY_SPEC}))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["pipeline", "--config", str(config_path), "--k", k,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: k must be >= 1, got {k}\n"
+    assert calls == []
     assert not out.exists()
 
 

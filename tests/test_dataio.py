@@ -1,10 +1,15 @@
 """File format round-trip and validation tests."""
 
+import builtins
+import csv
+import re
 import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from oracles import feature_csv_oracle
+from test_cli import BAD_FEATURE_CSVS
 
 from xmodal import dataio
 from xmodal.dataio import (
@@ -88,11 +93,11 @@ def test_feature_table_names_the_first_five_duplicate_ids_sorted(tmp_path):
     with pytest.raises(ValueError) as info:
         FeatureTable(ids, np.zeros(len(ids), dtype=int), np.zeros((len(ids), 1)))
     assert str(info.value) == f"duplicate ids in feature table: {first_five}"
-    # the CSV row parser counts them in one pass and names the same five
+    # the CSV reader counts them in one pass and names the same five
     path = tmp_path / "features.csv"
     path.write_text("id,label,f0\n" + "".join(f"{i},0,1.0\n" for i in ids))
     with pytest.raises(ValueError) as info:
-        dataio._load_feature_csv_rows(path)
+        load_feature_csv(path)
     assert str(info.value) == f"{path}: duplicate ids {first_five}"
 
 
@@ -194,7 +199,9 @@ def test_feature_bin_rejects_corruption(tmp_path):
             (b"id,label\nitem0,1\nitem1,-3\n",
              "id/label table line 3: negative label -3"),
             (b"id,label\nitem0,1\nit\xffem1,0\n",
-             "id/label table line 3: not UTF-8 text")):
+             "id/label table line 3: not UTF-8 text"),
+            (b"id,label\nitem0,1\n" + b"x" * 131_073 + b",0\n",
+             "id/label table line 3: field larger than field limit (131072)")):
         bad.write_bytes(path.read_bytes()[:start]
                         + len(block).to_bytes(8, "little") + block)
         with pytest.raises(ValueError) as info:
@@ -297,17 +304,74 @@ PLAIN_CSVS = {
 }
 
 
+def _same_as_oracle(path):
+    """load_feature_csv(path) and feature_csv_oracle(path) agree: the
+    same ids, labels and matrix bytes, or the same ValueError message.
+    The oracle's own errors for bytes that are not UTF-8 and for csv's
+    field limit name neither the path nor the line; there the reader's
+    one ValueError must carry them.  Returns the table, or None."""
+    try:
+        want = feature_csv_oracle(path)
+    except (ValueError, csv.Error) as exc:
+        with pytest.raises(ValueError) as info:
+            load_feature_csv(path)
+        if isinstance(exc, UnicodeDecodeError):
+            assert re.fullmatch(f"{re.escape(str(path))}: line [0-9]+:"
+                                " not UTF-8 text", str(info.value))
+        elif isinstance(exc, csv.Error):
+            assert re.fullmatch(f"{re.escape(str(path))}: line [0-9]+:"
+                                f" {re.escape(str(exc))}", str(info.value))
+        else:
+            assert str(info.value) == str(exc)
+        return None
+    got = load_feature_csv(path)
+    assert got.ids == want.ids
+    assert got.labels.tobytes() == want.labels.tobytes()
+    assert got.matrix.tobytes() == want.matrix.tobytes()
+    return got
+
+
 @pytest.mark.parametrize("name", sorted(PLAIN_CSVS))
 def test_feature_csv_streamed_pass_equals_row_parser(tmp_path, name):
     path = tmp_path / "features.csv"
     path.write_text(PLAIN_CSVS[name], encoding="utf-8", newline="")
-    # the streamed pass accepts these files itself, with no fallback
-    fast = dataio._load_feature_csv_streamed(path)
-    rows = dataio._load_feature_csv_rows(path)
-    assert fast.ids == rows.ids
-    assert fast.labels.tobytes() == rows.labels.tobytes()
-    assert fast.matrix.tobytes() == rows.matrix.tobytes()
-    assert load_feature_csv(path).matrix.tobytes() == rows.matrix.tobytes()
+    assert _same_as_oracle(path) is not None
+
+
+# files that a split at commas would read otherwise than csv does, or
+# whose faults compete for the one error
+EDGE_CSVS = {
+    "lone-cr-in-id": "id,label,f0\na\rb,0,1.0\n",
+    "cr-cr-lf": "id,label,f0\na,0,1.0\r\r\nb,1,2.0\n",
+    "header-cr-cr-lf": "id,label,f0\r\r\na,0,1.0\n",
+    "cr-only": "id,label,f0\ra,0,1.0\rb,1,2.0",
+    "quoted-header": '"id",label,f0\na,0,1.0\n',
+    "quoted-bad-header": '"id",label,"f1"\na,0,1.0\n',
+    "integer-minus-zero": "id,label,f0\na,0,-0\nb,1,1e-0\nc,2,-0.0\n",
+    # nan on line 2, a short row on line 4: the first fault wins
+    "two-faults": "id,label,f0,f1\na,0,nan,1.0\nb,1,1.0,2.0\nc,2,1.0\n",
+    "short-row-bad-label": "id,label,f0,f1\na,0,1.0,2.0\nb,x,1.0\n",
+    "negative-label-and-text": "id,label,f0,f1\na,-1,1.0,abc\n",
+    "text-and-inf": "id,label,f0,f1\na,0,abc,inf\n",
+    "empty-id": "id,label,f0\n,0,1.0\n",
+    "nul-in-id": "id,label,f0\na\0b,0,1.0\n",
+    "quote-inside-field": 'id,label,f0\na"b,0,1.0\n',
+    "doubled-quote": 'id,label,f0\n"a""b",0,"1.5"\n',
+    "blank-records-only": "id,label,f0\n\n\n",
+    "blank-first-line": "\nid,label,f0\na,0,1.0\n",
+    "no-feature-columns": "id,label\na,0\n",
+}
+
+
+@pytest.mark.parametrize("text", [
+    *(pytest.param(text, id=name)
+      for name, (text, _) in sorted(BAD_FEATURE_CSVS.items())),
+    *(pytest.param(text, id=name) for name, text in sorted(EDGE_CSVS.items())),
+])
+def test_feature_csv_agrees_with_the_row_parser(tmp_path, text):
+    path = tmp_path / "features.csv"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    _same_as_oracle(path)
 
 
 def test_feature_csv_streamed_pass_equals_row_parser_at_width(tmp_path):
@@ -318,28 +382,64 @@ def test_feature_csv_streamed_pass_equals_row_parser_at_width(tmp_path):
                          * np.exp2(rng.integers(-60, 60, size=(40, 300))))
     path = tmp_path / "features.csv"
     write_feature_csv(table, path)
-    fast = dataio._load_feature_csv_streamed(path)
+    fast = load_feature_csv(path)
     assert fast.ids == table.ids
     assert fast.labels.tobytes() == table.labels.tobytes()
     assert fast.matrix.tobytes() == table.matrix.tobytes()
 
 
+def _spy_on_open(monkeypatch):
+    """The paths dataio opens from now on, in order."""
+    opened = []
+
+    def spy(path, *args, **kwargs):
+        opened.append(path)
+        return builtins.open(path, *args, **kwargs)
+
+    monkeypatch.setattr(dataio, "open", spy, raising=False)
+    return opened
+
+
 @pytest.mark.parametrize("text, ids, values", [
-    ('id,label,f0\n"a,b",0,1.0\n"c",1,"2.5"\n', ["a,b", "c"], [1.0, 2.5]),
-    ('id,label,f0\n"a",0,1.0\nb,1,2.5\n', ["a", "b"], [1.0, 2.5]),
-    ("id,label,f0\r\na,0,1.0\r\nb,1,2.5\r\n", ["a", "b"], [1.0, 2.5]),
-    # float() reads digit separators, loadtxt does not
-    ("id,label,f0\na,0,1_0\nb,1,2.5\n", ["a", "b"], [10.0, 2.5]),
+    pytest.param('id,label,f0\n"a,b",0,1.0\n"c",1,"2.5"\n', ["a,b", "c"],
+                 [1.0, 2.5], id="quoted-fields"),
+    pytest.param('id,label,f0\n"a",0,1.0\nb,1,2.5\n', ["a", "b"], [1.0, 2.5],
+                 id="quoted-id"),
+    pytest.param("id,label,f0\r\na,0,1.0\r\nb,1,2.5\r\n", ["a", "b"],
+                 [1.0, 2.5], id="crlf"),
+    # float() reads digit separators and other scripts' digits, orjson not
+    pytest.param("id,label,f0\na,0,1_0\nb,1,2.5\n", ["a", "b"], [10.0, 2.5],
+                 id="digit-separator"),
+    pytest.param("id,label,f0\na,0,\u0661.5\nb,1,2.5\n", ["a", "b"],
+                 [1.5, 2.5], id="arabic-indic-digit"),
 ])
-def test_valid_csv_the_streamed_pass_declines_takes_the_row_parser(
-        tmp_path, text, ids, values):
+def test_valid_csv_that_csv_reads_differently_loads_in_one_pass(
+        tmp_path, monkeypatch, text, ids, values):
     path = tmp_path / "features.csv"
     path.write_text(text, encoding="utf-8", newline="")
-    with pytest.raises(ValueError):
-        dataio._load_feature_csv_streamed(path)
+    opened = _spy_on_open(monkeypatch)
     table = load_feature_csv(path)
+    assert opened == [path]
     assert table.ids == ids
     assert table.matrix.ravel().tolist() == values
+    assert _same_as_oracle(path) is not None
+
+
+def test_malformed_wide_csv_is_opened_once(tmp_path, monkeypatch):
+    rng = np.random.default_rng(17)
+    dim = 2048
+    path = tmp_path / "features.csv"
+    write_feature_csv(FeatureTable([f"img{i}" for i in range(20)],
+                                   np.arange(20), rng.normal(size=(20, dim))),
+                      path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("last,0," + ",".join(["0.5"] * (dim - 1)) + "\n")
+    opened = _spy_on_open(monkeypatch)
+    with pytest.raises(ValueError) as info:
+        load_feature_csv(path)
+    assert str(info.value) == (f"{path}: line 22: expected {dim + 2} fields,"
+                               f" got {dim + 1}")
+    assert opened == [path]
 
 
 def _load_traced(load, path):
@@ -374,22 +474,20 @@ def test_blank_lines_do_not_size_the_feature_matrix(tmp_path):
         fh.write(",".join(dataio._expected_header(512)) + "\n")
         fh.write("a,0," + ",".join(["0.5"] * 512) + "\n")
         fh.write("\n" * 200_000)
-    table, peak = _load_traced(dataio._load_feature_csv_streamed, path)
+    table, peak = _load_traced(load_feature_csv, path)
     assert table.matrix.shape == (1, 512)
     assert peak < 5 * path.stat().st_size
 
 
 @pytest.mark.parametrize("row", [
     "a,0,1",          # orjson reads one value
-    "a,0, 1",         # loadtxt reads one value
+    "a,0, 1",         # float() reads one value
     "a,0,1,2,3",      # orjson reads three
-    "a,0,1,2, 3",     # loadtxt reads three
+    "a,0,1,2, 3",     # float() reads three
 ])
 def test_rows_of_the_wrong_width_are_declined_not_broadcast(tmp_path, row):
     path = tmp_path / "features.csv"
     path.write_text(f"id,label,f0,f1\nok,1,0.5,0.25\n{row}\n",
                     encoding="utf-8")
-    with pytest.raises(ValueError):
-        dataio._load_feature_csv_streamed(path)
     with pytest.raises(ValueError, match="line 3: expected 4 fields"):
         load_feature_csv(path)
