@@ -223,18 +223,26 @@ def cmd_layout(args):
 
 class PipelineConfig:
     """Optional JSON config for `pipeline`: {"train": {TrainConfig fields},
-    "k": int, "synth_spec": "default"|path|{SynthSpec fields}}.  Unknown
-    keys rejected.
+    "k": int, "synth_spec": "default"|path|{SynthSpec fields}}; None is
+    the empty config.  Unknown keys and values of the wrong JSON type are
+    rejected.
     """
 
     KEYS = {"train", "k", "synth_spec"}
 
     def __init__(self, obj=None):
-        obj = dict(obj or {})
+        obj = {} if obj is None else obj
+        if not isinstance(obj, dict):
+            raise ValueError("pipeline config must be a JSON object, got"
+                             f" {type(obj).__name__}")
         unknown = set(obj) - self.KEYS
         if unknown:
             raise ValueError(f"unknown pipeline config keys: {sorted(unknown)}")
-        self.train_overrides = dict(obj.get("train", {}))
+        train = obj.get("train", {})
+        if not isinstance(train, dict):
+            raise ValueError("train must be a JSON object, got"
+                             f" {type(train).__name__}")
+        self.train_overrides = dict(train)
         k = obj.get("k", 5)
         if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
             raise ValueError(f"k must be an integer, got {k!r}")
@@ -242,6 +250,9 @@ class PipelineConfig:
             raise ValueError(f"k must be >= 1, got {k}")
         self.k = int(k)
         self.synth_spec = obj.get("synth_spec", "default")
+        if not isinstance(self.synth_spec, (str, dict)):
+            raise ValueError("synth_spec must be \"default\", a path or a JSON"
+                             f" object, got {type(self.synth_spec).__name__}")
 
 
 # (get, set) symbol names of the BLAS thread count: the scipy-openblas
@@ -367,8 +378,10 @@ def run_pipeline(spec, pipe_config=None, out_dir=None):
 
 def cmd_pipeline(args):
     obj = json.loads(Path(args.config).read_text("utf-8")) if args.config else {}
-    if args.k is not None:  # one check covers the flag and the config
-        obj = {**obj, "k": args.k}
+    # one check covers the flag and the config; PipelineConfig rejects
+    # a config that is not an object
+    if args.k is not None and isinstance(obj, (dict, type(None))):
+        obj = {**(obj or {}), "k": args.k}
     pipe = PipelineConfig(obj)
     spec = _load_synth_spec(args.spec if args.spec is not None
                             else pipe.synth_spec, args.seed)

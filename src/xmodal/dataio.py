@@ -9,18 +9,21 @@ locate the offending record.
 Formats
 -------
 features.csv   header ``id,label,f0,...,f{D-1}``; one row per item;
-               label is a non-negative integer taxon id.  Records end
+               label is a non-negative int64 taxon id.  Records end
                as csv's do, and a field may be quoted, but not across
-               a line end.
+               a line end.  Values are written as their repr text
+               (orjson's inside the band where the two agree).
 features.vgfb  little-endian binary: magic ``VGFB``, u32 version (=1),
                u32 N, u32 D, N*D float32 row-major, u64 byte length of
                the trailing id/label table, then that table as CSV
                bytes (header ``id,label``).
 labels.csv     header ``sequence_id,taxon_id``; maps sequences to taxa.
+counts.csv     ``id,taxon_id`` rows tallied per taxon, or
+               ``taxon_id[,name],train_count`` rows.
 split.json     object with ``train`` and ``test`` arrays of item ids.
 
-Features are stored as 32-bit floats on disk and promoted to 64-bit in
-memory.
+``.vgfb`` features are stored as 32-bit floats and promoted to 64-bit in
+memory.  Text files must be UTF-8; a bad byte is reported with its line.
 """
 
 import csv
@@ -39,6 +42,20 @@ import orjson
 IUPAC_LETTERS = frozenset("ACGTUNRYSWKMBDHV")
 
 _HEADER_ID_SPLIT = re.compile(r"[\s|]")
+
+# the largest taxon id or label that FeatureTable's int64 labels hold
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _check_int64(value, where, noun):
+    """`value` if it lies in [0, 2**63); else a ValueError naming `where`
+    and `noun`."""
+    if value < 0:
+        raise ValueError(f"{where}: negative {noun} {value}")
+    if value > _INT64_MAX:
+        raise ValueError(f"{where}: {noun} {value} exceeds int64")
+    return value
+
 
 VGFB_MAGIC = b"VGFB"
 VGFB_VERSION = 1
@@ -216,16 +233,17 @@ def _fields(record, n):
 def _row(record, dim, n):
     """The id, label and `dim` values of record `n` (bytes, not blank).
 
-    A record with no quote, a non-negative integer label and a feature
-    part that _number_row reads, with no integer -0 in it, is taken as
-    is.  Any other record is split into fields and checked in order:
-    the field count, the label, then each value by float(); the first
-    fault raises, naming the line or the row id."""
+    A record with no quote, a label in [0, 2**63) and a feature part
+    that _number_row reads, with no integer -0 in it, is taken as is.
+    Any other record is split into fields and checked in order: the
+    field count, the label, then each value by float(); the first fault
+    raises, naming the line or the row id."""
     if b'"' not in record:
         try:
             rid, label, feats = record.split(b",", 2)
             rid, label = rid.decode(), int(label)
-            if label >= 0 and b"-0," not in feats and not feats.endswith(b"-0"):
+            if (0 <= label <= _INT64_MAX and b"-0," not in feats
+                    and not feats.endswith(b"-0")):
                 values = _number_row(b"[" + feats + b"]", dim)
                 if values is not None:
                     return rid, label, values
@@ -240,8 +258,7 @@ def _row(record, dim, n):
     except ValueError:
         raise ValueError(
             f"row {rid!r}: label {fields[1]!r} is not an integer") from None
-    if label < 0:
-        raise ValueError(f"row {rid!r}: negative label {label}")
+    _check_int64(label, f"row {rid!r}", "label")
     try:
         values = [float(v) for v in fields[2:]]
     except ValueError:
@@ -302,13 +319,27 @@ def load_feature_csv(path):
 
 
 def write_feature_csv(table, path):
-    """Write values with repr, the shortest text that reads back to the
-    same float64; one row at a time, so no copy of the matrix is held."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(_expected_header(table.dim)) + "\n")
+    """Write each value as its repr, the shortest text that reads back to
+    the same float64; one row at a time, so no copy of the matrix is held.
+
+    orjson prints a row's values; for 0 and for 1e-4 <= |x| < 1e16 its
+    text is repr's.  It writes other values differently (5.8e84 for
+    5.8e+84, small ones positionally, non-finite ones as null), so those
+    tokens are replaced by repr's."""
+    with open(path, "wb") as fh:
+        fh.write((",".join(_expected_header(table.dim)) + "\n").encode())
         for rid, label, row in zip(table.ids, table.labels.tolist(),
                                    table.matrix):
-            fh.write(f"{rid},{label},{','.join(map(repr, row.tolist()))}\n")
+            text = orjson.dumps(np.ascontiguousarray(row),
+                                option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+            mag = np.abs(row)
+            odd = ~(mag < 1e16) | ((mag < 1e-4) & (row != 0))
+            if odd.any():
+                tokens = text.split(b",")
+                for i in np.flatnonzero(odd).tolist():
+                    tokens[i] = repr(float(row[i])).encode()
+                text = b",".join(tokens)
+            fh.write(f"{rid},{label},".encode() + text + b"\n")
 
 
 def _id_label_block(table):
@@ -352,12 +383,7 @@ def read_feature_bin(path):
     off += 8
     if len(data) < off + block_len:
         raise ValueError(f"{path}: truncated id/label table")
-    try:
-        block = data[off : off + block_len].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data[off : off + exc.start].count(b"\n") + 1
-        raise ValueError(
-            f"{path}: id/label table line {line}: not UTF-8 text") from None
+    block = _utf8(data[off : off + block_len], f"{path}: id/label table")
     reader = csv.reader(io.StringIO(block))
     rows = _csv_rows(reader, f"{path}: id/label table")
     header = next(rows, None)
@@ -375,13 +401,29 @@ def read_feature_bin(path):
         except ValueError:
             raise ValueError(
                 f"{where}: label {row[1]!r} is not an integer") from None
-        if label < 0:
-            raise ValueError(f"{where}: negative label {label}")
-        labels.append(label)
+        labels.append(_check_int64(label, where, "label"))
         ids.append(row[0])
     if len(ids) != n:
         raise ValueError(f"{path}: id/label table has {len(ids)} rows, expected {n}")
     return FeatureTable(ids, np.array(labels), matrix)
+
+
+def _utf8(data, where):
+    """`data` (bytes) decoded as UTF-8; a bad byte raises ValueError naming
+    `where` and its line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data[:exc.start].count(b"\n") + 1
+        raise ValueError(f"{where} line {line}: not UTF-8 text") from None
+
+
+def _csv_reader(path):
+    """A csv.reader over the text of file `path`, which is read whole and
+    decoded by _utf8."""
+    with open(path, "rb") as fh:
+        text = _utf8(fh.read(), f"{path}:")
+    return csv.reader(io.StringIO(text, newline=""))
 
 
 def _csv_rows(reader, where):
@@ -395,28 +437,29 @@ def _csv_rows(reader, where):
 
 def load_labels_csv(path):
     """Load a sequence->taxon map from a ``sequence_id,taxon_id`` CSV."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = _csv_rows(csv.reader(fh), f"{path}:")
-        header = next(rows, None)
-        if header is None or len(header) != 2:
-            raise ValueError(f"{path}: expected a two-column sequence_id,taxon_id CSV")
-        mapping = {}
-        for lineno, row in enumerate(rows, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{path}: line {lineno}: expected 2 fields")
-            sid = row[0]
-            try:
-                taxon = int(row[1])
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: taxon id {row[1]!r}"
-                                 " is not an integer") from None
-            if taxon < 0:
-                raise ValueError(f"{path}: line {lineno}: negative taxon id")
-            if sid in mapping:
-                raise ValueError(f"{path}: duplicate sequence id {sid!r}")
-            mapping[sid] = taxon
+    rows = _csv_rows(_csv_reader(path), f"{path}:")
+    header = next(rows, None)
+    if header is None or len(header) != 2:
+        raise ValueError(f"{path}: expected a two-column sequence_id,taxon_id CSV")
+    mapping = {}
+    for lineno, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        if len(row) != 2:
+            raise ValueError(f"{path}: line {lineno}: expected 2 fields")
+        sid = row[0]
+        try:
+            taxon = int(row[1])
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: taxon id {row[1]!r}"
+                             " is not an integer") from None
+        if taxon < 0:
+            # older wording, without the value, kept as it was
+            raise ValueError(f"{path}: line {lineno}: negative taxon id")
+        _check_int64(taxon, f"{path}: line {lineno}", "taxon id")
+        if sid in mapping:
+            raise ValueError(f"{path}: duplicate sequence id {sid!r}")
+        mapping[sid] = taxon
     if not mapping:
         raise ValueError(f"{path}: no label rows")
     return mapping
@@ -436,42 +479,38 @@ def load_label_counts(path):
     taxon) or a ``taxon_id[,name],train_count`` table (counts read
     directly, one row per taxon, each count non-negative).
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = _csv_rows(reader, f"{path}:")
-        header = next(rows, None)
-        if header is None:
-            raise ValueError(f"{path}: empty counts CSV")
-        lowered = [h.strip().lower() for h in header]
-        direct = (lowered[0] == "taxon_id"
-                  and lowered[-1] in ("train_count", "count"))
-        if not direct and not (len(lowered) == 2
-                               and lowered[1] in ("taxon_id", "label")):
+    reader = _csv_reader(path)
+    rows = _csv_rows(reader, f"{path}:")
+    header = next(rows, None)
+    if header is None:
+        raise ValueError(f"{path}: empty counts CSV")
+    lowered = [h.strip().lower() for h in header]
+    direct = (lowered[0] == "taxon_id"
+              and lowered[-1] in ("train_count", "count"))
+    if not direct and not (len(lowered) == 2
+                           and lowered[1] in ("taxon_id", "label")):
+        raise ValueError(
+            f"{path}: unrecognized counts header {header};"
+            " expected id,taxon_id or taxon_id[,name],train_count"
+        )
+    counts = {}
+    for row in rows:
+        if not row:
+            continue
+        where = f"{path}: line {reader.line_num}"
+        if len(row) != len(header):
             raise ValueError(
-                f"{path}: unrecognized counts header {header};"
-                " expected id,taxon_id or taxon_id[,name],train_count"
-            )
-        counts = {}
-        for row in rows:
-            if not row:
-                continue
-            where = f"{path}: line {reader.line_num}"
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{where}: expected {len(header)} fields, got {len(row)}")
-            try:
-                taxon = int(row[0] if direct else row[1])
-                count = int(row[-1]) if direct else counts.get(taxon, 0) + 1
-            except ValueError:
-                raise ValueError(f"{where}: non-integer taxon id or count"
-                                 f" in {row}") from None
-            if taxon < 0:
-                raise ValueError(f"{where}: negative taxon id {taxon}")
-            if direct and taxon in counts:
-                raise ValueError(f"{where}: second count for taxon {taxon}")
-            if count < 0:
-                raise ValueError(f"{where}: negative count {count}")
-            counts[taxon] = count
+                f"{where}: expected {len(header)} fields, got {len(row)}")
+        try:
+            taxon = int(row[0] if direct else row[1])
+            count = int(row[-1]) if direct else counts.get(taxon, 0) + 1
+        except ValueError:
+            raise ValueError(f"{where}: non-integer taxon id or count"
+                             f" in {row}") from None
+        _check_int64(taxon, where, "taxon id")
+        if direct and taxon in counts:
+            raise ValueError(f"{where}: second count for taxon {taxon}")
+        counts[taxon] = _check_int64(count, where, "count")
     if not counts:
         raise ValueError(f"{path}: no count rows")
     return counts

@@ -14,6 +14,10 @@ The result is psi flattened row-major, a 256-vector for the bigram
 alphabet.  This is the length-sensitive SGT variant; kappa (default
 1.0) sets how fast long-range co-occurrence decays.
 
+embed_sequences runs the O(L * |V|) recurrence over blocks of _BLOCK
+sequences at once, one numpy step per position for the whole block;
+sgt_embed is the same kernel on one sequence.
+
 Per-taxon genetic anchors are elementwise medians of the taxon's
 embeddings, so single outlier sequences cannot drag the anchor.
 """
@@ -27,7 +31,25 @@ BASES = "ACGT"
 # 16 bigram tokens in lexicographic order: AA, AC, AG, AT, CA, ..., TT.
 BIGRAM_ALPHABET = [a + b for a in BASES for b in BASES]
 
-_BIGRAM_INDEX = {sym: i for i, sym in enumerate(BIGRAM_ALPHABET)}
+# byte -> its base's index in BASES; 4 for every other byte
+_BASE_CODE = np.full(256, 4, dtype=np.uint8)
+_BASE_CODE[np.frombuffer(BASES.encode(), dtype=np.uint8)] = np.arange(4)
+
+
+def _bigram_indices(residues):
+    """tokenize_bigrams' tokens as indices into BIGRAM_ALPHABET."""
+    # one byte per character, so byte pairs are character pairs
+    text = residues.encode("ascii", "replace")
+    codes = _BASE_CODE[np.frombuffer(text, dtype=np.uint8)]
+    first, second = codes[0:len(codes) - 1:2], codes[1::2]
+    keep = (first < 4) & (second < 4)
+    seq = 4 * first[keep] + second[keep]
+    if len(seq) < 2:
+        raise ValueError(
+            f"sequence yields {len(seq)} usable bigram(s), need at least 2"
+            " (too short or too ambiguous)"
+        )
+    return seq
 
 
 def tokenize_bigrams(residues):
@@ -37,17 +59,51 @@ def tokenize_bigrams(residues):
     dropped, and any pair containing a letter outside ACGT (IUPAC
     ambiguity codes, N) is skipped entirely.
     """
-    symbols = []
-    for i in range(0, len(residues) - 1, 2):
-        pair = residues[i : i + 2]
-        if pair in _BIGRAM_INDEX:
-            symbols.append(pair)
-    if len(symbols) < 2:
-        raise ValueError(
-            f"sequence yields {len(symbols)} usable bigram(s), need at least 2"
-            " (too short or too ambiguous)"
-        )
-    return symbols
+    return [BIGRAM_ALPHABET[i] for i in _bigram_indices(residues).tolist()]
+
+
+# sequences embedded together by embed_sequences; the block's arrays,
+# not the FASTA file, set the size of every temporary
+_BLOCK = 128
+
+
+def _psi_rows(seqs, v, kappa):
+    """psi rows, shape (len(seqs), v*v), of `seqs`, a list of symbol-index
+    arrays over an alphabet of `v` symbols, each of length >= 2.
+
+    The recurrence runs over the whole block at once.  Each sequence is
+    padded with a dummy symbol v after its end; a pad touches only the
+    dummy's row and column of W, so every real entry gets the float
+    operations of the one-sequence recurrence in the same order.
+    """
+    n = len(seqs)
+    # idx[m, b]: symbol m of sequence b; starts[b, u] = |Lam_u| of sequence b
+    idx = np.full((max(len(s) for s in seqs), n), v,
+                  dtype=np.min_scalar_type(v))
+    starts = np.empty((n, v, 1))
+    for b, s in enumerate(seqs):
+        idx[:len(s), b] = s
+        starts[b, :, 0] = np.bincount(s[:-1], minlength=v)
+    rows = np.arange(n)
+    decay = np.exp(-kappa)
+    W = np.zeros((n, v + 1, v + 1))
+    # reach[b, u] = sum of exp(-kappa*(m - l)) over earlier positions l of
+    # sequence b with s_l = u, evaluated at the current position m
+    reach = np.zeros((n, v + 1))
+    for s in idx:
+        W[rows, :, s] += reach
+        reach *= decay
+        reach[rows, s] += decay
+    psi = np.divide(W[:, :v, :v], starts, out=np.zeros((n, v, v)),
+                    where=starts > 0)
+    return psi.reshape(n, v * v)
+
+
+def _check_kappa(kappa):
+    kappa = float(kappa)
+    if not kappa > 0:
+        raise ValueError(f"kappa must be positive, got {kappa}")
+    return kappa
 
 
 def sgt_embed(symbols, kappa=1.0, alphabet=None):
@@ -60,7 +116,8 @@ def sgt_embed(symbols, kappa=1.0, alphabet=None):
 
     Runs in O(L * |V|) by keeping, per symbol u, the decayed mass of
     all its occurrences before the current position; equals the
-    all-pairs double loop to ~1e-15.
+    all-pairs double loop to ~1e-15.  It is embed_sequences' block
+    recurrence run on one row.
     """
     if alphabet is None:
         alphabet = BIGRAM_ALPHABET
@@ -69,46 +126,40 @@ def sgt_embed(symbols, kappa=1.0, alphabet=None):
         raise ValueError("alphabet contains duplicate symbols")
     if len(symbols) < 2:
         raise ValueError(f"need at least 2 symbols, got {len(symbols)}")
-    kappa = float(kappa)
-    if not kappa > 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
-
+    kappa = _check_kappa(kappa)
     try:
         seq = np.array([index[s] for s in symbols], dtype=np.intp)
     except KeyError as exc:
         raise ValueError(f"symbol {exc.args[0]!r} not in alphabet") from None
-
-    v = len(alphabet)
-    decay = np.exp(-kappa)
-    W = np.zeros((v, v))
-    # reach[u] = sum of exp(-kappa*(m - l)) over earlier positions l with s_l = u,
-    # evaluated at the current position m
-    reach = np.zeros(v)
-    for s in seq:
-        W[:, s] += reach
-        reach *= decay
-        reach[s] += decay
-
-    starts = np.bincount(seq[:-1], minlength=v).astype(np.float64)
-    psi = np.divide(W, starts[:, None], out=np.zeros_like(W),
-                    where=starts[:, None] > 0)
-    return psi.reshape(-1)
+    return _psi_rows([seq], len(alphabet), kappa)[0]
 
 
 def embed_sequences(records, kappa=1.0):
     """SGT-embed a list of SequenceRecord -> (ids, N x 256 matrix).
 
-    Sequences that are too short or too ambiguous to tokenize raise,
-    identifying the offending record.
+    Sequences are embedded _BLOCK at a time (see _psi_rows), in order of
+    length, so that a block's sequences are about as long as each other
+    and a long one does not make a block of short ones run its length;
+    each row is written back to its record's place.  Sequences that are
+    too short or too ambiguous to tokenize raise, identifying the first
+    such record in file order.
     """
-    ids, rows = [], []
-    for rec in records:
+    kappa = _check_kappa(kappa)
+    v = len(BIGRAM_ALPHABET)
+    matrix = np.empty((len(records), v * v))
+    order = np.argsort([len(rec.residues) for rec in records], kind="stable")
+    for lo in range(0, len(records), _BLOCK):
+        block = order[lo:lo + _BLOCK]
         try:
-            rows.append(sgt_embed(tokenize_bigrams(rec.residues), kappa))
-        except ValueError as exc:
-            raise ValueError(f"sequence {rec.id!r}: {exc}") from None
-        ids.append(rec.id)
-    return ids, np.array(rows)
+            seqs = [_bigram_indices(records[i].residues) for i in block]
+        except ValueError:
+            for rec in records:
+                try:
+                    _bigram_indices(rec.residues)
+                except ValueError as exc:
+                    raise ValueError(f"sequence {rec.id!r}: {exc}") from None
+        matrix[block] = _psi_rows(seqs, v, kappa)
+    return [rec.id for rec in records], matrix
 
 
 class GeneticAnchor(NamedTuple):

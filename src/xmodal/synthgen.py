@@ -129,8 +129,12 @@ def _mutate(seq, rate, rng):
     return np.where(mask, (seq + offsets) % 4, seq)
 
 
+# base index -> its letter's byte
+_BASE_BYTES = np.frombuffer(BASES.encode(), dtype=np.uint8)
+
+
 def _to_string(seq):
-    return "".join(BASES[b] for b in seq)
+    return _BASE_BYTES[seq].tobytes().decode()
 
 
 def class_counts(spec):

@@ -1,11 +1,13 @@
 """Independent reference implementations the tests compare against.
 
 Everything here is written for obviousness, not speed: the SGT oracle
-is the literal all-pairs double loop, the KNN oracle scans every
-gallery item per query with plain Python, the triplet sampler rescans
-the labels for every draw, the SGD update builds each new field whole,
-the synthetic tables are built from one row list, feature CSVs are read
-by csv.reader with float() per value, and gradients come from central
+is the literal all-pairs double loop, and beside it the one-sequence
+recurrence is the bit-level reference for the block recurrence; the
+KNN oracle scans every gallery item per query with plain Python, the
+triplet sampler rescans the labels for every draw, the SGD update
+builds each new field whole, the synthetic tables are built from one
+row list, feature CSVs are read by csv.reader with float() per value
+and written by joining repr text, and gradients come from central
 finite differences.  None of it imports the production code paths it
 checks.
 """
@@ -36,6 +38,36 @@ def sgt_oracle(symbols, kappa, alphabet):
         if lam > 0:
             psi[u] = W[u] / lam
     return psi.reshape(-1)
+
+
+def sgt_recurrence_oracle(symbols, kappa, alphabet):
+    """The O(L * |V|) SGT recurrence for one sequence, a numpy step per
+    symbol: the bit-level reference for the block recurrence that
+    sgt.embed_sequences runs over many sequences at once."""
+    index = {sym: i for i, sym in enumerate(alphabet)}
+    seq = np.array([index[s] for s in symbols], dtype=np.intp)
+    v = len(alphabet)
+    decay = np.exp(-kappa)
+    W = np.zeros((v, v))
+    # reach[u] = sum of exp(-kappa*(m - l)) over earlier positions l with s_l = u,
+    # evaluated at the current position m
+    reach = np.zeros(v)
+    for s in seq:
+        W[:, s] += reach
+        reach *= decay
+        reach[s] += decay
+
+    starts = np.bincount(seq[:-1], minlength=v).astype(np.float64)
+    psi = np.divide(W, starts[:, None], out=np.zeros_like(W),
+                    where=starts[:, None] > 0)
+    return psi.reshape(-1)
+
+
+def bigram_tokens_oracle(residues, alphabet):
+    """Non-overlapping pairs at positions 1-2, 3-4, ... of `residues`,
+    each kept only if it is a symbol of `alphabet`."""
+    pairs = (residues[i:i + 2] for i in range(0, len(residues) - 1, 2))
+    return [p for p in pairs if p in alphabet]
 
 
 def knn_oracle(gallery_matrix, gallery_labels, query_matrix, k):
@@ -153,6 +185,8 @@ def feature_csv_oracle(path):
                 ) from None
             if label < 0:
                 raise ValueError(f"{path}: row {rid!r}: negative label {label}")
+            if label > 2**63 - 1:
+                raise ValueError(f"{path}: row {rid!r}: label {label} exceeds int64")
             try:
                 feats = [float(v) for v in row[2:]]
             except ValueError:
@@ -170,6 +204,17 @@ def feature_csv_oracle(path):
         dupes = sorted(i for i, m in Counter(ids).items() if m > 1)
         raise ValueError(f"{path}: duplicate ids {dupes[:5]}")
     return FeatureTable(ids, np.array(labels), np.array(rows, dtype=np.float64))
+
+
+def feature_csv_writer_oracle(table, path):
+    """Write values with repr, the shortest text that reads back to the
+    same float64; one row at a time, so no copy of the matrix is held."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(["id", "label"] + [f"f{i}" for i in range(table.dim)])
+                 + "\n")
+        for rid, label, row in zip(table.ids, table.labels.tolist(),
+                                   table.matrix):
+            fh.write(f"{rid},{label},{','.join(map(repr, row.tolist()))}\n")
 
 
 def sgd_step_oracle(params, grads, lr, weight_decay,

@@ -334,6 +334,13 @@ BAD_COUNTS_CSVS = {
                        "line 2: negative count -5"),
     "field-too-long": (f"id,taxon_id\na,0\n{LONG_FIELD},1\n",
                        f"line 3: {FIELD_LIMIT}"),
+    # "\udcff" is written as the byte 0xff
+    "not-utf8": ("taxon_id,train_count\n0,3\n1\udcff,3\n",
+                 "line 3: not UTF-8 text"),
+    "taxon-beyond-int64": ("taxon_id,train_count\n99999999999999999999,3\n",
+                           "line 2: taxon id 99999999999999999999 exceeds int64"),
+    "count-beyond-int64": ("taxon_id,train_count\n0,9223372036854775808\n",
+                           "line 2: count 9223372036854775808 exceeds int64"),
 }
 
 
@@ -341,7 +348,7 @@ BAD_COUNTS_CSVS = {
 def test_eval_rejects_bad_counts_file(chain, tmp_path, capsys, name):
     text, message = BAD_COUNTS_CSVS[name]
     counts = tmp_path / "counts.csv"
-    counts.write_text(text)
+    counts.write_bytes(text.encode("utf-8", "surrogateescape"))
     capsys.readouterr()
     rc = main(["eval", "--ckpt", str(chain / "aligned.json"),
                "--gallery", str(chain / "data" / "train.csv"),
@@ -357,11 +364,17 @@ def test_eval_rejects_bad_counts_file(chain, tmp_path, capsys, name):
     ("s1,-2", "line 2: negative taxon id"),
     pytest.param(f"{LONG_FIELD},0", f"line 2: {FIELD_LIMIT}",
                  id="field-too-long"),
+    # "\udcff" is written as the byte 0xff
+    pytest.param("s\udcff1,0", "line 2: not UTF-8 text", id="not-utf8"),
+    pytest.param("s1,99999999999999999999",
+                 "line 2: taxon id 99999999999999999999 exceeds int64",
+                 id="taxon-beyond-int64"),
 ])
 def test_sgt_embed_rejects_bad_labels_file(chain, tmp_path, capsys, row,
                                            message):
     labels = tmp_path / "labels.csv"
-    labels.write_text(f"sequence_id,taxon_id\n{row}\n")
+    labels.write_bytes(
+        f"sequence_id,taxon_id\n{row}\n".encode("utf-8", "surrogateescape"))
     capsys.readouterr()
     rc = main(["sgt-embed", "--fasta", str(chain / "data" / "sequences.fa"),
                "--labels", str(labels), "--out", str(tmp_path / "g.csv")])
@@ -411,6 +424,11 @@ BAD_FEATURE_CSVS = {
     "label-not-integer": ("id,label,f0\na,0,1.0\nb,1.5,1.0\n",
                           "row 'b': label '1.5' is not an integer"),
     "negative-label": ("id,label,f0\na,-1,1.0\n", "row 'a': negative label -1"),
+    "label-beyond-int64": ("id,label,f0\na,99999999999999999999,1.0\n",
+                           "row 'a': label 99999999999999999999 exceeds int64"),
+    "quoted-label-beyond-int64": (
+        'id,label,f0\na,"9223372036854775808",1.0\n',
+        "row 'a': label 9223372036854775808 exceeds int64"),
     "nan": ("id,label,f0\na,0,1.0\nb,0,nan\n",
             "row 'b': non-finite feature value"),
     "overflow": ("id,label,f0\na,0,1e400\n", "row 'a': non-finite feature value"),
@@ -507,6 +525,29 @@ def test_pipeline_k_flag_fails_before_any_training(tmp_path, capsys,
     assert main(["pipeline", "--config", str(config_path), "--k", k,
                  "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: k must be >= 1, got {k}\n"
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config, message", [
+    ([1], "pipeline config must be a JSON object, got list"),
+    ({"train": [1]}, "train must be a JSON object, got list"),
+    ({"synth_spec": 3},
+     'synth_spec must be "default", a path or a JSON object, got int'),
+])
+@pytest.mark.parametrize("k_flag", [[], ["--k", "3"]])
+def test_pipeline_config_of_the_wrong_json_type_fails_before_training(
+        tmp_path, capsys, monkeypatch, config, message, k_flag):
+    calls = []
+    monkeypatch.setattr(trainer, "train_stage1",
+                        lambda *args, **kwargs: calls.append(args))
+    config_path = tmp_path / "pipe.json"
+    config_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["pipeline", "--config", str(config_path), *k_flag,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert calls == []
     assert not out.exists()
 

@@ -8,7 +8,10 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from oracles import feature_csv_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from oracles import feature_csv_oracle, feature_csv_writer_oracle
 from test_cli import BAD_FEATURE_CSVS
 
 from xmodal import dataio
@@ -139,6 +142,52 @@ def test_feature_csv_text_is_repr_of_each_value(tmp_path):
         f"{rid},{int(label)}," + ",".join(repr(float(v)) for v in row) + "\n"
         for rid, label, row in zip(table.ids, table.labels, table.matrix))
     assert path.read_bytes() == want.encode("utf-8")
+
+
+def _same_bytes_as_writer_oracle(table, tmp_path):
+    fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+    write_feature_csv(table, fast)
+    feature_csv_writer_oracle(table, slow)
+    assert fast.read_bytes() == slow.read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix=arrays(np.float64, st.tuples(st.integers(1, 5),
+                                           st.integers(1, 12)),
+                    elements=st.floats(allow_nan=False, allow_infinity=False)),
+       ids=st.lists(st.text(st.characters(blacklist_categories=("Cs",)),
+                            max_size=6), min_size=5, max_size=5, unique=True),
+       labels=st.lists(st.integers(0, 2**63 - 1), min_size=5, max_size=5))
+def test_feature_csv_writer_equals_repr_writer(tmp_path_factory, matrix, ids,
+                                               labels):
+    n = len(matrix)
+    _same_bytes_as_writer_oracle(FeatureTable(ids[:n], labels[:n], matrix),
+                                 tmp_path_factory.mktemp("csv"))
+
+
+def test_feature_csv_writer_equals_repr_writer_at_band_edges(tmp_path):
+    tiny = np.finfo(np.float64).tiny
+    edges = [0.0, -0.0, 1e-4, np.nextafter(1e-4, 0), 1e16,
+             np.nextafter(1e16, 0), 5e-324, np.nextafter(tiny, 0), tiny,
+             np.finfo(np.float64).max, 6.6e-05, 1e22, 0.1, 123456789012345.0]
+    row = np.array(edges + [-v for v in edges])
+    table = FeatureTable(["a", "\u00e9t\u00e9", "\u6728", "\U0001F600"],
+                         [0, 1, 2, 2**63 - 1],
+                         np.stack([row, row[::-1], row * 0.75, row / 7]))
+    _same_bytes_as_writer_oracle(table, tmp_path)
+    # non-finite values, which FeatureTable itself rejects
+    table.matrix[1, :3] = [np.nan, np.inf, -np.inf]
+    _same_bytes_as_writer_oracle(table, tmp_path)
+
+
+def test_feature_csv_writer_equals_repr_writer_on_strided_matrices(tmp_path):
+    rng = np.random.default_rng(13)
+    values = rng.normal(size=(6, 40)) * np.exp2(rng.integers(-70, 70, (6, 40)))
+    for matrix in (np.asfortranarray(values), values[:, 3:31:2]):
+        assert not matrix.flags.c_contiguous
+        table = FeatureTable([f"r{i}" for i in range(6)], range(6), matrix)
+        assert not table.matrix.flags.c_contiguous
+        _same_bytes_as_writer_oracle(table, tmp_path)
 
 
 def test_feature_csv_header_enforced(tmp_path):

@@ -1,8 +1,11 @@
 """Sequence-graph-transform embedding tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from xmodal import sgt
 from xmodal.sgt import (
     BIGRAM_ALPHABET,
     GeneticAnchor,
@@ -13,7 +16,7 @@ from xmodal.sgt import (
 )
 from xmodal.dataio import SequenceRecord
 
-from oracles import sgt_oracle
+from oracles import bigram_tokens_oracle, sgt_oracle, sgt_recurrence_oracle
 
 
 def random_bigram_sequence(rng, length):
@@ -148,3 +151,103 @@ def test_anchors_from_table_rejects_misaligned_inputs():
         anchors_from_table(["a", "b"], matrix, [0, 0, 1])
     with pytest.raises(ValueError, match="3 ids, 2 labels"):
         anchors_from_table(["a", "b", "c"], matrix, [0, 1])
+
+
+def _random_residues(rng, length, letters="ACGT"):
+    return "".join(rng.choice(list(letters), size=length))
+
+
+@pytest.mark.parametrize("kappa", [0.25, 1.0, 4.0])
+def test_embed_sequences_is_bit_identical_to_the_recurrence(kappa):
+    rng = np.random.default_rng(17)
+    lengths = rng.integers(4, 160, size=sgt._BLOCK + 5)
+    lengths[7] = 5000  # one long sequence among short ones
+    records = [SequenceRecord(f"s{i}", _random_residues(rng, n))
+               for i, n in enumerate(lengths)]
+    records[0] = SequenceRecord("two-tokens", "ACGT")
+    records[1] = SequenceRecord("ambiguous", "ACNAGTRYTTSWGGKMAC")
+    # the block boundary falls inside this run of ambiguous sequences
+    for i in range(sgt._BLOCK - 2, sgt._BLOCK + 2):
+        records[i] = SequenceRecord(f"n{i}", _random_residues(rng, 90, "ACGTN"))
+    ids, matrix = embed_sequences(records, kappa)
+    assert ids == [r.id for r in records]
+    want = np.array([sgt_recurrence_oracle(
+        bigram_tokens_oracle(r.residues, BIGRAM_ALPHABET), kappa,
+        BIGRAM_ALPHABET) for r in records])
+    assert matrix.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kappa", [0.25, 1.0, 4.0])
+def test_sgt_embed_is_bit_identical_to_the_recurrence_on_any_alphabet(kappa):
+    rng = np.random.default_rng(19)
+    alphabet = ["x", "yy", "z", "w0", "\u6728"]
+    for length in (2, 3, 17, 400):
+        symbols = [alphabet[i] for i in rng.integers(0, 5, size=length)]
+        got = sgt_embed(symbols, kappa, alphabet)
+        want = sgt_recurrence_oracle(symbols, kappa, alphabet)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_tokenize_bigrams_equals_the_pair_scan():
+    rng = np.random.default_rng(23)
+    for length in range(4, 60):
+        residues = _random_residues(rng, length, "ACGTNRYacgt\u00e9")
+        want = bigram_tokens_oracle(residues, BIGRAM_ALPHABET)
+        if len(want) >= 2:
+            assert tokenize_bigrams(residues) == want
+        else:
+            with pytest.raises(ValueError, match=f"yields {len(want)} usable"):
+                tokenize_bigrams(residues)
+
+
+def test_embed_sequences_memory_is_bounded_by_a_block():
+    """1,000 sequences of 1.8 kb: the peak stays well below one padded
+    index matrix for the whole FASTA, the (sequences, tokens) intp array
+    a whole-file recurrence would build."""
+    rng = np.random.default_rng(29)
+    records = [SequenceRecord(f"s{i}", _random_residues(rng, 1800))
+               for i in range(1000)]
+    whole = len(records) * 900 * np.dtype(np.intp).itemsize
+    tracemalloc.start()
+    try:
+        _, matrix = embed_sequences(records)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < whole / 2
+    # beyond the result itself, a block's worth
+    assert peak - matrix.nbytes < whole / 4
+
+
+def test_embed_sequences_cuts_blocks_in_order_of_length(monkeypatch):
+    """Long and short sequences alternate in the file; each block holds
+    sequences of one length, so no block of short ones runs a long one's
+    length, and every row still lands at its record's place."""
+    rng = np.random.default_rng(31)
+    records = [SequenceRecord(f"s{i}", _random_residues(rng, 400 if i % 2 else 40))
+               for i in range(2 * sgt._BLOCK)]
+    block_lengths = []
+    psi_rows = sgt._psi_rows
+
+    def spy(seqs, v, kappa):
+        block_lengths.append(sorted({len(s) for s in seqs}))
+        return psi_rows(seqs, v, kappa)
+
+    monkeypatch.setattr(sgt, "_psi_rows", spy)
+    ids, matrix = embed_sequences(records)
+    assert block_lengths == [[20], [200]]
+    assert ids == [r.id for r in records]
+    want = np.array([sgt_recurrence_oracle(
+        bigram_tokens_oracle(r.residues, BIGRAM_ALPHABET), 1.0,
+        BIGRAM_ALPHABET) for r in records])
+    assert matrix.tobytes() == want.tobytes()
+
+
+def test_embed_sequences_names_the_first_bad_record_in_file_order():
+    # "late" is shorter, so its block runs first; the error still names
+    # "early", the first record a per-record loop would reject
+    records = [SequenceRecord("ok", "ACGT" * 50),
+               SequenceRecord("early", "NNNN" * 20),
+               SequenceRecord("late", "AC")]
+    with pytest.raises(ValueError, match=r"^sequence 'early': sequence yields 0"):
+        embed_sequences(records)
