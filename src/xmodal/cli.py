@@ -149,7 +149,7 @@ def cmd_synth(args):
 
 
 def cmd_sgt_embed(args):
-    with open(args.fasta, encoding="utf-8") as fh:
+    with open(args.fasta, "rb") as fh:
         records = dataio.parse_fasta(fh)
     table = _genetic_table(records, dataio.load_labels_csv(args.labels),
                            args.kappa)

@@ -8,11 +8,12 @@ locate the offending record.
 
 Formats
 -------
+sequences.fa   FASTA; a record's id is its header's first token and
+               holds no whitespace, ``,`` or ``"``.
 features.csv   header ``id,label,f0,...,f{D-1}``; one row per item;
-               label is a non-negative int64 taxon id.  Records end
-               as csv's do, and a field may be quoted, but not across
-               a line end.  Values are written as their repr text
-               (orjson's inside the band where the two agree).
+               label is a non-negative int64 taxon id.  Values are
+               written as their repr text (orjson's inside the band
+               where the two agree).
 features.vgfb  little-endian binary: magic ``VGFB``, u32 version (=1),
                u32 N, u32 D, N*D float32 row-major, u64 byte length of
                the trailing id/label table, then that table as CSV
@@ -22,12 +23,18 @@ counts.csv     ``id,taxon_id`` rows tallied per taxon, or
                ``taxon_id[,name],train_count`` rows.
 split.json     object with ``train`` and ``test`` arrays of item ids.
 
+features.csv, labels.csv, counts.csv and the ``.vgfb`` id/label table
+follow one record rule: a record ends at a line feed, a carriage return
+and line feed, or a lone carriage return, as csv's do, and is split
+into fields by csv, so a field may be quoted but not across a line end
+(a quoted line break leaves a short record), and csv's field-size limit
+holds.  Blank records are skipped.
+
 ``.vgfb`` features are stored as 32-bit floats and promoted to 64-bit in
 memory.  Text files must be UTF-8; a bad byte is reported with its line.
 """
 
 import csv
-import io
 import json
 import math
 import re
@@ -47,11 +54,15 @@ _HEADER_ID_SPLIT = re.compile(r"[\s|]")
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def _check_int64(value, where, noun):
-    """`value` if it lies in [0, 2**63); else a ValueError naming `where`
-    and `noun`."""
+def _int64(value, where, noun, negative=None):
+    """int(`value`) if it lies in [0, 2**63); else a ValueError naming
+    `where` and `noun`, or saying `negative` for a negative value."""
+    try:
+        value = int(value)
+    except ValueError:
+        raise ValueError(f"{where}: {noun} {value!r} is not an integer") from None
     if value < 0:
-        raise ValueError(f"{where}: negative {noun} {value}")
+        raise ValueError(f"{where}: " + (negative or f"negative {noun} {value}"))
     if value > _INT64_MAX:
         raise ValueError(f"{where}: {noun} {value} exceeds int64")
     return value
@@ -63,14 +74,16 @@ VGFB_VERSION = 1
 
 @dataclass
 class SequenceRecord:
-    """One rDNA sequence: a whitespace-free id and an upper-case base string."""
+    """One rDNA sequence: an id free of whitespace, ``,`` and ``"``, which
+    CSV files hold unquoted, and an upper-case base string."""
 
     id: str
     residues: str
 
     def __post_init__(self):
-        if not self.id or re.search(r"\s", self.id):
-            raise ValueError(f"sequence id {self.id!r} must be a non-empty token")
+        if not self.id or re.search(r'[\s,"]', self.id):
+            raise ValueError(f"sequence id {self.id!r} must be a non-empty token"
+                             " without whitespace, ',' or '\"'")
         if not self.residues:
             raise ValueError(f"sequence {self.id!r} has no residues")
         bad = set(self.residues) - IUPAC_LETTERS
@@ -80,15 +93,18 @@ class SequenceRecord:
             )
 
 
-def parse_fasta(text):
-    """Parse FASTA from a string or an open text file.
+def parse_fasta(source):
+    """Parse FASTA from a string or an open file, text or binary.
 
-    Lines starting with ``>`` begin a record; the id is the header token
-    up to the first whitespace or ``|``.  Sequence lines are
-    concatenated, whitespace-stripped, and upper-cased.
+    Lines end as csv records do (see _records).  Lines starting with
+    ``>`` begin a record; the id is the header token up to the first
+    whitespace or ``|``.  Sequence lines are concatenated,
+    whitespace-stripped, and upper-cased.  A fault raises ValueError
+    naming its line, after the file's name when `source` is a file.
     """
-    if hasattr(text, "read"):
-        text = text.read()
+    prefix = f"{source.name}: " if hasattr(source, "name") else ""
+    data = source.read() if hasattr(source, "read") else source
+    lines = (data.encode() if isinstance(data, str) else data).splitlines()
     records = []
     seen = {}
     cur_id = None
@@ -101,40 +117,43 @@ def parse_fasta(text):
         residues = "".join(chunks)
         if not residues:
             raise ValueError(f"line {cur_line}: empty sequence for {cur_id!r}")
-        records.append(SequenceRecord(cur_id, residues))
+        try:
+            records.append(SequenceRecord(cur_id, residues))
+        except ValueError as exc:
+            raise ValueError(f"line {cur_line}: {exc}") from None
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith(">"):
-            close_record()
-            header = line[1:].strip()
-            rec_id = _HEADER_ID_SPLIT.split(header, 1)[0]
-            if not rec_id:
-                raise ValueError(f"line {lineno}: FASTA header has no id token")
-            if rec_id in seen:
-                raise ValueError(
-                    f"line {lineno}: duplicate id {rec_id!r}"
-                    f" (first seen at line {seen[rec_id]})"
-                )
-            seen[rec_id] = lineno
-            cur_id, cur_line = rec_id, lineno
-            chunks = []
-        else:
-            if cur_id is None:
-                raise ValueError(f"line {lineno}: sequence data before any header")
-            chunk = re.sub(r"\s", "", line).upper()
-            bad = set(chunk) - IUPAC_LETTERS
-            if bad:
-                raise ValueError(
-                    f"line {lineno}: sequence {cur_id!r} contains"
-                    f" non-IUPAC letters: {sorted(bad)}"
-                )
-            chunks.append(chunk)
-    close_record()
-    if not records:
-        raise ValueError("empty FASTA input: no records found")
+    try:
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.decode().strip()
+            if not line:
+                continue
+            if line.startswith(">"):
+                close_record()
+                rec_id = _HEADER_ID_SPLIT.split(line[1:].strip(), 1)[0]
+                if not rec_id:
+                    raise ValueError(f"line {lineno}: FASTA header has no id token")
+                if rec_id in seen:
+                    raise ValueError(f"line {lineno}: duplicate id {rec_id!r}"
+                                     f" (first seen at line {seen[rec_id]})")
+                seen[rec_id] = lineno
+                cur_id, cur_line = rec_id, lineno
+                chunks = []
+            else:
+                if cur_id is None:
+                    raise ValueError(f"line {lineno}: sequence data before any header")
+                chunk = re.sub(r"\s", "", line).upper()
+                bad = set(chunk) - IUPAC_LETTERS
+                if bad:
+                    raise ValueError(f"line {lineno}: sequence {cur_id!r} contains"
+                                     f" non-IUPAC letters: {sorted(bad)}")
+                chunks.append(chunk)
+        close_record()
+        if not records:
+            raise ValueError("empty FASTA input: no records found")
+    except UnicodeDecodeError:
+        raise ValueError(f"{prefix}line {lineno}: not UTF-8 text") from None
+    except ValueError as exc:
+        raise ValueError(f"{prefix}{exc}") from None
     return records
 
 
@@ -211,23 +230,36 @@ def _number_row(text, width):
 
 
 def _records(fh):
-    """The records of binary file `fh`, each ended as csv ends one: by a
-    line feed, a carriage return and line feed, or a lone carriage
-    return."""
+    """The records of binary file `fh`, each ended as csv ends one (see
+    the module docstring)."""
     for line in fh:
         yield from line.splitlines() if b"\r" in line else (line.rstrip(b"\n"),)
 
 
-def _fields(record, n):
-    """The fields of record `n` (bytes) as csv reads them; a record that
-    holds no quote is split at commas."""
+def _fields(record, where):
+    """The fields of `record` (bytes) as csv reads them; bytes that are
+    not UTF-8 and csv's faults (a field over its size limit...) raise
+    ValueError naming `where`."""
     try:
-        text = record.decode()
-        return next(csv.reader([text])) if '"' in text else text.split(",")
+        return next(csv.reader([record.decode()]))
     except UnicodeDecodeError:
-        raise ValueError(f"line {n}: not UTF-8 text") from None
+        raise ValueError(f"{where}: not UTF-8 text") from None
     except csv.Error as exc:
-        raise ValueError(f"line {n}: {exc}") from None
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def _rows(records, width, lines="line"):
+    """(where, fields) of each record left in `records` after its header
+    record, skipping blank ones as csv does; each must hold `width`
+    fields.  `where` is "`lines` N", N the record's line number."""
+    for n, record in enumerate(records, start=2):
+        if record:
+            where = f"{lines} {n}"
+            fields = _fields(record, where)
+            if len(fields) != width:
+                raise ValueError(
+                    f"{where}: expected {width} fields, got {len(fields)}")
+            yield where, fields
 
 
 def _row(record, dim, n):
@@ -249,16 +281,11 @@ def _row(record, dim, n):
                     return rid, label, values
         except ValueError:
             pass
-    fields = _fields(record, n)
+    fields = _fields(record, f"line {n}")
     if len(fields) != dim + 2:
         raise ValueError(f"line {n}: expected {dim + 2} fields, got {len(fields)}")
     rid = fields[0]
-    try:
-        label = int(fields[1])
-    except ValueError:
-        raise ValueError(
-            f"row {rid!r}: label {fields[1]!r} is not an integer") from None
-    _check_int64(label, f"row {rid!r}", "label")
+    label = _int64(fields[1], f"row {rid!r}", "label")
     try:
         values = [float(v) for v in fields[2:]]
     except ValueError:
@@ -280,7 +307,7 @@ def load_feature_csv(path):
 
     Any fault raises one ValueError naming `path` and, where it has one,
     the line or row id: the first fault in file order, then duplicate
-    ids.  A quoted field that holds a line break is a short record.
+    ids.
     """
     try:
         with open(path, "rb") as fh:
@@ -295,7 +322,7 @@ def load_feature_csv(path):
             header = next(records, None)
             if header is None:
                 raise ValueError("empty feature CSV")
-            header = _fields(header, 1)
+            header = _fields(header, "line 1")
             dim = len(header) - 2
             if dim < 1 or header != _expected_header(dim):
                 raise ValueError("bad header, expected id,label,f0,...,f{D-1}")
@@ -342,126 +369,82 @@ def write_feature_csv(table, path):
             fh.write(f"{rid},{label},".encode() + text + b"\n")
 
 
-def _id_label_block(table):
-    buf = io.StringIO()
-    buf.write("id,label\n")
-    for rid, label in zip(table.ids, table.labels):
-        buf.write(f"{rid},{label}\n")
-    return buf.getvalue().encode("utf-8")
-
-
 def write_feature_bin(table, path):
-    """Write the compact binary form (float32 payload, see module docs)."""
-    payload = np.ascontiguousarray(table.matrix, dtype="<f4").tobytes()
-    block = _id_label_block(table)
+    """Write the compact binary form (float32 payload, see module docs).
+    A value beyond float32's range, or an id that the id/label table
+    cannot hold unquoted, raises ValueError before the file is opened."""
+    with np.errstate(over="ignore"):
+        payload = np.ascontiguousarray(table.matrix, dtype="<f4")
+    block = ["id,label\n"]
+    for rid, label, finite in zip(table.ids, table.labels.tolist(),
+                                  np.isfinite(payload).all(axis=1).tolist()):
+        if not finite:
+            raise ValueError(f"row {rid!r}: feature value beyond float32 range")
+        if re.search(r'[,"\r\n]', rid):
+            raise ValueError(f"id {rid!r} holds a comma, a quote or a line end")
+        block.append(f"{rid},{label}\n")
+    block = "".join(block).encode()
     with open(path, "wb") as fh:
         fh.write(VGFB_MAGIC)
         fh.write(struct.pack("<III", VGFB_VERSION, table.n, table.dim))
-        fh.write(payload)
+        fh.write(payload.tobytes())
         fh.write(struct.pack("<Q", len(block)))
         fh.write(block)
 
 
 def read_feature_bin(path):
+    """Read the binary form; a fault raises one ValueError naming `path`."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:4] != VGFB_MAGIC:
-        raise ValueError(f"{path}: bad magic {data[:4]!r}, expected {VGFB_MAGIC!r}")
-    if len(data) < 16:
-        raise ValueError(f"{path}: truncated header")
-    version, n, dim = struct.unpack_from("<III", data, 4)
-    if version != VGFB_VERSION:
-        raise ValueError(f"{path}: unsupported version {version}")
-    off = 16
-    nbytes = n * dim * 4
-    if len(data) < off + nbytes + 8:
-        raise ValueError(f"{path}: truncated payload")
-    matrix = np.frombuffer(data, dtype="<f4", count=n * dim, offset=off)
-    matrix = matrix.astype(np.float64).reshape(n, dim)
-    off += nbytes
-    (block_len,) = struct.unpack_from("<Q", data, off)
-    off += 8
-    if len(data) < off + block_len:
-        raise ValueError(f"{path}: truncated id/label table")
-    block = _utf8(data[off : off + block_len], f"{path}: id/label table")
-    reader = csv.reader(io.StringIO(block))
-    rows = _csv_rows(reader, f"{path}: id/label table")
-    header = next(rows, None)
-    if header != ["id", "label"]:
-        raise ValueError(f"{path}: bad id/label table header {header}")
-    ids, labels = [], []
-    for row in rows:
-        if not row:
-            continue
-        where = f"{path}: id/label table line {reader.line_num}"
-        if len(row) != 2:
-            raise ValueError(f"{where}: expected 2 fields, got {len(row)}")
-        try:
-            label = int(row[1])
-        except ValueError:
-            raise ValueError(
-                f"{where}: label {row[1]!r} is not an integer") from None
-        labels.append(_check_int64(label, where, "label"))
-        ids.append(row[0])
-    if len(ids) != n:
-        raise ValueError(f"{path}: id/label table has {len(ids)} rows, expected {n}")
-    return FeatureTable(ids, np.array(labels), matrix)
-
-
-def _utf8(data, where):
-    """`data` (bytes) decoded as UTF-8; a bad byte raises ValueError naming
-    `where` and its line."""
     try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data[:exc.start].count(b"\n") + 1
-        raise ValueError(f"{where} line {line}: not UTF-8 text") from None
-
-
-def _csv_reader(path):
-    """A csv.reader over the text of file `path`, which is read whole and
-    decoded by _utf8."""
-    with open(path, "rb") as fh:
-        text = _utf8(fh.read(), f"{path}:")
-    return csv.reader(io.StringIO(text, newline=""))
-
-
-def _csv_rows(reader, where):
-    """The rows of csv `reader`; a csv.Error (a field over csv's size
-    limit...) raises ValueError naming `where` and the line."""
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise ValueError(f"{where} line {reader.line_num}: {exc}") from None
+        if data[:4] != VGFB_MAGIC:
+            raise ValueError(f"bad magic {data[:4]!r}, expected {VGFB_MAGIC!r}")
+        if len(data) < 16:
+            raise ValueError("truncated header")
+        version, n, dim = struct.unpack_from("<III", data, 4)
+        if version != VGFB_VERSION:
+            raise ValueError(f"unsupported version {version}")
+        off = 16 + n * dim * 4
+        if len(data) < off + 8:
+            raise ValueError("truncated payload")
+        matrix = np.frombuffer(data, "<f4", n * dim, 16).reshape(n, dim)
+        (block_len,) = struct.unpack_from("<Q", data, off)
+        off += 8
+        if len(data) < off + block_len:
+            raise ValueError("truncated id/label table")
+        records = iter(data[off:off + block_len].splitlines())
+        header = _fields(next(records, b""), "id/label table line 1")
+        if header != ["id", "label"]:
+            raise ValueError(f"bad id/label table header {header}")
+        ids, labels = [], []
+        for where, (rid, label) in _rows(records, 2, "id/label table line"):
+            ids.append(rid)
+            labels.append(_int64(label, where, "label"))
+        if len(ids) != n:
+            raise ValueError(f"id/label table has {len(ids)} rows, expected {n}")
+        return FeatureTable(ids, np.array(labels), matrix)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def load_labels_csv(path):
     """Load a sequence->taxon map from a ``sequence_id,taxon_id`` CSV."""
-    rows = _csv_rows(_csv_reader(path), f"{path}:")
-    header = next(rows, None)
-    if header is None or len(header) != 2:
-        raise ValueError(f"{path}: expected a two-column sequence_id,taxon_id CSV")
-    mapping = {}
-    for lineno, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise ValueError(f"{path}: line {lineno}: expected 2 fields")
-        sid = row[0]
-        try:
-            taxon = int(row[1])
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: taxon id {row[1]!r}"
-                             " is not an integer") from None
-        if taxon < 0:
-            # older wording, without the value, kept as it was
-            raise ValueError(f"{path}: line {lineno}: negative taxon id")
-        _check_int64(taxon, f"{path}: line {lineno}", "taxon id")
-        if sid in mapping:
-            raise ValueError(f"{path}: duplicate sequence id {sid!r}")
-        mapping[sid] = taxon
-    if not mapping:
-        raise ValueError(f"{path}: no label rows")
+    try:
+        with open(path, "rb") as fh:
+            records = _records(fh)
+            if len(_fields(next(records, b""), "line 1")) != 2:
+                raise ValueError("expected a two-column sequence_id,taxon_id CSV")
+            mapping = {}
+            for where, (sid, taxon) in _rows(records, 2):
+                # older wording for a negative taxon, without the value
+                taxon = _int64(taxon, where, "taxon id", "negative taxon id")
+                if sid in mapping:
+                    raise ValueError(f"duplicate sequence id {sid!r}")
+                mapping[sid] = taxon
+        if not mapping:
+            raise ValueError("no label rows")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return mapping
 
 
@@ -479,40 +462,38 @@ def load_label_counts(path):
     taxon) or a ``taxon_id[,name],train_count`` table (counts read
     directly, one row per taxon, each count non-negative).
     """
-    reader = _csv_reader(path)
-    rows = _csv_rows(reader, f"{path}:")
-    header = next(rows, None)
-    if header is None:
-        raise ValueError(f"{path}: empty counts CSV")
-    lowered = [h.strip().lower() for h in header]
-    direct = (lowered[0] == "taxon_id"
-              and lowered[-1] in ("train_count", "count"))
-    if not direct and not (len(lowered) == 2
-                           and lowered[1] in ("taxon_id", "label")):
-        raise ValueError(
-            f"{path}: unrecognized counts header {header};"
-            " expected id,taxon_id or taxon_id[,name],train_count"
-        )
-    counts = {}
-    for row in rows:
-        if not row:
-            continue
-        where = f"{path}: line {reader.line_num}"
-        if len(row) != len(header):
-            raise ValueError(
-                f"{where}: expected {len(header)} fields, got {len(row)}")
-        try:
-            taxon = int(row[0] if direct else row[1])
-            count = int(row[-1]) if direct else counts.get(taxon, 0) + 1
-        except ValueError:
-            raise ValueError(f"{where}: non-integer taxon id or count"
-                             f" in {row}") from None
-        _check_int64(taxon, where, "taxon id")
-        if direct and taxon in counts:
-            raise ValueError(f"{where}: second count for taxon {taxon}")
-        counts[taxon] = _check_int64(count, where, "count")
-    if not counts:
-        raise ValueError(f"{path}: no count rows")
+    try:
+        with open(path, "rb") as fh:
+            records = _records(fh)
+            header = next(records, None)
+            if header is None:
+                raise ValueError("empty counts CSV")
+            header = _fields(header, "line 1")
+            lowered = [h.strip().lower() for h in header]
+            direct = (lowered[:1] == ["taxon_id"]
+                      and lowered[-1] in ("train_count", "count"))
+            if not direct and not (len(lowered) == 2
+                                   and lowered[1] in ("taxon_id", "label")):
+                raise ValueError(
+                    f"unrecognized counts header {header};"
+                    " expected id,taxon_id or taxon_id[,name],train_count"
+                )
+            counts = {}
+            for where, row in _rows(records, len(header)):
+                try:
+                    taxon = int(row[0] if direct else row[1])
+                    count = int(row[-1]) if direct else counts.get(taxon, 0) + 1
+                except ValueError:
+                    raise ValueError(f"{where}: non-integer taxon id or count"
+                                     f" in {row}") from None
+                _int64(taxon, where, "taxon id")
+                if direct and taxon in counts:
+                    raise ValueError(f"{where}: second count for taxon {taxon}")
+                counts[taxon] = _int64(count, where, "count")
+        if not counts:
+            raise ValueError("no count rows")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return counts
 
 

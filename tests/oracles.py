@@ -6,10 +6,10 @@ recurrence is the bit-level reference for the block recurrence; the
 KNN oracle scans every gallery item per query with plain Python, the
 triplet sampler rescans the labels for every draw, the SGD update
 builds each new field whole, the synthetic tables are built from one
-row list, feature CSVs are read by csv.reader with float() per value
-and written by joining repr text, and gradients come from central
-finite differences.  None of it imports the production code paths it
-checks.
+row list, feature, labels and counts CSVs are read by csv.reader (with
+float() per feature value), feature CSVs are written by joining repr
+text, and gradients come from central finite differences.  None of it
+imports the production code paths it checks.
 """
 
 import csv
@@ -215,6 +215,88 @@ def feature_csv_writer_oracle(table, path):
         for rid, label, row in zip(table.ids, table.labels.tolist(),
                                    table.matrix):
             fh.write(f"{rid},{label},{','.join(map(repr, row.tolist()))}\n")
+
+
+def _check_int64_oracle(value, where, noun):
+    if value < 0:
+        raise ValueError(f"{where}: negative {noun} {value}")
+    if value > 2**63 - 1:
+        raise ValueError(f"{where}: {noun} {value} exceeds int64")
+    return value
+
+
+def labels_csv_oracle(path):
+    """A sequence->taxon map read as the whole file's csv.reader rows
+    (the reader that labels files had before the shared record reader);
+    every fault raises ValueError naming `path`."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = csv.reader(fh)
+        header = next(rows, None)
+        if header is None or len(header) != 2:
+            raise ValueError(f"{path}: expected a two-column sequence_id,taxon_id CSV")
+        mapping = {}
+        for lineno, row in enumerate(rows, start=2):
+            if not row:
+                continue
+            if len(row) != 2:
+                raise ValueError(f"{path}: line {lineno}: expected 2 fields")
+            sid = row[0]
+            try:
+                taxon = int(row[1])
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: taxon id {row[1]!r}"
+                                 " is not an integer") from None
+            if taxon < 0:
+                raise ValueError(f"{path}: line {lineno}: negative taxon id")
+            _check_int64_oracle(taxon, f"{path}: line {lineno}", "taxon id")
+            if sid in mapping:
+                raise ValueError(f"{path}: duplicate sequence id {sid!r}")
+            mapping[sid] = taxon
+    if not mapping:
+        raise ValueError(f"{path}: no label rows")
+    return mapping
+
+
+def label_counts_oracle(path):
+    """Per-taxon counts read as the whole file's csv.reader rows (the
+    reader that counts files had before the shared record reader): an
+    id->taxon file tallied per taxon, or a taxon_id[,name],train_count
+    table read directly."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty counts CSV")
+        lowered = [h.strip().lower() for h in header]
+        direct = (lowered[0] == "taxon_id"
+                  and lowered[-1] in ("train_count", "count"))
+        if not direct and not (len(lowered) == 2
+                               and lowered[1] in ("taxon_id", "label")):
+            raise ValueError(
+                f"{path}: unrecognized counts header {header};"
+                " expected id,taxon_id or taxon_id[,name],train_count"
+            )
+        counts = {}
+        for row in reader:
+            if not row:
+                continue
+            where = f"{path}: line {reader.line_num}"
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{where}: expected {len(header)} fields, got {len(row)}")
+            try:
+                taxon = int(row[0] if direct else row[1])
+                count = int(row[-1]) if direct else counts.get(taxon, 0) + 1
+            except ValueError:
+                raise ValueError(f"{where}: non-integer taxon id or count"
+                                 f" in {row}") from None
+            _check_int64_oracle(taxon, where, "taxon id")
+            if direct and taxon in counts:
+                raise ValueError(f"{where}: second count for taxon {taxon}")
+            counts[taxon] = _check_int64_oracle(count, where, "count")
+    if not counts:
+        raise ValueError(f"{path}: no count rows")
+    return counts
 
 
 def sgd_step_oracle(params, grads, lr, weight_decay,

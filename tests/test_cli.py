@@ -341,6 +341,10 @@ BAD_COUNTS_CSVS = {
                            "line 2: taxon id 99999999999999999999 exceeds int64"),
     "count-beyond-int64": ("taxon_id,train_count\n0,9223372036854775808\n",
                            "line 2: count 9223372036854775808 exceeds int64"),
+    # a blank first line is an empty header, not a line to skip
+    "blank-first-line": ("\ntaxon_id,train_count\n0,3\n",
+                         "unrecognized counts header []; expected"
+                         " id,taxon_id or taxon_id[,name],train_count"),
 }
 
 
@@ -380,6 +384,36 @@ def test_sgt_embed_rejects_bad_labels_file(chain, tmp_path, capsys, row,
                "--labels", str(labels), "--out", str(tmp_path / "g.csv")])
     assert rc == 1
     assert capsys.readouterr().err == f"error: {labels}: {message}\n"
+    assert not (tmp_path / "g.csv").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    # "\udcff" is written as the byte 0xff
+    pytest.param(">s1\nAC\udcffGT\n", "line 2: not UTF-8 text", id="not-utf8"),
+    pytest.param(">s1\nACGX\n",
+                 "line 2: sequence 's1' contains non-IUPAC letters: ['X']",
+                 id="non-iupac"),
+    # an id that a CSV row would split or quote
+    pytest.param(">s,1 desc\nACGT\n",
+                 "line 1: sequence id 's,1' must be a non-empty token"
+                 " without whitespace, ',' or '\"'", id="comma-in-id"),
+    pytest.param('>x\nAC\n>"s1\nACGT\n',
+                 "line 3: sequence id '\"s1' must be a non-empty token"
+                 " without whitespace, ',' or '\"'", id="quote-in-id"),
+    pytest.param(">s1\r\n>s2\r\nACGT\r\n", "line 1: empty sequence for 's1'",
+                 id="empty-record"),
+    pytest.param("", "empty FASTA input: no records found", id="empty-file"),
+])
+def test_sgt_embed_rejects_bad_fasta_file(chain, tmp_path, capsys, text,
+                                          message):
+    fasta = tmp_path / "sequences.fa"
+    fasta.write_bytes(text.encode("utf-8", "surrogateescape"))
+    capsys.readouterr()
+    rc = main(["sgt-embed", "--fasta", str(fasta),
+               "--labels", str(chain / "data" / "labels.csv"),
+               "--out", str(tmp_path / "g.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {fasta}: {message}\n"
     assert not (tmp_path / "g.csv").exists()
 
 

@@ -11,7 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from oracles import feature_csv_oracle, feature_csv_writer_oracle
+from oracles import (
+    feature_csv_oracle,
+    feature_csv_writer_oracle,
+    label_counts_oracle,
+    labels_csv_oracle,
+)
 from test_cli import BAD_FEATURE_CSVS
 
 from xmodal import dataio
@@ -81,6 +86,24 @@ def test_parse_fasta_empty_record():
 def test_parse_fasta_empty_input():
     with pytest.raises(ValueError, match="no records"):
         parse_fasta("\n\n")
+
+
+def test_parse_fasta_reads_bytes_and_binary_files_with_csv_line_ends(
+        tmp_path):
+    data = b">a desc\r\nAC\rgt\n\n>b|x\rTT"
+    want = [SequenceRecord("a", "ACGT"), SequenceRecord("b", "TT")]
+    assert parse_fasta(data) == want
+    assert parse_fasta(data.decode()) == want
+    path = tmp_path / "seqs.fa"
+    path.write_bytes(data)
+    with open(path, "rb") as fh:
+        assert parse_fasta(fh) == want
+
+
+@pytest.mark.parametrize("rid", ["s,1", 's"1', "s 1", ""])
+def test_sequence_record_rejects_ids_a_csv_row_cannot_hold(rid):
+    with pytest.raises(ValueError, match="must be a non-empty token"):
+        SequenceRecord(rid, "ACGT")
 
 
 def test_sequence_record_rejects_bad_letters():
@@ -256,6 +279,69 @@ def test_feature_bin_rejects_corruption(tmp_path):
         with pytest.raises(ValueError) as info:
             read_feature_bin(bad)
         assert str(info.value) == f"{bad}: {message}"
+
+
+@pytest.mark.filterwarnings("error")
+def test_feature_bin_refuses_values_beyond_float32(tmp_path):
+    big = float(np.finfo(np.float32).max)
+    table = small_table()
+    table.matrix[1, 0] = -big  # float32's own extremes are written
+    path = tmp_path / "features.vgfb"
+    write_feature_bin(table, path)
+    assert read_feature_bin(path).matrix[1, 0] == -big
+    for value in (1e39, -3.5e38):
+        table.matrix[2, 3] = value
+        path = tmp_path / "beyond.vgfb"
+        with pytest.raises(ValueError) as info:
+            write_feature_bin(table, path)
+        assert str(info.value) == "row 'item2': feature value beyond float32 range"
+        assert not path.exists()
+
+
+@pytest.mark.parametrize("rid", ["a,b", '"a', 'a"b', "a\nb", "a\rb"])
+def test_feature_bin_refuses_ids_the_id_label_table_cannot_hold(tmp_path, rid):
+    table = FeatureTable(["ok", rid], [0, 1], np.zeros((2, 3)))
+    path = tmp_path / "features.vgfb"
+    with pytest.raises(ValueError) as info:
+        write_feature_bin(table, path)
+    assert str(info.value) == f"id {rid!r} holds a comma, a quote or a line end"
+    assert not path.exists()
+    # spaces and other scripts need no quoting, and round-trip
+    table = FeatureTable(["s 1", "\u00e9t\u00e9"], [0, 1], np.zeros((2, 3)))
+    write_feature_bin(table, path)
+    assert read_feature_bin(path).ids == table.ids
+
+
+# valid files that csv reads with its line ends, quoting and blank rows
+LABEL_CSVS = {
+    "crlf": "sequence_id,taxon_id\r\ns1,0\r\ns2,3\r\n",
+    "lone-cr": "sequence_id,taxon_id\rs1,0\rs2,3\r",
+    "quoted": 'sequence_id,taxon_id\n"s1",0\n"s,2","3"\n"a""b", 7\n',
+    "blank-lines": "sequence_id,taxon_id\n\ns1,0\n\n\r\n\ns2,1\n\n",
+    "no-final-newline": "sequence_id,taxon_id\ns1,0\ns2,1",
+}
+COUNT_CSVS = {
+    "tally-crlf": "id,taxon_id\r\na,0\r\nb,0\r\nc,5\r\n",
+    "tally-lone-cr": "sequence_id,label\ra,0\rb,2\rc,2\r",
+    "direct-quoted": ('taxon_id,name,train_count\n0,"alpha, beta",500\n'
+                      '"2","ga""mma","10"\n'),
+    "direct-blank-lines": "Taxon_ID,count\n\n0,5\n\n\r\n1,7\n\n",
+    "direct-no-final-newline": "taxon_id,train_count\r\n3,1\r\n9,0",
+}
+
+
+@pytest.mark.parametrize("load, oracle, text", [
+    *(pytest.param(load_labels_csv, labels_csv_oracle, text, id=f"labels-{name}")
+      for name, text in sorted(LABEL_CSVS.items())),
+    *(pytest.param(load_label_counts, label_counts_oracle, text,
+                   id=f"counts-{name}")
+      for name, text in sorted(COUNT_CSVS.items())),
+])
+def test_labels_and_counts_readers_equal_the_csv_module_oracles(
+        tmp_path, load, oracle, text):
+    path = tmp_path / "table.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert list(load(path).items()) == list(oracle(path).items())
 
 
 def test_labels_csv_round_trip(tmp_path):
