@@ -37,7 +37,7 @@ the two branches hand it back and forth for every triplet.
 
 import argparse
 import ctypes
-import json
+import dataclasses
 import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -63,7 +63,7 @@ def _load_synth_spec(ref, seed=None):
     else:
         spec = synthgen.SynthSpec.load(ref)
     if seed is not None:
-        spec = synthgen.SynthSpec.from_dict({**spec.to_dict(), "seed": seed})
+        spec = dataclasses.replace(spec, seed=seed)
     return spec
 
 
@@ -200,9 +200,7 @@ def cmd_eval(args):
     report, _ = _evaluate(params, dataio.load_feature_csv(args.gallery),
                           dataio.load_feature_csv(args.queries), args.k,
                           counts, args.centroids)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    dataio.write_json(report.to_dict(), args.out)
     tail = "absent" if report.tail is None else f"{report.tail:.4f}"
     print(f"overall {report.overall:.4f}, macro {report.macro:.4f},"
           f" tail {tail} -> {args.out}")
@@ -317,19 +315,19 @@ def run_pipeline(spec, pipe_config=None, out_dir=None):
     variants continue their branch's checkpoint through stage 2.
     Returns the report dict; with `out_dir` set, also writes the
     dataset, genetic features, anchors, checkpoints, per-variant
-    histories, and report.json.
+    histories, and report.json.  The train overrides are checked first.
     """
     pipe = pipe_config or PipelineConfig()
+    train_config = TrainConfig.from_dict({
+        "d_in": spec.dim, "embed_dim": 256, "seed": spec.seed,
+        **pipe.train_overrides, "ltr_enabled": True, "align_enabled": True})
     data = synthgen.generate(spec)
     anchor_table = _anchor_table(data.genetic)
     anchors = _anchors_by_taxon(anchor_table)
     train, test = data.train_table, data.test_table
-    base = dict(d_in=spec.dim, embed_dim=256, seed=spec.seed)
-    base.update(pipe.train_overrides)
 
     def run_branch(ltr_enabled):
-        config = TrainConfig.from_dict({**base, "ltr_enabled": ltr_enabled,
-                                        "align_enabled": True})
+        config = dataclasses.replace(train_config, ltr_enabled=ltr_enabled)
         params, hist1 = trainer.train_stage1(config, train.matrix,
                                              train.labels)
         base_metrics, gallery = _evaluate(params, train, test, pipe.k)
@@ -370,14 +368,12 @@ def run_pipeline(spec, pipe_config=None, out_dir=None):
             _save_stage(aligned, out / f"ckpt_{fname}_aligned.json",
                         "stage2", config.seed, lineage)
             trainer.write_history(histories, out / f"history_{fname}.json")
-        with open(out / "report.json", "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        dataio.write_json(report, out / "report.json")
     return report
 
 
 def cmd_pipeline(args):
-    obj = json.loads(Path(args.config).read_text("utf-8")) if args.config else {}
+    obj = dataio.read_json(args.config) if args.config else {}
     # one check covers the flag and the config; PipelineConfig rejects
     # a config that is not an object
     if args.k is not None and isinstance(obj, (dict, type(None))):

@@ -22,6 +22,8 @@ labels.csv     header ``sequence_id,taxon_id``; maps sequences to taxa.
 counts.csv     ``id,taxon_id`` rows tallied per taxon, or
                ``taxon_id[,name],train_count`` rows.
 split.json     object with ``train`` and ``test`` arrays of item ids.
+config JSON    an object of JsonConfig fields (TrainConfig, SynthSpec);
+               any other value or key is refused.
 
 features.csv, labels.csv, counts.csv and the ``.vgfb`` id/label table
 follow one record rule: a record ends at a line feed, a carriage return
@@ -32,6 +34,8 @@ holds.  Blank records are skipped.
 
 ``.vgfb`` features are stored as 32-bit floats and promoted to 64-bit in
 memory.  Text files must be UTF-8; a bad byte is reported with its line.
+JSON files are read by read_json, whose faults name the file, and
+written by write_json: sorted keys, an indent of 2, a final newline.
 """
 
 import csv
@@ -40,7 +44,7 @@ import math
 import re
 import struct
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 import orjson
@@ -265,12 +269,14 @@ def _rows(records, width, lines="line"):
 def _row(record, dim, n):
     """The id, label and `dim` values of record `n` (bytes, not blank).
 
-    A record with no quote, a label in [0, 2**63) and a feature part
-    that _number_row reads, with no integer -0 in it, is taken as is.
-    Any other record is split into fields and checked in order: the
-    field count, the label, then each value by float(); the first fault
-    raises, naming the line or the row id."""
-    if b'"' not in record:
+    A record with no quote or field over csv's size limit, a label in
+    [0, 2**63) and a feature part that _number_row reads, with no integer
+    -0 in it, is taken as is.  Any other record is split into fields and
+    checked in order: the field count, the label, then each value by
+    float(); the first fault raises, naming the line or the row id."""
+    limit = csv.field_size_limit()
+    if b'"' not in record and (len(record) <= limit or max(
+            map(len, record.split(b","))) <= limit):
         try:
             rid, label, feats = record.split(b",", 2)
             rid, label = rid.decode(), int(label)
@@ -345,14 +351,23 @@ def load_feature_csv(path):
     return FeatureTable(ids, np.array(labels), matrix[:len(ids)])
 
 
+def _check_ids(ids):
+    """Refuse the first id that a CSV record cannot hold unquoted."""
+    for rid in ids:
+        if re.search(r'[,"\r\n]', rid):
+            raise ValueError(f"id {rid!r} holds a comma, a quote or a line end")
+
+
 def write_feature_csv(table, path):
     """Write each value as its repr, the shortest text that reads back to
     the same float64; one row at a time, so no copy of the matrix is held.
+    An id holding a comma, a quote or a line end raises ValueError first.
 
     orjson prints a row's values; for 0 and for 1e-4 <= |x| < 1e16 its
     text is repr's.  It writes other values differently (5.8e84 for
     5.8e+84, small ones positionally, non-finite ones as null), so those
     tokens are replaced by repr's."""
+    _check_ids(table.ids)
     with open(path, "wb") as fh:
         fh.write((",".join(_expected_header(table.dim)) + "\n").encode())
         for rid, label, row in zip(table.ids, table.labels.tolist(),
@@ -373,6 +388,7 @@ def write_feature_bin(table, path):
     """Write the compact binary form (float32 payload, see module docs).
     A value beyond float32's range, or an id that the id/label table
     cannot hold unquoted, raises ValueError before the file is opened."""
+    _check_ids(table.ids)
     with np.errstate(over="ignore"):
         payload = np.ascontiguousarray(table.matrix, dtype="<f4")
     block = ["id,label\n"]
@@ -380,8 +396,6 @@ def write_feature_bin(table, path):
                                   np.isfinite(payload).all(axis=1).tolist()):
         if not finite:
             raise ValueError(f"row {rid!r}: feature value beyond float32 range")
-        if re.search(r'[,"\r\n]', rid):
-            raise ValueError(f"id {rid!r} holds a comma, a quote or a line end")
         block.append(f"{rid},{label}\n")
     block = "".join(block).encode()
     with open(path, "wb") as fh:
@@ -512,10 +526,22 @@ class SplitSpec:
             raise ValueError(f"train/test overlap: {sorted(overlap)[:5]}")
 
 
-def write_split(split, path):
+def read_json(path):
+    """The JSON value in file `path`.  A file that is not UTF-8, not JSON
+    or nested past json's recursion limit raises ValueError naming `path`."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return json.loads(data.decode())
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def write_json(obj, path):
+    """Write `obj` as JSON with sorted keys, an indent of 2 and a final
+    newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"train": split.train, "test": split.test}, fh, indent=2,
-                  sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -525,14 +551,37 @@ _FIELD_KINDS = {bool: ("true or false", (bool, np.bool_)),
                 float: ("a number", (int, float, np.integer, np.floating))}
 
 
-def check_field_types(config):
-    """Raise ValueError naming the first field of dataclass `config` whose
-    value, as JSON configs can give, is not of its declared kind: an int
-    field holding 64.5, 2.0, true or "8", a float field holding "0.1" or
-    a bool field holding 1.  Python and NumPy scalars pass."""
-    for f in fields(config):
-        kind, types = _FIELD_KINDS[f.type]
-        value = getattr(config, f.name)
-        if not isinstance(value, types) or (f.type is not bool
-                                            and isinstance(value, bool)):
-            raise ValueError(f"{f.name} must be {kind}, got {value!r}")
+class JsonConfig:
+    """Base of the dataclass configs read from JSON objects.  A subclass's
+    __post_init__ calls this one, which refuses a field whose value, as
+    JSON can give, is not of its declared kind: an int field holding
+    64.5, 2.0, true or "8", a float field holding "0.1" or a bool field
+    holding 1.  Python and NumPy scalars pass."""
+
+    noun = "config"  # names the config in from_dict's errors
+
+    def __post_init__(self):
+        for f in fields(self):
+            kind, types = _FIELD_KINDS[f.type]
+            value = getattr(self, f.name)
+            if not isinstance(value, types) or (f.type is not bool
+                                                and isinstance(value, bool)):
+                raise ValueError(f"{f.name} must be {kind}, got {value!r}")
+
+    def to_dict(self):
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, obj):
+        """Refuses a value that is not an object and unknown keys."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"{cls.noun} must be a JSON object, got"
+                             f" {type(obj).__name__}")
+        unknown = set(obj) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown {cls.noun} fields: {sorted(unknown)}")
+        return cls(**obj)
+
+    @classmethod
+    def load(cls, path):
+        return cls.from_dict(read_json(path))

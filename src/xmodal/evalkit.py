@@ -16,7 +16,7 @@ figures.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -171,21 +171,11 @@ class MetricsReport:
     alignment: dict = field(default_factory=dict)
 
     def to_dict(self):
-        obj = {
-            "overall": self.overall,
-            "macro": self.macro,
-            "tail": self.tail,
-            "head": self.head,
-            "per_class": self.per_class,
-            "confusion": self.confusion.tolist(),
-            "tail_threshold": self.tail_threshold,
-            "head_threshold": self.head_threshold,
-            "n_test": self.n_test,
-            "k": self.k,
-            "taxa": self.taxa,
-        }
-        if self.alignment:
-            obj["alignment"] = self.alignment
+        """The fields as JSON values; `alignment` only when set."""
+        obj = {f.name: getattr(self, f.name) for f in fields(self)}
+        obj["confusion"] = self.confusion.tolist()
+        if not self.alignment:
+            del obj["alignment"]
         return obj
 
 

@@ -28,12 +28,13 @@ spec seed (streams: root, genus, species, individual, map, visual,
 split), so the same spec yields byte-identical output files.
 """
 
-import json
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .dataio import FeatureTable, SequenceRecord, SplitSpec, check_field_types
+from . import dataio
+from .dataio import FeatureTable, JsonConfig, SequenceRecord, SplitSpec
 from .seeds import derive_seed
 from .sgt import BASES, anchors_from_table, embed_sequences
 
@@ -41,7 +42,9 @@ TEST_FRACTION = 0.2
 
 
 @dataclass
-class SynthSpec:
+class SynthSpec(JsonConfig):
+    noun = "synth spec"
+
     genera: int = 4
     species_per_genus: int = 4
     head: int = 500
@@ -60,7 +63,7 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        check_field_types(self)
+        super().__post_init__()
         for name in ("genera", "species_per_genus", "head", "tail",
                      "seqs_per_species", "dim"):
             if getattr(self, name) < 1:
@@ -84,22 +87,6 @@ class SynthSpec:
     @property
     def n_classes(self):
         return self.genera * self.species_per_genus
-
-    def to_dict(self):
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, obj):
-        known = set(cls.__dataclass_fields__)
-        unknown = set(obj) - known
-        if unknown:
-            raise ValueError(f"unknown synth spec fields: {sorted(unknown)}")
-        return cls(**obj)
-
-    @classmethod
-    def load(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
 
 @dataclass
@@ -245,16 +232,10 @@ def generate(spec):
 def write_outputs(data, outdir):
     """Write sequences.fa, labels.csv, train.csv, test.csv, split.json,
     truth.json into `outdir` (which must exist)."""
-    from pathlib import Path
-
-    from . import dataio
-
     out = Path(outdir)
     dataio.write_fasta(data.records, out / "sequences.fa")
     dataio.write_labels_csv(data.seq_labels, out / "labels.csv")
     dataio.write_feature_csv(data.train_table, out / "train.csv")
     dataio.write_feature_csv(data.test_table, out / "test.csv")
-    dataio.write_split(data.split, out / "split.json")
-    with open(out / "truth.json", "w", encoding="utf-8") as fh:
-        json.dump(data.manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    dataio.write_json(asdict(data.split), out / "split.json")
+    dataio.write_json(data.manifest, out / "truth.json")

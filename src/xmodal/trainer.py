@@ -32,8 +32,7 @@ the resulting checkpoint.  Each stage draws its whole schedule of
 batches before its first step.
 """
 
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,7 +41,7 @@ from .seeds import derive_seed
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(dataio.JsonConfig):
     lr: float = 0.01
     batch_size: int = 64
     epochs_stage1: int = 20
@@ -61,7 +60,7 @@ class TrainConfig:
     classifier_init_scale: float = 0.35
 
     def __post_init__(self):
-        dataio.check_field_types(self)
+        super().__post_init__()
         if self.lr < 0:
             raise ValueError("lr must be non-negative")
         for name in ("batch_size", "d_in", "hidden", "embed_dim"):
@@ -81,25 +80,8 @@ class TrainConfig:
                 "alignment needs embed_dim equal to the genetic embedding"
                 f" dim 256, got {self.embed_dim}")
 
-    def to_dict(self):
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, obj):
-        unknown = set(obj) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        return cls(**obj)
-
-    @classmethod
-    def load(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        dataio.write_json(self.to_dict(), path)
 
 
 @dataclass
@@ -342,7 +324,5 @@ def write_history(histories, path):
     """Write one or more TrainHistory objects as history.json."""
     if isinstance(histories, TrainHistory):
         histories = [histories]
-    obj = {h.stage: h.to_json()["entries"] for h in histories}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    dataio.write_json({h.stage: h.to_json()["entries"] for h in histories},
+                      path)

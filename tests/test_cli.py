@@ -295,6 +295,84 @@ def test_config_values_of_the_wrong_kind_give_one_error_line(
     assert not (tmp_path / "ckpt.json").exists()
 
 
+# each flag that names a config or spec file -> the noun of its errors
+CONFIG_FLAGS = {"train --config": "config", "align --config": "config",
+                "synth --spec": "synth spec", "pipeline --spec": "synth spec",
+                "pipeline --config": "pipeline config"}
+
+# name -> (file bytes, the type a JSON object was expected in place of,
+# or None for a file that is not JSON or not UTF-8)
+NOT_OBJECT_FILES = {"int": (b"5", "int"), "null": (b"null", "NoneType"),
+                    "array": (b"[1]", "list"), "string": (b'"x"', "str"),
+                    "open-brace": (b"{", None), "not-utf8": (b"\xff", None),
+                    "too-deep": (b"[" * 100_000, None)}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_OBJECT_FILES))
+@pytest.mark.parametrize("flag", sorted(CONFIG_FLAGS))
+def test_config_files_that_are_not_json_objects_give_one_error_line(
+        chain, tmp_path, capsys, monkeypatch, flag, name):
+    text, kind = NOT_OBJECT_FILES[name]
+    path = tmp_path / "config.json"
+    path.write_bytes(text)
+    command, option = flag.split()
+    if command == "pipeline":
+        argv = [command, option, str(path), "--out", str(tmp_path / "data")]
+    else:
+        argv = _config_argv(chain, tmp_path, command, path)
+    seen = []
+
+    def stop(spec, pipe, out_dir):
+        seen.append(pipe)
+        raise ValueError("stopped before the run")
+
+    monkeypatch.setattr(cli, "run_pipeline", stop)
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    if flag == "pipeline --config" and name == "null":
+        # null is the empty config
+        assert err == "error: stopped before the run\n"
+        assert (seen[0].k, seen[0].train_overrides) == (5, {})
+    elif kind is None:
+        assert re.fullmatch(f"error: {re.escape(str(path))}: [^\n]+\n", err)
+    else:
+        assert (err == f"error: {CONFIG_FLAGS[flag]} must be a JSON object,"
+                       f" got {kind}\n")
+    assert not (tmp_path / "data").exists()
+    assert not (tmp_path / "ckpt.json").exists()
+
+
+def test_pipeline_checks_train_overrides_before_generating_data(
+        tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(synthgen, "generate", calls.append)
+    config_path = tmp_path / "pipe.json"
+    config_path.write_text(json.dumps({"train": {"lr": "x"}}))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["pipeline", "--config", str(config_path),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: lr must be a number, got 'x'\n"
+    assert calls == []
+    assert not out.exists()
+
+
+def test_pipeline_branches_set_ltr_and_align_over_the_overrides(monkeypatch):
+    seen = []
+
+    def stop(config, *args):
+        seen.append((config.ltr_enabled, config.align_enabled))
+        raise ValueError("stopped after the config")
+
+    monkeypatch.setattr(trainer, "train_stage1", stop)
+    pipe = PipelineConfig({"train": {**TINY_TRAIN, "ltr_enabled": "x",
+                                     "align_enabled": False}})
+    with pytest.raises(ValueError, match="stopped after the config"):
+        run_pipeline(SynthSpec.from_dict(TINY_SPEC), pipe)
+    assert sorted(seen) == [(False, True), (True, True)]
+
+
 def test_config_values_may_be_numpy_scalars():
     spec = SynthSpec.from_dict({**TINY_SPEC, "dim": np.int32(8),
                                 "seed": np.uint64(3), "ratio": np.float32(0.5)})
@@ -476,6 +554,11 @@ BAD_FEATURE_CSVS = {
                         "line 1: not UTF-8 text"),
     "quoted-field-too-long": (f'id,label,f0\na,0,1.0\n"{LONG_FIELD}",0,1.0\n',
                               f"line 3: {FIELD_LIMIT}"),
+    "field-too-long": (f"id,label,f0\na,0,1.0\n{LONG_FIELD},0,1.0\n",
+                       f"line 3: {FIELD_LIMIT}"),
+    # 1.000...0, one character over the limit
+    "value-too-long": (f"id,label,f0\na,0,1.{'0' * 131_071}\n",
+                       f"line 2: {FIELD_LIMIT}"),
 }
 
 
@@ -753,6 +836,27 @@ def test_third_party_imports_are_declared_dependencies():
                 for dep in _pyproject("project", "dependencies")}
     assert "numpy" in third_party
     assert third_party <= declared, sorted(third_party - declared)
+
+
+def test_json_files_are_read_and_written_only_by_dataio():
+    """src/xmodal calls json's dump and load functions only in dataio's
+    read_json and write_json, and in embednet's checkpoint code, whose
+    compact layout is its own."""
+    allowed = {("dataio", "read_json"), ("dataio", "write_json"),
+               ("embednet", "_dumps"), ("embednet", "load_checkpoint")}
+    found = set()
+    for path in Path(xmodal.__file__).resolve().parent.rglob("*.py"):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            where = (path.stem, getattr(top, "name", "<module>"))
+            for node in ast.walk(top):
+                if (isinstance(node, ast.ImportFrom) and node.module == "json"
+                        or isinstance(node, ast.Attribute)
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == "json"
+                        and node.attr in ("dump", "dumps", "load", "loads")):
+                    found.add(where)
+    assert ("dataio", "write_json") in found
+    assert found <= allowed, sorted(found - allowed)
 
 
 def test_console_script_is_installed():

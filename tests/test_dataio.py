@@ -178,7 +178,9 @@ def _same_bytes_as_writer_oracle(table, tmp_path):
 @given(matrix=arrays(np.float64, st.tuples(st.integers(1, 5),
                                            st.integers(1, 12)),
                     elements=st.floats(allow_nan=False, allow_infinity=False)),
-       ids=st.lists(st.text(st.characters(blacklist_categories=("Cs",)),
+       # any id the writer accepts: no comma, quote or line end
+       ids=st.lists(st.text(st.characters(blacklist_categories=("Cs",),
+                                          blacklist_characters=',"\r\n'),
                             max_size=6), min_size=5, max_size=5, unique=True),
        labels=st.lists(st.integers(0, 2**63 - 1), min_size=5, max_size=5))
 def test_feature_csv_writer_equals_repr_writer(tmp_path_factory, matrix, ids,
@@ -310,6 +312,16 @@ def test_feature_bin_refuses_ids_the_id_label_table_cannot_hold(tmp_path, rid):
     table = FeatureTable(["s 1", "\u00e9t\u00e9"], [0, 1], np.zeros((2, 3)))
     write_feature_bin(table, path)
     assert read_feature_bin(path).ids == table.ids
+
+
+@pytest.mark.parametrize("rid", ["a,b", '"a', 'a"b', "a\nb", "a\rb"])
+def test_feature_csv_refuses_ids_a_record_cannot_hold(tmp_path, rid):
+    table = FeatureTable(["ok", rid], [0, 1], np.zeros((2, 3)))
+    path = tmp_path / "features.csv"
+    with pytest.raises(ValueError) as info:
+        write_feature_csv(table, path)
+    assert str(info.value) == f"id {rid!r} holds a comma, a quote or a line end"
+    assert not path.exists()
 
 
 # valid files that csv reads with its line ends, quoting and blank rows
