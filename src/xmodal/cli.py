@@ -322,6 +322,8 @@ def run_pipeline(spec, pipe_config=None, out_dir=None):
         "d_in": spec.dim, "embed_dim": 256, "seed": spec.seed,
         **pipe.train_overrides, "ltr_enabled": True, "align_enabled": True})
     data = synthgen.generate(spec)
+    if out_dir is not None:  # an output path that cannot be made fails here
+        (Path(out_dir) / "data").mkdir(parents=True, exist_ok=True)
     anchor_table = _anchor_table(data.genetic)
     anchors = _anchors_by_taxon(anchor_table)
     train, test = data.train_table, data.test_table
@@ -357,7 +359,6 @@ def run_pipeline(spec, pipe_config=None, out_dir=None):
 
     if out_dir is not None:
         out = Path(out_dir)
-        (out / "data").mkdir(parents=True, exist_ok=True)
         synthgen.write_outputs(data, out / "data")
         dataio.write_feature_csv(data.genetic, out / "genetic.csv")
         dataio.write_feature_csv(anchor_table, out / "anchors.csv")

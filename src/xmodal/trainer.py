@@ -1,7 +1,8 @@
 """Two-stage training of the projection head.
 
 The losses live in `losses` (softmax_rtl_batch, cosine_align_batch);
-this module samples the batches, runs the head and steps the weights.
+this module samples the batches and runs the one SGD loop that both
+stages call, each with its own batch draw and batch loss.
 
 Stage 1 (metric pretraining): uniform random triplets, per batch the
 anchor's logits feed a cross-entropy term and the three embeddings feed
@@ -28,7 +29,7 @@ split).
 Everything is driven by seeded generators in a documented draw order
 (per triplet: anchor, positive, negative in stage 1; taxon, positive,
 negative in stage 2), so a (config, data, seed) tuple fully determines
-the resulting checkpoint.  Each stage draws its whole schedule of
+the resulting checkpoint.  The loop draws a run's whole schedule of
 batches before its first step.
 """
 
@@ -98,9 +99,6 @@ class TrainHistory:
             "components": {k: float(v) for k, v in components.items()},
         })
 
-    def to_json(self):
-        return {"stage": self.stage, "entries": self.entries}
-
 
 def _triplet_tables(labels):
     """Validated index tables for sample_triplets: (labels, eligible
@@ -145,16 +143,6 @@ def sample_triplets(labels, batch_size, rng, tables=None):
     return triplets
 
 
-def _run_setup(params, epochs, batch_size, n_items):
-    """(float64 master head, float32 working head, float32 gradient head,
-    SGD scratch, batches per epoch) of one run; a run with epochs trains
-    a copy of the master, so `params` is never written."""
-    return (params.copy() if epochs else params,
-            embednet.HeadParams.empty(params.dims, np.float32),
-            embednet.HeadParams.empty(params.dims, np.float32),
-            np.empty(embednet.SGD_BLOCK), -(-int(n_items) // int(batch_size)))
-
-
 def _float32_features(x):
     """The (N, D) training features as float32, cast once per run."""
     with np.errstate(over="ignore"):
@@ -179,21 +167,63 @@ def _check_loss(value, stage, epoch, batch_idx, components):
             f" batch {batch_idx} ({parts})")
 
 
+def _sgd_loop(stage, config, params, x, draw, batch_loss,
+              frozen_classifier=False):
+    """Train the head `params` on the (N, D) features `x` for the stage's
+    epochs; returns (HeadParams, TrainHistory) and never writes `params`.
+    `draw()` gives one batch, (rows of `x`, key); the whole schedule is
+    drawn before the first step.  `batch_loss(key, embedding, logits)`
+    gives (loss, {component: value}, d_embedding row blocks, d_logits).
+    ltr_enabled turns on weight decay and, unless the classifier is
+    frozen, the max-norm cap after each step."""
+    if x.shape[1] != params.dims[0]:
+        raise ValueError(f"feature dim {x.shape[1]} != head d_in {params.dims[0]}")
+    x32 = _float32_features(x)
+    epochs = getattr(config, f"epochs_{stage}")
+    batches = -(-x.shape[0] // config.batch_size)
+    schedule = [draw() for _ in range(epochs * batches)]
+    wd = config.weight_decay if config.ltr_enabled else 0.0
+    params = params.copy() if epochs else params
+    work = embednet.HeadParams.empty(params.dims, np.float32)
+    grads = embednet.HeadParams.empty(params.dims, np.float32)
+    scratch = np.empty(embednet.SGD_BLOCK)
+    np.copyto(work.flat, params.flat)
+    history = TrainHistory(stage)
+    for epoch in range(epochs):
+        sums = 0.0  # the loss, then each component
+        for batch_idx in range(batches):
+            rows, key = schedule[epoch * batches + batch_idx]
+            emb, logits, cache = embednet.forward(work, x32[rows])
+            loss, parts, d_emb, d_log = batch_loss(key, emb, logits)
+            _check_loss(loss, stage, epoch, batch_idx, parts)
+            embednet.backward(cache, np.concatenate(d_emb), d_log, out=grads)
+            embednet.sgd_step(params, grads, config.lr, wd,
+                              projection_only=frozen_classifier,
+                              scratch=scratch, work=work)
+            if config.ltr_enabled and not frozen_classifier:
+                params = _apply_maxnorm(params, config.maxnorm_delta,
+                                        "classifier")
+                np.copyto(work.Wc, params.Wc)  # the cap moves Wc alone
+            sums += np.array((loss, *parts.values()))
+        mean = sums / batches
+        history.record(epoch, mean[0], dict(zip(parts, mean[1:])))
+    return params, history
+
+
 def train_stage1(config, train_features, labels, params=None):
     """Metric pretraining; returns (HeadParams, TrainHistory).
 
     Classifier row i is the i-th smallest taxon id in `labels`.  The head
     is initialized from derive_seed(seed, 'init') unless an existing
-    `params` is passed in.  With ltr_enabled, weight decay is applied in
-    every step and the max-norm projection follows each step; without it
-    both devices are off, which is the naive baseline.
+    `params` is passed in; the features need the head's d_in columns.
+    With ltr_enabled, weight decay is applied in every step and the
+    max-norm projection follows each step; without it both devices are
+    off, which is the naive baseline.
     """
     x = np.asarray(train_features, dtype=np.float64)
     labels = np.asarray(labels)
     if x.ndim != 2 or x.shape[0] != labels.shape[0]:
         raise ValueError("features must be (N, D) aligned with labels")
-    if x.shape[1] != config.d_in:
-        raise ValueError(f"feature dim {x.shape[1]} != config d_in {config.d_in}")
     taxa, codes = np.unique(labels, return_inverse=True)
     if taxa.size < 2:
         raise ValueError("stage 1 needs >= 2 classes")
@@ -203,44 +233,23 @@ def train_stage1(config, train_features, labels, params=None):
                                     taxa.size, derive_seed(config.seed, "init"),
                                     scale=config.init_scale,
                                     classifier_scale=config.classifier_init_scale)
-    params, work, grads, scratch, batches = _run_setup(
-        params, config.epochs_stage1, config.batch_size, x.shape[0])
-    x32 = _float32_features(x)
     tables = _triplet_tables(codes)
     rng = np.random.default_rng(derive_seed(config.seed, "stage1"))
-    wd = config.weight_decay if config.ltr_enabled else 0.0
-    history = TrainHistory("stage1")
+    b = config.batch_size
 
-    # the whole run's batches, drawn before any step: anchors, positives,
-    # negatives of each batch
-    schedule = [np.array(sample_triplets(codes, config.batch_size, rng,
-                                         tables)).T.ravel()
-                for _ in range(config.epochs_stage1 * batches)]
-    np.copyto(work.flat, params.flat)
-    for epoch in range(config.epochs_stage1):
-        sums = np.zeros(3)  # loss, softmax part, rtl part
-        for batch_idx in range(batches):
-            rows = schedule[epoch * batches + batch_idx]
-            emb, logits, cache = embednet.forward(work, x32[rows])
-            b = config.batch_size
-            loss, ce_part, rtl_part, d_logits_a, *d_emb = (
-                losses.softmax_rtl_batch(logits[:b], codes[rows[:b]],
-                                         *np.split(emb, 3), config.mix_lambda))
-            _check_loss(loss, "stage1", epoch, batch_idx,
-                        {"softmax": ce_part, "rtl": rtl_part})
-            d_log = np.zeros_like(logits)
-            d_log[:b] = d_logits_a
-            embednet.backward(cache, np.concatenate(d_emb), d_log, out=grads)
-            embednet.sgd_step(params, grads, config.lr, wd, scratch=scratch,
-                              work=work)
-            if config.ltr_enabled:
-                params = _apply_maxnorm(params, config.maxnorm_delta,
-                                        "classifier")
-                np.copyto(work.Wc, params.Wc)  # the cap moves Wc alone
-            sums += (loss, ce_part, rtl_part)
-        mean = sums / batches
-        history.record(epoch, mean[0], {"softmax": mean[1], "rtl": mean[2]})
-    return params, history
+    def draw():  # anchors, positives, negatives, and the anchors' classes
+        rows = np.array(sample_triplets(codes, b, rng, tables)).T.ravel()
+        return rows, codes[rows[:b]]
+
+    def batch_loss(classes, emb, logits):
+        loss, ce_part, rtl_part, d_logits_a, *d_emb = (
+            losses.softmax_rtl_batch(logits[:b], classes, *np.split(emb, 3),
+                                     config.mix_lambda))
+        d_log = np.zeros_like(logits)
+        d_log[:b] = d_logits_a
+        return loss, {"softmax": ce_part, "rtl": rtl_part}, d_emb, d_log
+
+    return _sgd_loop("stage1", config, params, x, draw, batch_loss)
 
 
 def _anchor_matrix(anchors, present_taxa):
@@ -283,46 +292,30 @@ def align_stage2(config, params, anchors, train_features, labels):
         raise ValueError("zero-norm genetic anchor has no direction")
     per_taxon = {int(t): np.flatnonzero(labels == t) for t in present}
     other_taxa = {int(t): np.flatnonzero(labels != t) for t in present}
-
-    params, work, grads, scratch, batches = _run_setup(
-        params, config.epochs_stage2, config.batch_size, x.shape[0])
-    x32, anchor32 = _float32_features(x), anchor_mat.astype(np.float32)
+    anchor32 = anchor_mat.astype(np.float32)
     rng = np.random.default_rng(derive_seed(config.seed, "stage2"))
-    wd = config.weight_decay if config.ltr_enabled else 0.0
-    history = TrainHistory("stage2")
 
-    def draw_batch():
+    def draw():  # positives and negatives, and the anchors' taxon indices
         drawn = []  # (taxon index, positive, negative), in draw order
         for _ in range(config.batch_size):
             j = rng.integers(present.size)
             t = int(present[j])
             p = per_taxon[t][rng.integers(per_taxon[t].size)]
             drawn.append((j, p, other_taxa[t][rng.integers(other_taxa[t].size)]))
-        return np.array(drawn).T
+        taxa, *pos_neg = np.array(drawn).T
+        return np.concatenate(pos_neg), taxa
 
-    # the whole run's batches, drawn before any step
-    schedule = [draw_batch() for _ in range(config.epochs_stage2 * batches)]
-    np.copyto(work.flat, params.flat)
-    for epoch in range(config.epochs_stage2):
-        loss_sum = 0.0
-        for batch_idx in range(batches):
-            taxa, *pos_neg = schedule[epoch * batches + batch_idx]
-            emb, _, cache = embednet.forward(work, x32[np.concatenate(pos_neg)])
-            loss, *d_emb = losses.cosine_align_batch(
-                anchor32[taxa], *np.split(emb, 2), config.margin_m)
-            _check_loss(loss, "stage2", epoch, batch_idx, {"cosine": loss})
-            embednet.backward(cache, np.concatenate(d_emb),
-                              np.zeros_like(cache.logits), out=grads)
-            embednet.sgd_step(params, grads, config.lr, wd,
-                              projection_only=True, scratch=scratch, work=work)
-            loss_sum += loss
-        history.record(epoch, loss_sum / batches, {"cosine": loss_sum / batches})
-    return params, history
+    def batch_loss(taxa, emb, logits):
+        loss, *d_emb = losses.cosine_align_batch(
+            anchor32[taxa], *np.split(emb, 2), config.margin_m)
+        return loss, {"cosine": loss}, d_emb, np.zeros_like(logits)
+
+    return _sgd_loop("stage2", config, params, x, draw, batch_loss,
+                     frozen_classifier=True)
 
 
 def write_history(histories, path):
     """Write one or more TrainHistory objects as history.json."""
     if isinstance(histories, TrainHistory):
         histories = [histories]
-    dataio.write_json({h.stage: h.to_json()["entries"] for h in histories},
-                      path)
+    dataio.write_json({h.stage: h.entries for h in histories}, path)

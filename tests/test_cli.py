@@ -513,6 +513,23 @@ def test_align_rejects_two_anchors_for_one_taxon(chain, tmp_path, capsys):
     assert not (tmp_path / "aligned.json").exists()
 
 
+def test_align_rejects_features_of_another_width(chain, tmp_path, capsys):
+    table = dataio.load_feature_csv(chain / "data" / "train.csv")
+    features = tmp_path / "wide.csv"
+    dataio.write_feature_csv(dataio.FeatureTable(
+        table.ids, table.labels, np.hstack([table.matrix, table.matrix])),
+        features)
+    capsys.readouterr()
+    rc = main(["align", "--config", str(chain / "config.json"),
+               "--ckpt", str(chain / "ckpt.json"),
+               "--anchors", str(chain / "anchors.csv"),
+               "--features", str(features),
+               "--out", str(tmp_path / "aligned.json")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: feature dim 16 != head d_in 8\n"
+    assert not (tmp_path / "aligned.json").exists()
+
+
 # rejected feature CSVs, with the message after the path; "\udcff" is
 # written as the byte 0xff
 BAD_FEATURE_CSVS = {
@@ -667,6 +684,24 @@ def test_pipeline_config_of_the_wrong_json_type_fails_before_training(
     assert capsys.readouterr().err == f"error: {message}\n"
     assert calls == []
     assert not out.exists()
+
+
+def test_pipeline_out_that_cannot_be_made_fails_before_training(
+        tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(trainer, "train_stage1",
+                        lambda *args, **kwargs: calls.append(args))
+    config_path = tmp_path / "pipe.json"
+    config_path.write_text(json.dumps(
+        {"k": 3, "train": TINY_TRAIN, "synth_spec": TINY_SPEC}))
+    out = tmp_path / "a-file"
+    out.write_text("")
+    capsys.readouterr()
+    assert main(["pipeline", "--config", str(config_path),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert calls == []
 
 
 def test_run_pipeline_embeds_each_sequence_once(monkeypatch, tmp_path):

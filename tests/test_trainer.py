@@ -1,7 +1,9 @@
-"""Two-stage training tests: config, sampling, both loops."""
+"""Two-stage training tests: config, sampling, the shared loop."""
 
+import ast
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,6 +305,56 @@ def test_train_stage1_warm_start_and_validation():
         train_stage1(toy_config(), x, np.zeros(len(x), dtype=int))
 
 
+def test_both_stages_check_the_feature_width_before_any_draw(monkeypatch):
+    x, labels = toy_data()
+    anchors = anchors_for(labels, 5)
+    wide = embednet.init_head(9, 8, 5, 3, seed=0)
+    draws = []
+    real_default_rng = np.random.default_rng
+
+    class CountedGenerator:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def integers(self, *args, **kwargs):
+            draws.append(1)
+            return self.rng.integers(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: CountedGenerator(real_default_rng(seed)))
+    message = "feature dim 6 != head d_in 9"
+    with pytest.raises(ValueError, match=message):
+        train_stage1(toy_config(), x, labels, params=wide)
+    with pytest.raises(ValueError, match=message):
+        align_stage2(toy_config(), wide, anchors, x, labels)
+    assert draws == []
+
+
+def test_only_a_classifier_that_moves_is_capped(monkeypatch):
+    calls = []
+    real_cap = trainer._apply_maxnorm
+
+    def cap(params, delta, scope):
+        calls.append(scope)
+        return real_cap(params, delta, scope)
+
+    monkeypatch.setattr(trainer, "_apply_maxnorm", cap)
+    x, labels = toy_data(seed=5)
+    config = toy_config(maxnorm_delta=0.5)
+    steps = config.epochs_stage1 * -(-len(labels) // config.batch_size)
+    train_stage1(config, x, labels)
+    assert calls == ["classifier"] * steps
+    calls.clear()
+    train_stage1(toy_config(ltr_enabled=False), x, labels)
+    assert calls == []
+    # stage 2 starts from classifier rows far over the cap and keeps them
+    start = embednet.init_head(6, 8, 5, 3, seed=2, classifier_scale=5.0)
+    assert np.linalg.norm(start.Wc, axis=1).min() > config.maxnorm_delta
+    aligned, _ = align_stage2(config, start, anchors_for(labels, 5), x, labels)
+    assert calls == []
+    assert aligned.Wc.tobytes() == start.Wc.tobytes()
+
+
 def test_anchor_matrix_has_one_row_per_present_taxon():
     vecs = {0: np.array([1.0, 0.0]), 2: np.array([0.0, 2.0]),
             5: np.array([3.0, 3.0])}
@@ -412,3 +464,17 @@ def test_history_record_and_write(tmp_path):
     obj = json.loads(path.read_text())
     assert set(obj) == {"stage1", "stage2"}
     assert obj["stage1"][0]["mean_loss"] == 2.0
+
+
+def test_trainer_runs_one_training_loop():
+    """trainer.py calls embednet's forward, backward and sgd_step once
+    each, in the one SGD loop both stages share."""
+    tree = ast.parse(Path(trainer.__file__).read_text(encoding="utf-8"))
+    calls = [node.func.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and isinstance(node.func.value, ast.Name)
+             and node.func.value.id == "embednet"]
+    assert {name: calls.count(name)
+            for name in ("forward", "backward", "sgd_step")} == {
+        "forward": 1, "backward": 1, "sgd_step": 1}
