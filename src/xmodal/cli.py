@@ -219,38 +219,22 @@ def cmd_layout(args):
     return 0
 
 
-class PipelineConfig:
-    """Optional JSON config for `pipeline`: {"train": {TrainConfig fields},
-    "k": int, "synth_spec": "default"|path|{SynthSpec fields}}; None is
-    the empty config.  Unknown keys and values of the wrong JSON type are
-    rejected.
-    """
+@dataclasses.dataclass
+class PipelineConfig(dataio.JsonConfig):
+    """Optional JSON config for `pipeline`: `train` (TrainConfig
+    overrides), `k` (KNN neighbours, >= 1) and `synth_spec` ("default",
+    a spec path or SynthSpec fields)."""
 
-    KEYS = {"train", "k", "synth_spec"}
+    noun = "pipeline config"
+    train: dict = dataclasses.field(default_factory=dict)
+    k: int = 5
+    synth_spec: str | dict = "default"
 
-    def __init__(self, obj=None):
-        obj = {} if obj is None else obj
-        if not isinstance(obj, dict):
-            raise ValueError("pipeline config must be a JSON object, got"
-                             f" {type(obj).__name__}")
-        unknown = set(obj) - self.KEYS
-        if unknown:
-            raise ValueError(f"unknown pipeline config keys: {sorted(unknown)}")
-        train = obj.get("train", {})
-        if not isinstance(train, dict):
-            raise ValueError("train must be a JSON object, got"
-                             f" {type(train).__name__}")
-        self.train_overrides = dict(train)
-        k = obj.get("k", 5)
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-            raise ValueError(f"k must be an integer, got {k!r}")
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        self.k = int(k)
-        self.synth_spec = obj.get("synth_spec", "default")
-        if not isinstance(self.synth_spec, (str, dict)):
-            raise ValueError("synth_spec must be \"default\", a path or a JSON"
-                             f" object, got {type(self.synth_spec).__name__}")
+    def __post_init__(self):
+        super().__post_init__()
+        if self.k < 1:
+            raise ValueError(f"k must be >= 1, got {self.k}")
+        self.k = int(self.k)
 
 
 # (get, set) symbol names of the BLAS thread count: the scipy-openblas
@@ -320,7 +304,7 @@ def run_pipeline(spec, pipe_config=None, out_dir=None):
     pipe = pipe_config or PipelineConfig()
     train_config = TrainConfig.from_dict({
         "d_in": spec.dim, "embed_dim": 256, "seed": spec.seed,
-        **pipe.train_overrides, "ltr_enabled": True, "align_enabled": True})
+        **pipe.train, "ltr_enabled": True, "align_enabled": True})
     data = synthgen.generate(spec)
     if out_dir is not None:  # an output path that cannot be made fails here
         (Path(out_dir) / "data").mkdir(parents=True, exist_ok=True)
@@ -374,12 +358,13 @@ def run_pipeline(spec, pipe_config=None, out_dir=None):
 
 
 def cmd_pipeline(args):
-    obj = dataio.read_json(args.config) if args.config else {}
-    # one check covers the flag and the config; PipelineConfig rejects
-    # a config that is not an object
-    if args.k is not None and isinstance(obj, (dict, type(None))):
-        obj = {**(obj or {}), "k": args.k}
-    pipe = PipelineConfig(obj)
+    obj = dataio.read_json(args.config) if args.config else None
+    obj = {} if obj is None else obj  # null is the empty config
+    # one check covers the flag and the config; from_dict refuses a
+    # config that is not an object
+    if args.k is not None and isinstance(obj, dict):
+        obj = {**obj, "k": args.k}
+    pipe = PipelineConfig.from_dict(obj)
     spec = _load_synth_spec(args.spec if args.spec is not None
                             else pipe.synth_spec, args.seed)
     report = run_pipeline(spec, pipe, out_dir=args.out)

@@ -17,13 +17,13 @@ features.csv   header ``id,label,f0,...,f{D-1}``; one row per item;
 features.vgfb  little-endian binary: magic ``VGFB``, u32 version (=1),
                u32 N, u32 D, N*D float32 row-major, u64 byte length of
                the trailing id/label table, then that table as CSV
-               bytes (header ``id,label``).
+               bytes (header ``id,label``), which end the file.
 labels.csv     header ``sequence_id,taxon_id``; maps sequences to taxa.
 counts.csv     ``id,taxon_id`` rows tallied per taxon, or
                ``taxon_id[,name],train_count`` rows.
 split.json     object with ``train`` and ``test`` arrays of item ids.
-config JSON    an object of JsonConfig fields (TrainConfig, SynthSpec);
-               any other value or key is refused.
+config JSON    an object of JsonConfig fields (TrainConfig, SynthSpec,
+               PipelineConfig); any other value or key is refused.
 
 features.csv, labels.csv, counts.csv and the ``.vgfb`` id/label table
 follow one record rule: a record ends at a line feed, a carriage return
@@ -424,9 +424,12 @@ def read_feature_bin(path):
         matrix = np.frombuffer(data, "<f4", n * dim, 16).reshape(n, dim)
         (block_len,) = struct.unpack_from("<Q", data, off)
         off += 8
-        if len(data) < off + block_len:
+        extra = len(data) - off - block_len
+        if extra < 0:
             raise ValueError("truncated id/label table")
-        records = iter(data[off:off + block_len].splitlines())
+        if extra:
+            raise ValueError(f"{extra} bytes after the id/label table")
+        records = iter(data[off:].splitlines())
         header = _fields(next(records, b""), "id/label table line 1")
         if header != ["id", "label"]:
             raise ValueError(f"bad id/label table header {header}")
@@ -545,10 +548,12 @@ def write_json(obj, path):
         fh.write("\n")
 
 
-# what a config field declared bool, int or float must hold
+# what a config field of each declared type must hold
 _FIELD_KINDS = {bool: ("true or false", (bool, np.bool_)),
                 int: ("an integer", (int, np.integer)),
-                float: ("a number", (int, float, np.integer, np.floating))}
+                float: ("a number", (int, float, np.integer, np.floating)),
+                dict: ("a JSON object", dict),
+                str | dict: ("a string or a JSON object", (str, dict))}
 
 
 class JsonConfig:

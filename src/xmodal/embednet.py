@@ -88,6 +88,11 @@ class HeadParams:
     def copy(self):
         return HeadParams.__new__(HeadParams)._bind(self.flat.copy(), self.dims)
 
+    def check_width(self, d):
+        """Refuse features of `d` columns unless the head takes d_in = d."""
+        if d != self.dims[0]:
+            raise ValueError(f"feature dim {d} != head d_in {self.dims[0]}")
+
 
 @dataclass
 class ForwardCache:

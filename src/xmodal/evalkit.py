@@ -55,6 +55,7 @@ def embed_features(params, table):
     of at most EMBED_BLOCK rows written into one (N, E) float64 array, so
     the hidden activations are bounded by a block; each row's embedding
     is bit for bit the one a single pass over the whole table gives."""
+    params.check_width(table.dim)
     emb = np.empty((table.n, params.dims[2]))
     for lo, hi in _blocks(table.n, EMBED_BLOCK):
         emb[lo:hi] = embednet.forward(params, table.matrix[lo:hi])[0]

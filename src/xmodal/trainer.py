@@ -81,9 +81,6 @@ class TrainConfig(dataio.JsonConfig):
                 "alignment needs embed_dim equal to the genetic embedding"
                 f" dim 256, got {self.embed_dim}")
 
-    def save(self, path):
-        dataio.write_json(self.to_dict(), path)
-
 
 @dataclass
 class TrainHistory:
@@ -176,8 +173,7 @@ def _sgd_loop(stage, config, params, x, draw, batch_loss,
     gives (loss, {component: value}, d_embedding row blocks, d_logits).
     ltr_enabled turns on weight decay and, unless the classifier is
     frozen, the max-norm cap after each step."""
-    if x.shape[1] != params.dims[0]:
-        raise ValueError(f"feature dim {x.shape[1]} != head d_in {params.dims[0]}")
+    params.check_width(x.shape[1])
     x32 = _float32_features(x)
     epochs = getattr(config, f"epochs_{stage}")
     batches = -(-x.shape[0] // config.batch_size)

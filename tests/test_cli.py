@@ -333,7 +333,7 @@ def test_config_files_that_are_not_json_objects_give_one_error_line(
     if flag == "pipeline --config" and name == "null":
         # null is the empty config
         assert err == "error: stopped before the run\n"
-        assert (seen[0].k, seen[0].train_overrides) == (5, {})
+        assert (seen[0].k, seen[0].train) == (5, {})
     elif kind is None:
         assert re.fullmatch(f"error: {re.escape(str(path))}: [^\n]+\n", err)
     else:
@@ -366,8 +366,8 @@ def test_pipeline_branches_set_ltr_and_align_over_the_overrides(monkeypatch):
         raise ValueError("stopped after the config")
 
     monkeypatch.setattr(trainer, "train_stage1", stop)
-    pipe = PipelineConfig({"train": {**TINY_TRAIN, "ltr_enabled": "x",
-                                     "align_enabled": False}})
+    pipe = PipelineConfig.from_dict(
+        {"train": {**TINY_TRAIN, "ltr_enabled": "x", "align_enabled": False}})
     with pytest.raises(ValueError, match="stopped after the config"):
         run_pipeline(SynthSpec.from_dict(TINY_SPEC), pipe)
     assert sorted(seen) == [(False, True), (True, True)]
@@ -513,21 +513,26 @@ def test_align_rejects_two_anchors_for_one_taxon(chain, tmp_path, capsys):
     assert not (tmp_path / "aligned.json").exists()
 
 
-def test_align_rejects_features_of_another_width(chain, tmp_path, capsys):
+@pytest.mark.parametrize("command", ["align", "eval", "layout"])
+def test_align_rejects_features_of_another_width(chain, tmp_path, capsys,
+                                                 command):
     table = dataio.load_feature_csv(chain / "data" / "train.csv")
     features = tmp_path / "wide.csv"
     dataio.write_feature_csv(dataio.FeatureTable(
         table.ids, table.labels, np.hstack([table.matrix, table.matrix])),
         features)
+    out = tmp_path / "out"
+    argv = {"align": ["--config", str(chain / "config.json"),
+                      "--anchors", str(chain / "anchors.csv"),
+                      "--features", str(features)],
+            "eval": ["--gallery", str(features), "--queries", str(features)],
+            "layout": ["--features", str(features)]}[command]
     capsys.readouterr()
-    rc = main(["align", "--config", str(chain / "config.json"),
-               "--ckpt", str(chain / "ckpt.json"),
-               "--anchors", str(chain / "anchors.csv"),
-               "--features", str(features),
-               "--out", str(tmp_path / "aligned.json")])
+    rc = main([command, "--ckpt", str(chain / "ckpt.json"), *argv,
+               "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err == "error: feature dim 16 != head d_in 8\n"
-    assert not (tmp_path / "aligned.json").exists()
+    assert not out.exists()
 
 
 # rejected feature CSVs, with the message after the path; "\udcff" is
@@ -614,14 +619,24 @@ def test_train_rejects_features_beyond_float32(tmp_path, capsys):
 
 
 def test_pipeline_config_validation():
-    with pytest.raises(ValueError, match="unknown pipeline config keys"):
-        PipelineConfig({"learning_rate": 0.1})
+    with pytest.raises(ValueError, match="unknown pipeline config fields"):
+        PipelineConfig.from_dict({"learning_rate": 0.1})
     # eval has no threshold flags, so pipeline takes none either
     for key in ("tail_threshold", "head_threshold"):
         with pytest.raises(ValueError, match=key):
-            PipelineConfig({key: 10})
-    pipe = PipelineConfig({"k": 3, "train": {"epochs_stage1": 1}})
-    assert pipe.k == 3 and pipe.train_overrides == {"epochs_stage1": 1}
+            PipelineConfig.from_dict({key: 10})
+    pipe = PipelineConfig.from_dict({"k": 3, "train": {"epochs_stage1": 1}})
+    assert pipe.k == 3 and pipe.train == {"epochs_stage1": 1}
+
+
+def test_configs_round_trip_through_to_dict():
+    pipe = PipelineConfig.from_dict(
+        {"train": {"epochs_stage1": 1, "lr": 0.5}, "k": 3,
+         "synth_spec": TINY_SPEC})
+    for config in (trainer.TrainConfig(lr=0.5), SynthSpec.from_dict(TINY_SPEC),
+                   pipe):
+        assert type(config).from_dict(config.to_dict()) == config
+    assert PipelineConfig() == PipelineConfig.from_dict({})
 
 
 @pytest.mark.parametrize("k, message", [
@@ -665,9 +680,8 @@ def test_pipeline_k_flag_fails_before_any_training(tmp_path, capsys,
 
 @pytest.mark.parametrize("config, message", [
     ([1], "pipeline config must be a JSON object, got list"),
-    ({"train": [1]}, "train must be a JSON object, got list"),
-    ({"synth_spec": 3},
-     'synth_spec must be "default", a path or a JSON object, got int'),
+    ({"train": [1]}, "train must be a JSON object, got [1]"),
+    ({"synth_spec": 3}, "synth_spec must be a string or a JSON object, got 3"),
 ])
 @pytest.mark.parametrize("k_flag", [[], ["--k", "3"]])
 def test_pipeline_config_of_the_wrong_json_type_fails_before_training(
@@ -715,7 +729,7 @@ def test_run_pipeline_embeds_each_sequence_once(monkeypatch, tmp_path):
     monkeypatch.setattr(sgt, "embed_sequences", spy)
     monkeypatch.setattr(synthgen, "embed_sequences", spy)
     spec = SynthSpec.from_dict(TINY_SPEC)
-    run_pipeline(spec, PipelineConfig({"k": 3, "train": TINY_TRAIN}),
+    run_pipeline(spec, PipelineConfig.from_dict({"k": 3, "train": TINY_TRAIN}),
                  out_dir=tmp_path / "out")
     assert len(calls) == 1
     data = synthgen.generate(spec)
@@ -735,7 +749,7 @@ def test_pipeline_branches_run_on_one_blas_thread(monkeypatch):
     get_threads, _ = blas
     prior = get_threads()
     spec = SynthSpec.from_dict(TINY_SPEC)
-    pipe = PipelineConfig({"k": 3, "train": TINY_TRAIN})
+    pipe = PipelineConfig.from_dict({"k": 3, "train": TINY_TRAIN})
     seen = []
     real_stage1 = trainer.train_stage1
 
@@ -762,7 +776,7 @@ def test_pipeline_branches_run_on_one_blas_thread(monkeypatch):
 
 def test_run_pipeline_report_and_artifacts(tmp_path):
     spec = SynthSpec.from_dict(TINY_SPEC)
-    pipe = PipelineConfig({"k": 3, "train": TINY_TRAIN})
+    pipe = PipelineConfig.from_dict({"k": 3, "train": TINY_TRAIN})
     report = run_pipeline(spec, pipe, out_dir=tmp_path)
     assert set(report) == {"naive", "naive+A", "wd+m", "wd+m+A"}
     for tag in ("naive+A", "wd+m+A"):
@@ -784,7 +798,7 @@ def test_pipeline_files_equal_subcommand_chain(chain, tmp_path):
     """`pipeline --out` writes byte for byte what the subcommands write."""
     out = tmp_path / "pipe"
     report = run_pipeline(SynthSpec.from_dict(TINY_SPEC),
-                          PipelineConfig({"k": 3, "train": TINY_TRAIN}),
+                          PipelineConfig.from_dict({"k": 3, "train": TINY_TRAIN}),
                           out_dir=out)
     pairs = [("data/sequences.fa", "data/sequences.fa"),
              ("data/train.csv", "data/train.csv"),
@@ -803,7 +817,7 @@ def test_pipeline_files_equal_subcommand_chain(chain, tmp_path):
 
 def test_run_pipeline_is_deterministic():
     spec = SynthSpec.from_dict(TINY_SPEC)
-    pipe = PipelineConfig({"k": 3, "train": TINY_TRAIN})
+    pipe = PipelineConfig.from_dict({"k": 3, "train": TINY_TRAIN})
     one = run_pipeline(spec, pipe)
     two = run_pipeline(spec, pipe)
     assert one == two

@@ -283,6 +283,36 @@ def test_feature_bin_rejects_corruption(tmp_path):
         assert str(info.value) == f"{bad}: {message}"
 
 
+def test_feature_bin_faults_name_the_path_in_bounded_memory(tmp_path):
+    """Each truncation of a small file, a wrong version, a declared N x D
+    of 2**31 x 2**31 and trailing bytes raise one ValueError starting
+    with the path; no read allocates more than a few times the file's
+    size beyond the 13 KB or less that opening, reading (8 KB for an
+    empty file) and raising cost."""
+    path = tmp_path / "features.vgfb"
+    write_feature_bin(FeatureTable(["a", "b"], [0, 1], np.ones((2, 3))), path)
+    data = path.read_bytes()
+    assert len(data) == 65 and read_feature_bin(path).ids == ["a", "b"]
+    cases = [(data[:cut], "") for cut in range(len(data))] + [
+        (data[:4] + (2).to_bytes(4, "little") + data[8:],
+         "unsupported version 2"),
+        (data[:8] + (2**31).to_bytes(4, "little") * 2 + data[16:],
+         "truncated payload"),
+        (data + b"garbage\n", "8 bytes after the id/label table")]
+    bad = tmp_path / "bad.vgfb"
+    for case, message in cases:
+        bad.write_bytes(case)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as info:
+                read_feature_bin(bad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value).startswith(f"{bad}: {message}"), len(case)
+        assert peak < 4 * len(case) + 16384, (len(case), peak)
+
+
 @pytest.mark.filterwarnings("error")
 def test_feature_bin_refuses_values_beyond_float32(tmp_path):
     big = float(np.finfo(np.float32).max)

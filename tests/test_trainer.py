@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from oracles import sample_triplets_oracle
-from xmodal import embednet, trainer
+from xmodal import dataio, embednet, trainer
 from xmodal.trainer import (
     TrainConfig,
     TrainHistory,
@@ -65,7 +65,7 @@ def test_config_validation():
 def test_config_save_load(tmp_path):
     config = toy_config(lr=0.5)
     path = tmp_path / "config.json"
-    config.save(path)
+    dataio.write_json(config.to_dict(), path)
     assert TrainConfig.load(path) == config
 
 
