@@ -20,25 +20,30 @@ All randomness flows from one --seed; stages derive their own streams
 from it, so rerunning any command with the same inputs reproduces its
 outputs byte for byte.
 
-Threads: `pipeline` trains its two independent branches (naive and
-balanced) in a two-worker thread pool, and while that pool runs the
-BLAS library is held at one thread, so each branch's matmuls use one
-core and the two branches fill two.  Left at its default, BLAS would
-start its own threads inside each branch, and the oversubscribed cores
-would run every branch at half speed.  Everything outside the pool
-(data generation, sequence embedding, the other subcommands) keeps the
-library's default thread count, because wide matmuls there do use
-every core.  With one BLAS thread per branch, branch results also no
-longer depend on how many cores the machine has.  Each training stage
-draws its whole batch schedule before its first step: every scalar
-draw releases and retakes the GIL, and draws between the steps made
-the two branches hand it back and forth for every triplet.
+Processes: `pipeline` trains its two independent branches (naive and
+balanced) side by side.  A two-worker thread pool starts them, and each
+pool thread runs its branch in a child process forked from this one and
+waits for it.  Fork copies nothing up front (the training data is shared
+copy-on-write) and each child has its own interpreter lock, where two
+threads of one interpreter waited on each other's (README, Threads).
+A child holds the BLAS library at one thread, so each branch's matmuls
+use one core and the two branches fill two.  Left at its default, BLAS
+would start its own threads inside each branch, and the oversubscribed
+cores would run every branch at half speed.  Everything outside the
+branches (data generation, sequence embedding, the other subcommands)
+keeps the library's default thread count, because wide matmuls there do
+use every core.  With one BLAS thread per branch, branch results also do
+not depend on how many cores the machine has.  `pipeline` needs the
+`fork` start method, so it runs on Linux and macOS, not Windows; Python
+3.12 and later warn when a process with threads forks.
 """
 
 import argparse
 import ctypes
 import dataclasses
+import multiprocessing
 import sys
+import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -54,12 +59,13 @@ from .trainer import TrainConfig
 VARIANTS = ("naive", "naive+A", "wd+m", "wd+m+A")
 
 
-def _load_synth_spec(ref, seed=None):
-    """`ref` is the literal \"default\", a JSON path, or a spec dict."""
+def _load_synth_spec(ref, seed=None, path=None):
+    """`ref` is the literal \"default\", a JSON path, or a spec dict
+    (read from file `path`, which its faults then name)."""
     if ref == "default":
         spec = synthgen.SynthSpec()
     elif isinstance(ref, dict):
-        spec = synthgen.SynthSpec.from_dict(ref)
+        spec = synthgen.SynthSpec.from_dict(ref, path)
     else:
         spec = synthgen.SynthSpec.load(ref)
     if seed is not None:
@@ -197,9 +203,10 @@ def cmd_align(args):
 def cmd_eval(args):
     params, _, _ = load_checkpoint(args.ckpt)
     counts = dataio.load_label_counts(args.counts) if args.counts else None
-    report, _ = _evaluate(params, dataio.load_feature_csv(args.gallery),
-                          dataio.load_feature_csv(args.queries), args.k,
-                          counts, args.centroids)
+    gallery, queries = (dataio.load_feature_csv(path, params.check_width)
+                        for path in (args.gallery, args.queries))
+    report, _ = _evaluate(params, gallery, queries, args.k, counts,
+                          args.centroids)
     dataio.write_json(report.to_dict(), args.out)
     tail = "absent" if report.tail is None else f"{report.tail:.4f}"
     print(f"overall {report.overall:.4f}, macro {report.macro:.4f},"
@@ -209,7 +216,7 @@ def cmd_eval(args):
 
 def cmd_layout(args):
     params, _, _ = load_checkpoint(args.ckpt)
-    feats = dataio.load_feature_csv(args.features)
+    feats = dataio.load_feature_csv(args.features, params.check_width)
     table = evalkit.embed_features(params, feats)
     class_ids, dist = evalkit.centroid_distance_matrix(table)
     layout = evalkit.kamada_kawai_layout(dist, iters=args.iters, tol=args.tol,
@@ -291,6 +298,55 @@ def _one_blas_thread():
         set_(prior)
 
 
+# held while a child is forked and its pipe's send end closed here, so
+# no other child forked in this process inherits a copy of that end: a
+# copy would keep the pipe open after this child died and hide its end
+_FORK_LOCK = threading.Lock()
+
+
+def _in_child(name, fn, *args):
+    """fn(*args) in a child forked from this process, at one BLAS thread.
+
+    The child sends (ok, result or exception) through a one-way pipe and
+    exits; it never prints.  The result is read before the child is
+    joined, since one larger than the pipe's buffer would otherwise block
+    both.  The child's exception is raised here as it is; a child that
+    ends without a result raises ChildProcessError naming branch `name`
+    and its exit code.
+    """
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+
+    def target():
+        try:
+            with _one_blas_thread():
+                out = (True, fn(*args))
+        except Exception as exc:  # the parent raises it
+            out = (False, exc)
+        try:
+            send.send(out)
+        except Exception as exc:  # a result or exception pickle refuses
+            send.send((False, ValueError(f"branch {name}: {exc}")))
+
+    with _FORK_LOCK:
+        child = ctx.Process(target=target, name=f"xmodal-{name}")
+        child.start()
+        send.close()
+    try:
+        ok, value = recv.recv()
+    except EOFError:
+        ok = None
+    finally:
+        recv.close()
+        child.join()
+    if ok is None:
+        raise ChildProcessError(f"branch {name} ended with exit code"
+                                f" {child.exitcode} and no result")
+    if not ok:
+        raise value
+    return value
+
+
 def run_pipeline(spec, pipe_config=None, out_dir=None):
     """Synth -> embed -> anchors -> two training branches -> four evals.
 
@@ -330,9 +386,9 @@ def run_pipeline(spec, pipe_config=None, out_dir=None):
         return (config, params, aligned, [hist1, hist2], base_metrics,
                 aligned_metrics)
 
-    with _one_blas_thread(), ThreadPoolExecutor(max_workers=2) as pool:
-        naive_future = pool.submit(run_branch, False)
-        ltr_future = pool.submit(run_branch, True)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        naive_future = pool.submit(_in_child, "naive", run_branch, False)
+        ltr_future = pool.submit(_in_child, "wd+m", run_branch, True)
         branches = {"naive": naive_future.result(),
                     "wd+m": ltr_future.result()}
 
@@ -358,15 +414,17 @@ def run_pipeline(spec, pipe_config=None, out_dir=None):
 
 
 def cmd_pipeline(args):
+    if args.k is not None:
+        PipelineConfig(k=args.k)  # a bad --k is the flag's fault, not the file's
     obj = dataio.read_json(args.config) if args.config else None
     obj = {} if obj is None else obj  # null is the empty config
-    # one check covers the flag and the config; from_dict refuses a
-    # config that is not an object
+    # --k replaces the config's k before the config is checked;
+    # from_dict refuses a config that is not an object
     if args.k is not None and isinstance(obj, dict):
         obj = {**obj, "k": args.k}
-    pipe = PipelineConfig.from_dict(obj)
+    pipe = PipelineConfig.from_dict(obj, args.config)
     spec = _load_synth_spec(args.spec if args.spec is not None
-                            else pipe.synth_spec, args.seed)
+                            else pipe.synth_spec, args.seed, args.config)
     report = run_pipeline(spec, pipe, out_dir=args.out)
     for tag in VARIANTS:
         m = report[tag]

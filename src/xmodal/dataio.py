@@ -23,7 +23,8 @@ counts.csv     ``id,taxon_id`` rows tallied per taxon, or
                ``taxon_id[,name],train_count`` rows.
 split.json     object with ``train`` and ``test`` arrays of item ids.
 config JSON    an object of JsonConfig fields (TrainConfig, SynthSpec,
-               PipelineConfig); any other value or key is refused.
+               PipelineConfig); any other value or key is refused, and
+               JsonConfig.load names the file in every fault.
 
 features.csv, labels.csv, counts.csv and the ``.vgfb`` id/label table
 follow one record rule: a record ends at a line feed, a carriage return
@@ -44,6 +45,7 @@ import math
 import re
 import struct
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -70,6 +72,18 @@ def _int64(value, where, noun, negative=None):
     if value > _INT64_MAX:
         raise ValueError(f"{where}: {noun} {value} exceeds int64")
     return value
+
+
+@contextmanager
+def _naming(path):
+    """Put `path` before the text of a ValueError the block raises (no
+    change when `path` is None)."""
+    try:
+        yield
+    except ValueError as exc:
+        if path is None:
+            raise
+        raise ValueError(f"{path}: {exc}") from None
 
 
 VGFB_MAGIC = b"VGFB"
@@ -301,7 +315,7 @@ def _row(record, dim, n):
     return rid, label, values
 
 
-def load_feature_csv(path):
+def load_feature_csv(path, check_width=None):
     """Load a ``features.csv`` file; D is inferred from the header.
 
     The file is opened once.  A binary pass counts its records and
@@ -313,10 +327,12 @@ def load_feature_csv(path):
 
     Any fault raises one ValueError naming `path` and, where it has one,
     the line or row id: the first fault in file order, then duplicate
-    ids.
+    ids.  `check_width`, if given, is called with D once the header is
+    read, before any data row is parsed; its ValueError (a head's
+    check_width) passes through as it is.
     """
-    try:
-        with open(path, "rb") as fh:
+    with open(path, "rb") as fh:
+        with _naming(path):
             lines = nbytes = 0
             for block in iter(lambda: fh.read(1 << 16), b""):
                 nbytes += len(block)
@@ -332,6 +348,9 @@ def load_feature_csv(path):
             dim = len(header) - 2
             if dim < 1 or header != _expected_header(dim):
                 raise ValueError("bad header, expected id,label,f0,...,f{D-1}")
+        if check_width is not None:
+            check_width(dim)
+        with _naming(path):
             # a row of D values takes at least 2D + 2 bytes (",0," and "1,")
             # before its line end, so no row index reaches this bound
             matrix = np.empty((min(lines + 1, nbytes // (2 * dim + 2)), dim))
@@ -341,13 +360,11 @@ def load_feature_csv(path):
                     rid, label, matrix[len(ids)] = _row(record, dim, n)
                     ids.append(rid)
                     labels.append(label)
-        if not ids:
-            raise ValueError("feature CSV has no data rows")
-        if len(set(ids)) != len(ids):
-            dupes = sorted(i for i, m in Counter(ids).items() if m > 1)
-            raise ValueError(f"duplicate ids {dupes[:5]}")
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+            if not ids:
+                raise ValueError("feature CSV has no data rows")
+            if len(set(ids)) != len(ids):
+                dupes = sorted(i for i, m in Counter(ids).items() if m > 1)
+                raise ValueError(f"duplicate ids {dupes[:5]}")
     return FeatureTable(ids, np.array(labels), matrix[:len(ids)])
 
 
@@ -410,7 +427,7 @@ def read_feature_bin(path):
     """Read the binary form; a fault raises one ValueError naming `path`."""
     with open(path, "rb") as fh:
         data = fh.read()
-    try:
+    with _naming(path):
         if data[:4] != VGFB_MAGIC:
             raise ValueError(f"bad magic {data[:4]!r}, expected {VGFB_MAGIC!r}")
         if len(data) < 16:
@@ -440,13 +457,11 @@ def read_feature_bin(path):
         if len(ids) != n:
             raise ValueError(f"id/label table has {len(ids)} rows, expected {n}")
         return FeatureTable(ids, np.array(labels), matrix)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
 
 
 def load_labels_csv(path):
     """Load a sequence->taxon map from a ``sequence_id,taxon_id`` CSV."""
-    try:
+    with _naming(path):
         with open(path, "rb") as fh:
             records = _records(fh)
             if len(_fields(next(records, b""), "line 1")) != 2:
@@ -460,8 +475,6 @@ def load_labels_csv(path):
                 mapping[sid] = taxon
         if not mapping:
             raise ValueError("no label rows")
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
     return mapping
 
 
@@ -479,7 +492,7 @@ def load_label_counts(path):
     taxon) or a ``taxon_id[,name],train_count`` table (counts read
     directly, one row per taxon, each count non-negative).
     """
-    try:
+    with _naming(path):
         with open(path, "rb") as fh:
             records = _records(fh)
             header = next(records, None)
@@ -509,8 +522,6 @@ def load_label_counts(path):
                 counts[taxon] = _int64(count, where, "count")
         if not counts:
             raise ValueError("no count rows")
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
     return counts
 
 
@@ -577,16 +588,18 @@ class JsonConfig:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, obj):
-        """Refuses a value that is not an object and unknown keys."""
-        if not isinstance(obj, dict):
-            raise ValueError(f"{cls.noun} must be a JSON object, got"
-                             f" {type(obj).__name__}")
-        unknown = set(obj) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown {cls.noun} fields: {sorted(unknown)}")
-        return cls(**obj)
+    def from_dict(cls, obj, path=None):
+        """Refuses a value that is not an object and unknown keys; with
+        `path`, the file `obj` was read from, every fault names it."""
+        with _naming(path):
+            if not isinstance(obj, dict):
+                raise ValueError(f"{cls.noun} must be a JSON object, got"
+                                 f" {type(obj).__name__}")
+            unknown = set(obj) - {f.name for f in fields(cls)}
+            if unknown:
+                raise ValueError(f"unknown {cls.noun} fields: {sorted(unknown)}")
+            return cls(**obj)
 
     @classmethod
     def load(cls, path):
-        return cls.from_dict(read_json(path))
+        return cls.from_dict(read_json(path), path)

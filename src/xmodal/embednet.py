@@ -81,12 +81,22 @@ class HeadParams:
         return self
 
     @classmethod
+    def _on(cls, flat, dims):
+        """An unchecked head whose fields are views into `flat`."""
+        return cls.__new__(cls)._bind(flat, dims)
+
+    @classmethod
     def empty(cls, dims, dtype=np.float64):
         """An unchecked, uninitialized head of `dims` and `dtype`."""
-        return cls.__new__(cls)._bind(np.empty(_layout(dims)[-1][3], dtype), dims)
+        return cls._on(np.empty(_layout(dims)[-1][3], dtype), dims)
 
     def copy(self):
-        return HeadParams.__new__(HeadParams)._bind(self.flat.copy(), self.dims)
+        return HeadParams._on(self.flat.copy(), self.dims)
+
+    def __reduce__(self):
+        # pickle and copy.deepcopy would copy each view on its own; this
+        # rebuilds the fields as views into the one copied buffer
+        return HeadParams._on, (self.flat, self.dims)
 
     def check_width(self, d):
         """Refuse features of `d` columns unless the head takes d_in = d."""

@@ -2,11 +2,13 @@
 
 import ast
 import json
+import multiprocessing
 import os
 import re
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -290,7 +292,7 @@ def test_config_values_of_the_wrong_kind_give_one_error_line(
     err = capsys.readouterr().err
     kind = ("true or false" if key.endswith("_enabled") else
             "a number" if key in ("lr", "margin_m", "ratio") else "an integer")
-    assert err == f"error: {key} must be {kind}, got {value!r}\n"
+    assert err == f"error: {path}: {key} must be {kind}, got {value!r}\n"
     assert not (tmp_path / "data").exists()
     assert not (tmp_path / "ckpt.json").exists()
 
@@ -337,10 +339,56 @@ def test_config_files_that_are_not_json_objects_give_one_error_line(
     elif kind is None:
         assert re.fullmatch(f"error: {re.escape(str(path))}: [^\n]+\n", err)
     else:
-        assert (err == f"error: {CONFIG_FLAGS[flag]} must be a JSON object,"
-                       f" got {kind}\n")
+        assert (err == f"error: {path}: {CONFIG_FLAGS[flag]} must be a JSON"
+                       f" object, got {kind}\n")
     assert not (tmp_path / "data").exists()
     assert not (tmp_path / "ckpt.json").exists()
+
+
+@pytest.mark.parametrize("flag", sorted(CONFIG_FLAGS))
+def test_config_faults_name_the_file(chain, tmp_path, capsys, flag):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"bogus": 1}))
+    command, option = flag.split()
+    if command == "pipeline":
+        argv = [command, option, str(path), "--out", str(tmp_path / "data")]
+    else:
+        argv = _config_argv(chain, tmp_path, command, path)
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert (capsys.readouterr().err
+            == f"error: {path}: unknown {CONFIG_FLAGS[flag]} fields: ['bogus']\n")
+    assert not (tmp_path / "data").exists()
+    assert not (tmp_path / "ckpt.json").exists()
+
+
+def test_pipeline_config_and_spec_faults_name_their_file(tmp_path, capsys):
+    config = tmp_path / "pipe.json"
+    config.write_text(json.dumps({"k": 3, "train": TINY_TRAIN,
+                                  "synth_spec": {**TINY_SPEC, "bogus": 1}}))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**TINY_SPEC, "dim": 0.5}))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    # the config passed as the spec too: the spec's fault names it
+    assert main(["pipeline", "--config", str(spec), "--spec", str(config),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {spec}: unknown pipeline config fields:"
+        f" {sorted(TINY_SPEC)}\n")
+    assert main(["pipeline", "--config", str(config), "--spec", str(config),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {config}: unknown synth spec fields:"
+        " ['k', 'synth_spec', 'train']\n")
+    # a spec inside the config is named by the config's path
+    assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 1
+    assert (capsys.readouterr().err
+            == f"error: {config}: unknown synth spec fields: ['bogus']\n")
+    assert main(["pipeline", "--spec", str(spec), "--out", str(out)]) == 1
+    assert (capsys.readouterr().err
+            == f"error: {spec}: dim must be an integer, got 0.5\n")
+    assert not out.exists()
 
 
 def test_pipeline_checks_train_overrides_before_generating_data(
@@ -358,11 +406,27 @@ def test_pipeline_checks_train_overrides_before_generating_data(
     assert not out.exists()
 
 
-def test_pipeline_branches_set_ltr_and_align_over_the_overrides(monkeypatch):
-    seen = []
+def _spy_write(path, value):
+    """Append repr(`value`) as a line of file `path`.  Pipeline branches
+    run in child processes, so a spy inside one leaves its record in a
+    file, not in a list of the test's process."""
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(repr(value) + "\n")
+
+
+def _spy_read(path):
+    """The values _spy_write appended to `path`, in order."""
+    if not path.exists():
+        return []
+    return [ast.literal_eval(line) for line in path.read_text().splitlines()]
+
+
+def test_pipeline_branches_set_ltr_and_align_over_the_overrides(monkeypatch,
+                                                                tmp_path):
+    seen = tmp_path / "seen.txt"
 
     def stop(config, *args):
-        seen.append((config.ltr_enabled, config.align_enabled))
+        _spy_write(seen, (config.ltr_enabled, config.align_enabled))
         raise ValueError("stopped after the config")
 
     monkeypatch.setattr(trainer, "train_stage1", stop)
@@ -370,7 +434,7 @@ def test_pipeline_branches_set_ltr_and_align_over_the_overrides(monkeypatch):
         {"train": {**TINY_TRAIN, "ltr_enabled": "x", "align_enabled": False}})
     with pytest.raises(ValueError, match="stopped after the config"):
         run_pipeline(SynthSpec.from_dict(TINY_SPEC), pipe)
-    assert sorted(seen) == [(False, True), (True, True)]
+    assert sorted(_spy_read(seen)) == [(False, True), (True, True)]
 
 
 def test_config_values_may_be_numpy_scalars():
@@ -515,12 +579,20 @@ def test_align_rejects_two_anchors_for_one_taxon(chain, tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["align", "eval", "layout"])
 def test_align_rejects_features_of_another_width(chain, tmp_path, capsys,
-                                                 command):
+                                                 monkeypatch, command):
     table = dataio.load_feature_csv(chain / "data" / "train.csv")
     features = tmp_path / "wide.csv"
     dataio.write_feature_csv(dataio.FeatureTable(
         table.ids, table.labels, np.hstack([table.matrix, table.matrix])),
         features)
+    rows = []
+    real_row = dataio._row
+
+    def spy(*args):
+        rows.append(args[2])
+        return real_row(*args)
+
+    monkeypatch.setattr(dataio, "_row", spy)
     out = tmp_path / "out"
     argv = {"align": ["--config", str(chain / "config.json"),
                       "--anchors", str(chain / "anchors.csv"),
@@ -532,6 +604,8 @@ def test_align_rejects_features_of_another_width(chain, tmp_path, capsys,
                "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err == "error: feature dim 16 != head d_in 8\n"
+    # eval and layout stop at the header; align reads its rows first
+    assert (rows == []) == (command != "align")
     assert not out.exists()
 
 
@@ -656,7 +730,7 @@ def test_pipeline_config_k_must_be_a_positive_integer(tmp_path, capsys, k,
     capsys.readouterr()
     assert main(["pipeline", "--config", str(config_path),
                  "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {config_path}: {message}\n"
     assert not out.exists()
 
 
@@ -695,7 +769,7 @@ def test_pipeline_config_of_the_wrong_json_type_fails_before_training(
     capsys.readouterr()
     assert main(["pipeline", "--config", str(config_path), *k_flag,
                  "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {config_path}: {message}\n"
     assert calls == []
     assert not out.exists()
 
@@ -742,7 +816,7 @@ def test_run_pipeline_embeds_each_sequence_once(monkeypatch, tmp_path):
             == (tmp_path / "genetic.csv").read_bytes())
 
 
-def test_pipeline_branches_run_on_one_blas_thread(monkeypatch):
+def test_pipeline_branches_run_on_one_blas_thread(monkeypatch, tmp_path):
     blas = cli._blas_thread_functions()
     if blas is None:
         pytest.skip("no BLAS thread-count setter resolves")
@@ -750,28 +824,92 @@ def test_pipeline_branches_run_on_one_blas_thread(monkeypatch):
     prior = get_threads()
     spec = SynthSpec.from_dict(TINY_SPEC)
     pipe = PipelineConfig.from_dict({"k": 3, "train": TINY_TRAIN})
-    seen = []
+    seen = tmp_path / "seen.txt"
     real_stage1 = trainer.train_stage1
 
     def spy(*args, **kwargs):
-        seen.append(get_threads())
+        _spy_write(seen, get_threads())
         return real_stage1(*args, **kwargs)
 
     monkeypatch.setattr(trainer, "train_stage1", spy)
     run_pipeline(spec, pipe)
-    assert seen == [1, 1]
+    assert _spy_read(seen) == [1, 1]
     assert get_threads() == prior
 
     def fail(*args, **kwargs):
-        seen.append(get_threads())
+        _spy_write(seen, get_threads())
         raise RuntimeError("branch failed")
 
-    seen.clear()
+    seen.unlink()
     monkeypatch.setattr(trainer, "train_stage1", fail)
     with pytest.raises(RuntimeError, match="branch failed"):
         run_pipeline(spec, pipe)
-    assert seen == [1, 1]
+    assert _spy_read(seen) == [1, 1]
     assert get_threads() == prior
+
+
+def _within(seconds, fn, *args):
+    """fn(*args) on a daemon thread; fails the test if it has not
+    returned within `seconds`, instead of hanging the run."""
+    box = {}
+
+    def run():
+        try:
+            box["value"] = fn(*args)
+        except BaseException as exc:
+            box["error"] = exc
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert not worker.is_alive(), f"no return within {seconds} s"
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
+
+def test_in_child_returns_or_raises_what_the_child_did():
+    assert cli._in_child("t", np.arange, 3).tolist() == [0, 1, 2]
+    with pytest.raises(KeyError, match="'missing'"):
+        cli._in_child("t", {}.__getitem__, "missing")
+    # a result that cannot be pickled still gives one error, not a
+    # traceback printed by the child
+    with pytest.raises(ValueError, match="^branch t: "):
+        cli._in_child("t", lambda: lambda: None)
+    assert multiprocessing.active_children() == []
+
+
+def test_pipeline_leaves_no_process_behind(monkeypatch, tmp_path, capsys):
+    spec = SynthSpec.from_dict(TINY_SPEC)
+    pipe = PipelineConfig.from_dict({"k": 3, "train": TINY_TRAIN})
+    run_pipeline(spec, pipe)
+    assert multiprocessing.active_children() == []
+
+    real_stage1 = trainer.train_stage1
+
+    def fail(*args, **kwargs):
+        raise ValueError("branch failed")
+
+    monkeypatch.setattr(trainer, "train_stage1", fail)
+    with pytest.raises(ValueError, match="branch failed"):
+        run_pipeline(spec, pipe)
+    assert multiprocessing.active_children() == []
+
+    def die(config, *args, **kwargs):
+        if config.ltr_enabled:
+            os._exit(3)  # the balanced branch's child ends without a word
+        return real_stage1(config, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "train_stage1", die)
+    config_path = tmp_path / "pipe.json"
+    config_path.write_text(json.dumps(
+        {"k": 3, "train": TINY_TRAIN, "synth_spec": TINY_SPEC}))
+    capsys.readouterr()
+    assert _within(120, main, ["pipeline", "--config", str(config_path),
+                               "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: branch wd+m ended with exit code 3 and no result\n")
+    assert multiprocessing.active_children() == []
 
 
 def test_run_pipeline_report_and_artifacts(tmp_path):

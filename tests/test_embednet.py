@@ -1,6 +1,8 @@
 """Projection head tests: forward, exact backward, SGD, max-norm, checkpoints."""
 
+import copy
 import json
+import pickle
 import re
 import tracemalloc
 
@@ -47,6 +49,26 @@ def test_head_params_dims_and_copy():
     q.W1[0, 0] += 1.0
     assert p.W1[0, 0] != q.W1[0, 0]
     assert all(getattr(p, n).dtype == np.float64 for n in FIELDS)
+
+
+@pytest.mark.parametrize("clone", ["pickle", "deepcopy"])
+def test_pickled_and_deep_copied_heads_keep_their_views(clone):
+    p = small_head()
+    q = (pickle.loads(pickle.dumps(p)) if clone == "pickle"
+         else copy.deepcopy(p))
+    assert q.dims == p.dims
+    assert q.flat.tobytes() == p.flat.tobytes()
+    assert not np.shares_memory(q.flat, p.flat)
+    for name in FIELDS:
+        assert np.shares_memory(getattr(q, name), q.flat), name
+        assert getattr(q, name).tobytes() == getattr(p, name).tobytes()
+    # a step through the buffer moves the named fields
+    before = q.W1.copy()
+    grads = HeadParams.empty(q.dims)
+    grads.flat[:] = 1.0
+    sgd_step(q, grads, lr=0.5)
+    assert np.array_equal(q.W1, before - 0.5)
+    assert p.flat.tobytes() != q.flat.tobytes()
 
 
 def test_init_head_is_deterministic():
