@@ -26,16 +26,18 @@ pool thread runs its branch in a child process forked from this one and
 waits for it.  Fork copies nothing up front (the training data is shared
 copy-on-write) and each child has its own interpreter lock, where two
 threads of one interpreter waited on each other's (README, Threads).
-A child holds the BLAS library at one thread, so each branch's matmuls
-use one core and the two branches fill two.  Left at its default, BLAS
-would start its own threads inside each branch, and the oversubscribed
-cores would run every branch at half speed.  Everything outside the
-branches (data generation, sequence embedding, the other subcommands)
-keeps the library's default thread count, because wide matmuls there do
-use every core.  With one BLAS thread per branch, branch results also do
-not depend on how many cores the machine has.  `pipeline` needs the
-`fork` start method, so it runs on Linux and macOS, not Windows; Python
-3.12 and later warn when a process with threads forks.
+A child finishes its branch, writing its own files, and sends back only
+the branch's two metric reports.  It holds the BLAS library at one
+thread, so each branch's matmuls use one core and the two branches fill
+two.  Left at its default, BLAS would start its own threads inside each
+branch, and the oversubscribed cores would run every branch at half
+speed.  Everything outside the branches (data generation, sequence
+embedding, the other subcommands) keeps the library's default thread
+count, because wide matmuls there do use every core.  With one BLAS
+thread per branch, branch results also do not depend on how many cores
+the machine has.  `pipeline` needs the `fork` start method, so it runs
+on Linux and macOS, not Windows; Python 3.12 and later warn when a
+process with threads forks.
 """
 
 import argparse
@@ -242,6 +244,14 @@ class PipelineConfig(dataio.JsonConfig):
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         self.k = int(self.k)
+        self.train_config()  # the overrides' faults name the config file
+
+    def train_config(self, **defaults):
+        """TrainConfig of the `train` overrides over `defaults`, with
+        balance and alignment on; each branch sets its own ltr_enabled."""
+        return TrainConfig.from_dict({**defaults, **self.train,
+                                      "ltr_enabled": True,
+                                      "align_enabled": True})
 
 
 # (get, set) symbol names of the BLAS thread count: the scipy-openblas
@@ -353,22 +363,22 @@ def run_pipeline(spec, pipe_config=None, out_dir=None):
     The branches share one seed, so `naive` and `wd+m` see identical
     triplet draws and differ only in the balance devices; the aligned
     variants continue their branch's checkpoint through stage 2.
-    Returns the report dict; with `out_dir` set, also writes the
-    dataset, genetic features, anchors, checkpoints, per-variant
-    histories, and report.json.  The train overrides are checked first.
+    The train overrides are checked first.  With `out_dir` set, each
+    branch's child writes its checkpoints and history, then the parent
+    writes the dataset, genetic features, anchors and, last, report.json.
+    Returns the report dict of the metrics the children send back.
     """
     pipe = pipe_config or PipelineConfig()
-    train_config = TrainConfig.from_dict({
-        "d_in": spec.dim, "embed_dim": 256, "seed": spec.seed,
-        **pipe.train, "ltr_enabled": True, "align_enabled": True})
+    train_config = pipe.train_config(d_in=spec.dim, seed=spec.seed)
     data = synthgen.generate(spec)
     if out_dir is not None:  # an output path that cannot be made fails here
-        (Path(out_dir) / "data").mkdir(parents=True, exist_ok=True)
+        out = Path(out_dir)
+        (out / "data").mkdir(parents=True, exist_ok=True)
     anchor_table = _anchor_table(data.genetic)
     anchors = _anchors_by_taxon(anchor_table)
     train, test = data.train_table, data.test_table
 
-    def run_branch(ltr_enabled):
+    def run_branch(ltr_enabled, fname):
         config = dataclasses.replace(train_config, ltr_enabled=ltr_enabled)
         params, hist1 = trainer.train_stage1(config, train.matrix,
                                              train.labels)
@@ -383,32 +393,24 @@ def run_pipeline(spec, pipe_config=None, out_dir=None):
             "anchor_centroid_cos_after":
                 evalkit.anchor_centroid_cosines(aligned_gallery, anchors)[0],
         }
-        return (config, params, aligned, [hist1, hist2], base_metrics,
-                aligned_metrics)
-
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        naive_future = pool.submit(_in_child, "naive", run_branch, False)
-        ltr_future = pool.submit(_in_child, "wd+m", run_branch, True)
-        branches = {"naive": naive_future.result(),
-                    "wd+m": ltr_future.result()}
-
-    report = {}  # in VARIANTS order
-    for tag, (*_, base_metrics, aligned_metrics) in branches.items():
-        report[tag] = base_metrics.to_dict()
-        report[tag + "+A"] = aligned_metrics.to_dict()
-
-    if out_dir is not None:
-        out = Path(out_dir)
-        synthgen.write_outputs(data, out / "data")
-        dataio.write_feature_csv(data.genetic, out / "genetic.csv")
-        dataio.write_feature_csv(anchor_table, out / "anchors.csv")
-        for tag, fname in (("naive", "naive"), ("wd+m", "wdm")):
-            config, params, aligned, histories, *_ = branches[tag]
+        if out_dir is not None:
             lineage = _save_stage(params, out / f"ckpt_{fname}.json",
                                   "stage1", config.seed)
             _save_stage(aligned, out / f"ckpt_{fname}_aligned.json",
                         "stage2", config.seed, lineage)
-            trainer.write_history(histories, out / f"history_{fname}.json")
+            trainer.write_history([hist1, hist2],
+                                  out / f"history_{fname}.json")
+        return base_metrics.to_dict(), aligned_metrics.to_dict()
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        naive = pool.submit(_in_child, "naive", run_branch, False, "naive")
+        ltr = pool.submit(_in_child, "wd+m", run_branch, True, "wdm")
+        report = dict(zip(VARIANTS, (*naive.result(), *ltr.result())))
+
+    if out_dir is not None:
+        synthgen.write_outputs(data, out / "data")
+        dataio.write_feature_csv(data.genetic, out / "genetic.csv")
+        dataio.write_feature_csv(anchor_table, out / "anchors.csv")
         dataio.write_json(report, out / "report.json")
     return report
 

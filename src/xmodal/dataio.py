@@ -572,7 +572,8 @@ class JsonConfig:
     __post_init__ calls this one, which refuses a field whose value, as
     JSON can give, is not of its declared kind: an int field holding
     64.5, 2.0, true or "8", a float field holding "0.1" or a bool field
-    holding 1.  Python and NumPy scalars pass."""
+    holding 1.  It also refuses a float field holding NaN or an infinity.
+    Python and NumPy scalars pass."""
 
     noun = "config"  # names the config in from_dict's errors
 
@@ -583,6 +584,8 @@ class JsonConfig:
             if not isinstance(value, types) or (f.type is not bool
                                                 and isinstance(value, bool)):
                 raise ValueError(f"{f.name} must be {kind}, got {value!r}")
+            if f.type is float and not -math.inf < value < math.inf:
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
 
     def to_dict(self):
         return asdict(self)

@@ -345,6 +345,8 @@ def kamada_kawai_layout(dist, iters=2000, tol=1e-12, seed=0):
     start lands at machine-zero stress.  n_iters on the result sums the
     iterations over every start actually run.
     """
+    if iters < 0:
+        raise ValueError(f"iters must be >= 0, got {iters}")
     dist = np.asarray(dist, dtype=np.float64)
     n = dist.shape[0]
     if dist.ndim != 2 or dist.shape != (n, n):

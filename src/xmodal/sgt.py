@@ -101,8 +101,8 @@ def _psi_rows(seqs, v, kappa):
 
 def _check_kappa(kappa):
     kappa = float(kappa)
-    if not kappa > 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    if not 0 < kappa < np.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa}")
     return kappa
 
 

@@ -297,6 +297,51 @@ def test_config_values_of_the_wrong_kind_give_one_error_line(
     assert not (tmp_path / "ckpt.json").exists()
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("train", "lr", float("nan")),
+    ("train", "maxnorm_delta", float("inf")),
+    ("align", "weight_decay", float("inf")),
+    ("synth", "sigma_v", float("nan")),
+    ("synth", "sigma_map", float("inf")),
+    ("synth", "kappa", float("inf")),
+    ("synth", "map_scale", float("inf")),
+])
+def test_config_floats_that_are_not_finite_give_one_error_line(
+        chain, tmp_path, capsys, command, key, value):
+    base = TINY_SPEC if command == "synth" else TINY_TRAIN
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**base, key: value}))  # NaN or Infinity
+    capsys.readouterr()
+    assert main(_config_argv(chain, tmp_path, command, path)) == 1
+    assert (capsys.readouterr().err
+            == f"error: {path}: {key} must be finite, got {value!r}\n")
+    assert not (tmp_path / "data").exists()
+    assert not (tmp_path / "ckpt.json").exists()
+
+
+@pytest.mark.parametrize("kappa", ["inf", "nan"])
+def test_sgt_embed_refuses_a_kappa_that_is_not_finite(chain, tmp_path,
+                                                      capsys, kappa):
+    out = tmp_path / "genetic.csv"
+    capsys.readouterr()
+    assert main(["sgt-embed", "--fasta", str(chain / "data" / "sequences.fa"),
+                 "--labels", str(chain / "data" / "labels.csv"),
+                 "--kappa", kappa, "--out", str(out)]) == 1
+    assert (capsys.readouterr().err
+            == f"error: kappa must be positive and finite, got {kappa}\n")
+    assert not out.exists()
+
+
+def test_layout_refuses_negative_iters(chain, tmp_path, capsys):
+    out = tmp_path / "layout.csv"
+    capsys.readouterr()
+    assert main(["layout", "--ckpt", str(chain / "aligned.json"),
+                 "--features", str(chain / "data" / "train.csv"),
+                 "--iters", "-5", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: iters must be >= 0, got -5\n"
+    assert not out.exists()
+
+
 # each flag that names a config or spec file -> the noun of its errors
 CONFIG_FLAGS = {"train --config": "config", "align --config": "config",
                 "synth --spec": "synth spec", "pipeline --spec": "synth spec",
@@ -401,7 +446,8 @@ def test_pipeline_checks_train_overrides_before_generating_data(
     capsys.readouterr()
     assert main(["pipeline", "--config", str(config_path),
                  "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "error: lr must be a number, got 'x'\n"
+    assert (capsys.readouterr().err
+            == f"error: {config_path}: lr must be a number, got 'x'\n")
     assert calls == []
     assert not out.exists()
 
@@ -909,7 +955,29 @@ def test_pipeline_leaves_no_process_behind(monkeypatch, tmp_path, capsys):
                                "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == (
         "error: branch wd+m ended with exit code 3 and no result\n")
+    assert not (tmp_path / "out" / "report.json").exists()
     assert multiprocessing.active_children() == []
+
+
+def test_pipeline_branches_send_back_only_their_metrics(monkeypatch,
+                                                        tmp_path):
+    returned = {}
+    real_in_child = cli._in_child
+
+    def spy(name, fn, *args):
+        returned[name] = real_in_child(name, fn, *args)
+        return returned[name]
+
+    monkeypatch.setattr(cli, "_in_child", spy)
+    report = run_pipeline(SynthSpec.from_dict(TINY_SPEC),
+                          PipelineConfig.from_dict({"k": 3,
+                                                    "train": TINY_TRAIN}),
+                          out_dir=tmp_path)
+    assert sorted(returned) == ["naive", "wd+m"]
+    for tag, value in returned.items():
+        assert value == (report[tag], report[tag + "+A"])
+        assert [type(m) for m in value] == [dict, dict]
+    assert json.loads((tmp_path / "report.json").read_text()) == report
 
 
 def test_run_pipeline_report_and_artifacts(tmp_path):
