@@ -235,14 +235,13 @@ class PipelineConfig(dataio.JsonConfig):
     a spec path or SynthSpec fields)."""
 
     noun = "pipeline config"
+    limits = {"k": (">= 1",)}
     train: dict = dataclasses.field(default_factory=dict)
     k: int = 5
     synth_spec: str | dict = "default"
 
     def __post_init__(self):
         super().__post_init__()
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
         self.k = int(self.k)
         self.train_config()  # the overrides' faults name the config file
 

@@ -42,6 +42,7 @@ written by write_json: sorted keys, an indent of 2, a final newline.
 import csv
 import json
 import math
+import operator
 import re
 import struct
 from collections import Counter
@@ -489,8 +490,8 @@ def load_label_counts(path):
     """Read per-taxon counts from a CSV -> {taxon id: count}.
 
     Accepts either a two-column id->taxon file (counts are tallied per
-    taxon) or a ``taxon_id[,name],train_count`` table (counts read
-    directly, one row per taxon, each count non-negative).
+    taxon, each id once) or a ``taxon_id[,name],train_count`` table
+    (counts read directly, one row per taxon, each count non-negative).
     """
     with _naming(path):
         with open(path, "rb") as fh:
@@ -508,7 +509,7 @@ def load_label_counts(path):
                     f"unrecognized counts header {header};"
                     " expected id,taxon_id or taxon_id[,name],train_count"
                 )
-            counts = {}
+            counts, ids = {}, set()
             for where, row in _rows(records, len(header)):
                 try:
                     taxon = int(row[0] if direct else row[1])
@@ -519,6 +520,9 @@ def load_label_counts(path):
                 _int64(taxon, where, "taxon id")
                 if direct and taxon in counts:
                     raise ValueError(f"{where}: second count for taxon {taxon}")
+                if not direct and row[0] in ids:
+                    raise ValueError(f"duplicate sequence id {row[0]!r}")
+                ids.add(row[0])
                 counts[taxon] = _int64(count, where, "count")
         if not counts:
             raise ValueError("no count rows")
@@ -567,15 +571,23 @@ _FIELD_KINDS = {bool: ("true or false", (bool, np.bool_)),
                 str | dict: ("a string or a JSON object", (str, dict))}
 
 
+# the comparisons a range rule of JsonConfig.limits may use
+_RULE_TESTS = {">=": operator.ge, ">": operator.gt, "<=": operator.le}
+
+
 class JsonConfig:
-    """Base of the dataclass configs read from JSON objects.  A subclass's
-    __post_init__ calls this one, which refuses a field whose value, as
-    JSON can give, is not of its declared kind: an int field holding
-    64.5, 2.0, true or "8", a float field holding "0.1" or a bool field
-    holding 1.  It also refuses a float field holding NaN or an infinity.
-    Python and NumPy scalars pass."""
+    """Base of the dataclass configs read from JSON objects.  Its
+    __post_init__, which a subclass's own calls first, checks the fields
+    in order.  It refuses a value that, as JSON can give, is not of its
+    field's declared kind: an int field holding 64.5, 2.0, true or "8",
+    a float field holding "0.1" or a bool field holding 1.  It refuses a
+    float field holding NaN or an infinity.  Then it applies the field's
+    range rules from the class's `limits` table, each an operator and a
+    bound such as ">= 0", and refuses a value that breaks one with
+    "NAME must be RULE, got VALUE".  Python and NumPy scalars pass."""
 
     noun = "config"  # names the config in from_dict's errors
+    limits = {}  # field name -> its range rules
 
     def __post_init__(self):
         for f in fields(self):
@@ -586,6 +598,10 @@ class JsonConfig:
                 raise ValueError(f"{f.name} must be {kind}, got {value!r}")
             if f.type is float and not -math.inf < value < math.inf:
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
+            for rule in self.limits.get(f.name, ()):
+                op, bound = rule.split()
+                if not _RULE_TESTS[op](value, float(bound)):
+                    raise ValueError(f"{f.name} must be {rule}, got {value}")
 
     def to_dict(self):
         return asdict(self)

@@ -4,9 +4,10 @@ Classification is visual-only at test time: train-set embeddings form
 the gallery, each query votes among its k most cosine-similar gallery
 items.  Queries are scored in chunks of at most KNN_CHUNK rows, so KNN
 memory is bounded by one chunk's similarity block (KNN_CHUNK x N x 8
-bytes for an N-row gallery), whatever the number of queries.  The k-th
-largest of a row's column-group maxima bounds its k-th largest
-similarity from below, so only the groups that reach it are sorted.
+bytes for an N-row gallery), and about as much again for the sort,
+whatever the number of queries.  The k-th largest of a row's
+column-group maxima bounds its k-th largest similarity from below, so
+only the groups that reach it are sorted.
 Metrics are reported overall and per class, with the
 per-class means additionally restricted to tail classes (train count
 below 100) and head classes (above 1000), the split that makes
@@ -73,6 +74,31 @@ def _group_width(n, k):
     return math.isqrt(n // k)
 
 
+def _nearest(sims, hits, bound, w, spare, k):
+    """(similarities, gallery columns) of each row's k neighbors in order,
+    from the similarity rows `sims`, their group hits and bounds."""
+    rows, g = hits.shape
+    # candidates: every column of a group that reaches the bound, and
+    # every column past the groups, kept if at or above the bound
+    hit_rows, hit_groups = np.nonzero(hits)
+    cand_rows = np.concatenate([np.repeat(hit_rows, w),
+                                np.repeat(np.arange(rows), len(spare))])
+    cand_cols = np.concatenate([
+        (hit_groups[:, None] + g * np.arange(w)).ravel(),
+        np.tile(spare, rows)])
+    cand_sims = sims[cand_rows, cand_cols]
+    above = cand_sims >= bound[cand_rows]
+    cand_rows, cand_cols = cand_rows[above], cand_cols[above]
+    cand_sims = cand_sims[above]
+    # ordered by (row, -similarity, gallery index): the first k of a
+    # row are its neighbors, so similarity ties keep the lower index; a
+    # row's candidates start after those of the rows before it
+    order = np.lexsort((cand_cols, -cand_sims, cand_rows))
+    counts = np.bincount(cand_rows, minlength=rows)
+    keep = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+    return cand_sims[keep], cand_cols[keep]
+
+
 def knn_predict(gallery, queries, k):
     """Majority vote among the k most cosine-similar gallery items.
 
@@ -88,7 +114,11 @@ def knn_predict(gallery, queries, k):
     item at or above the k-th largest group maximum, so it bounds the
     row's k-th largest similarity from below: every neighbor sits in a
     group whose maximum reaches the bound or in the last n - g*w
-    columns, and only those items are sorted.  Votes count over the
+    columns, and only those items are sorted.  A chunk holding more than
+    one candidate per eight slots of the block, as when every group of
+    a tied gallery reaches the bound, is sorted in runs of rows that
+    keep within that budget, so the candidates' arrays (about eight
+    8-byte values each) fit in about one block.  Votes count over the
     distinct gallery labels, so taxon ids may be arbitrary.
     """
     k = int(k)
@@ -111,35 +141,23 @@ def knn_predict(gallery, queries, k):
     classes, codes = np.unique(gallery.labels, return_inverse=True)
     out = np.empty(queries.n, dtype=np.int64)
     sims_block = np.empty((min(queries.n, KNN_CHUNK), n))
+    budget = sims_block.size // 8  # candidates sorted at once
     for lo, hi in _blocks(queries.n, KNN_CHUNK):
         rows = hi - lo
         sims = sims_block[:rows]
         np.matmul(_normalize_rows(queries.matrix[lo:hi]), normed.T, out=sims)
         group_max = sims[:, :grouped].reshape(rows, w, g).max(axis=1)
         bound = np.partition(group_max, g - k, axis=1)[:, g - k]
-        # candidates: every column of a group that reaches the bound, and
-        # every column past the groups, kept if at or above the bound
-        hit_rows, hit_groups = np.nonzero(group_max >= bound[:, None])
-        cand_rows = np.concatenate([np.repeat(hit_rows, w),
-                                    np.repeat(np.arange(rows), len(spare))])
-        cand_cols = np.concatenate([
-            (hit_groups[:, None] + g * np.arange(w)).ravel(),
-            np.tile(spare, rows)])
-        cand_sims = sims[cand_rows, cand_cols]
-        above = cand_sims >= bound[cand_rows]
-        cand_rows, cand_cols = cand_rows[above], cand_cols[above]
-        cand_sims = cand_sims[above]
-        # ordered by (row, -similarity, gallery index): the first k of a
-        # row are its neighbors, so similarity ties keep the lower index;
-        # a candidate's rank is its sorted position minus where its row's
-        # run starts
-        order = np.lexsort((cand_cols, -cand_sims, cand_rows))
-        sorted_rows = cand_rows[order]
-        rank = (np.arange(len(order))
-                - np.searchsorted(sorted_rows, sorted_rows))
-        keep = order[rank < k]
-        neigh_sims = cand_sims[keep].reshape(rows, k)
-        neigh_codes = codes[cand_cols[keep]].reshape(rows, k)
+        hits = group_max >= bound[:, None]
+        neigh_sims, neigh_cols = np.empty((rows, k)), np.empty((rows, k), int)
+        # candidates per row; a chunk over the budget is sorted in runs
+        sizes = hits.sum(axis=1) * w + len(spare)
+        step = max(1, rows if sizes.sum() <= budget else budget // sizes.max())
+        for a in range(0, rows, step):
+            run = slice(a, a + step)
+            neigh_sims[run], neigh_cols[run] = _nearest(
+                sims[run], hits[run], bound[run], w, spare, k)
+        neigh_codes = codes[neigh_cols]
         votes = np.zeros((rows, len(classes)), dtype=np.int64)
         np.add.at(votes, (np.arange(rows)[:, None], neigh_codes), 1)
         top = votes == votes.max(axis=1, keepdims=True)
@@ -343,10 +361,13 @@ def kamada_kawai_layout(dist, iters=2000, tol=1e-12, seed=0):
     starts are tried, all drawn from one generator seeded with `seed`,
     and the lowest-stress layout wins; the search ends early once a
     start lands at machine-zero stress.  n_iters on the result sums the
-    iterations over every start actually run.
+    iterations over every start actually run.  `iters` and `tol` must be
+    >= 0 (a NaN `tol` is refused too).
     """
     if iters < 0:
         raise ValueError(f"iters must be >= 0, got {iters}")
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
     dist = np.asarray(dist, dtype=np.float64)
     n = dist.shape[0]
     if dist.ndim != 2 or dist.shape != (n, n):

@@ -44,6 +44,13 @@ TEST_FRACTION = 0.2
 @dataclass
 class SynthSpec(JsonConfig):
     noun = "synth spec"
+    limits = {"genera": (">= 1",), "species_per_genus": (">= 1",),
+              "head": (">= 1",), "tail": (">= 1",), "ratio": ("> 0", "<= 1"),
+              "dim": (">= 1",), "sigma_v": (">= 0",),
+              "seq_len": (">= 4",),  # at least two bigrams
+              "mu_genus": (">= 0", "<= 1"), "mu_species": (">= 0", "<= 1"),
+              "mu_individual": (">= 0", "<= 1"), "seqs_per_species": (">= 1",),
+              "map_scale": ("> 0",), "sigma_map": (">= 0",), "kappa": ("> 0",)}
 
     genera: int = 4
     species_per_genus: int = 4
@@ -61,28 +68,6 @@ class SynthSpec(JsonConfig):
     sigma_map: float = 0.05
     kappa: float = 1.0
     seed: int = 0
-
-    def __post_init__(self):
-        super().__post_init__()
-        for name in ("genera", "species_per_genus", "head", "tail",
-                     "seqs_per_species", "dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        for name in ("mu_genus", "mu_species", "mu_individual"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {rate}")
-        if not 0.0 < self.ratio <= 1.0:
-            raise ValueError(f"ratio must be in (0, 1], got {self.ratio}")
-        for name in ("sigma_v", "sigma_map"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if not self.map_scale > 0:
-            raise ValueError("map_scale must be positive")
-        if self.seq_len < 4:
-            raise ValueError("seq_len must be >= 4 (at least two bigrams)")
-        if not self.kappa > 0:
-            raise ValueError("kappa must be positive")
 
     @property
     def n_classes(self):

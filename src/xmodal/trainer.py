@@ -43,6 +43,13 @@ from .seeds import derive_seed
 
 @dataclass
 class TrainConfig(dataio.JsonConfig):
+    limits = {"lr": (">= 0",), "batch_size": (">= 1",),
+              "epochs_stage1": (">= 0",), "epochs_stage2": (">= 0",),
+              "mix_lambda": (">= 0",), "weight_decay": (">= 0",),
+              "maxnorm_delta": ("> 0",), "d_in": (">= 1",), "hidden": (">= 1",),
+              "embed_dim": (">= 1",), "init_scale": ("> 0",),
+              "classifier_init_scale": ("> 0",)}
+
     lr: float = 0.01
     batch_size: int = 64
     epochs_stage1: int = 20
@@ -62,20 +69,6 @@ class TrainConfig(dataio.JsonConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.lr < 0:
-            raise ValueError("lr must be non-negative")
-        for name in ("batch_size", "d_in", "hidden", "embed_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        for name in ("epochs_stage1", "epochs_stage2"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        for name in ("mix_lambda", "weight_decay"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        for name in ("maxnorm_delta", "init_scale", "classifier_init_scale"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
         if self.align_enabled and self.embed_dim != 256:
             raise ValueError(
                 "alignment needs embed_dim equal to the genetic embedding"

@@ -260,8 +260,8 @@ def labels_csv_oracle(path):
 def label_counts_oracle(path):
     """Per-taxon counts read as the whole file's csv.reader rows (the
     reader that counts files had before the shared record reader): an
-    id->taxon file tallied per taxon, or a taxon_id[,name],train_count
-    table read directly."""
+    id->taxon file, each id once, tallied per taxon, or a
+    taxon_id[,name],train_count table read directly."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -276,7 +276,7 @@ def label_counts_oracle(path):
                 f"{path}: unrecognized counts header {header};"
                 " expected id,taxon_id or taxon_id[,name],train_count"
             )
-        counts = {}
+        counts, ids = {}, set()
         for row in reader:
             if not row:
                 continue
@@ -293,6 +293,9 @@ def label_counts_oracle(path):
             _check_int64_oracle(taxon, where, "taxon id")
             if direct and taxon in counts:
                 raise ValueError(f"{where}: second count for taxon {taxon}")
+            if not direct and row[0] in ids:
+                raise ValueError(f"{path}: duplicate sequence id {row[0]!r}")
+            ids.add(row[0])
             counts[taxon] = _check_int64_oracle(count, where, "count")
     if not counts:
         raise ValueError(f"{path}: no count rows")

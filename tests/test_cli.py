@@ -1,7 +1,9 @@
 """Command line tests: every subcommand end to end on a tiny dataset."""
 
 import ast
+import dataclasses
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -319,6 +321,68 @@ def test_config_floats_that_are_not_finite_give_one_error_line(
     assert not (tmp_path / "ckpt.json").exists()
 
 
+# every range rule of the three configs, by the flag that reads its file
+LIMIT_RULES = {
+    "train --config": {
+        "lr": (">= 0",), "batch_size": (">= 1",), "epochs_stage1": (">= 0",),
+        "epochs_stage2": (">= 0",), "mix_lambda": (">= 0",),
+        "weight_decay": (">= 0",), "maxnorm_delta": ("> 0",),
+        "d_in": (">= 1",), "hidden": (">= 1",), "embed_dim": (">= 1",),
+        "init_scale": ("> 0",), "classifier_init_scale": ("> 0",)},
+    "synth --spec": {
+        "genera": (">= 1",), "species_per_genus": (">= 1",),
+        "head": (">= 1",), "tail": (">= 1",), "ratio": ("> 0", "<= 1"),
+        "dim": (">= 1",), "sigma_v": (">= 0",), "seq_len": (">= 4",),
+        "mu_genus": (">= 0", "<= 1"), "mu_species": (">= 0", "<= 1"),
+        "mu_individual": (">= 0", "<= 1"), "seqs_per_species": (">= 1",),
+        "map_scale": ("> 0",), "sigma_map": (">= 0",), "kappa": ("> 0",)},
+    "pipeline --config": {"k": (">= 1",)},
+}
+# flag -> (config class, a valid file); alignment is off in the train
+# file so that embed_dim may sit at its bound
+LIMIT_FILES = {
+    "train --config": (trainer.TrainConfig,
+                       {**TINY_TRAIN, "align_enabled": False}),
+    "synth --spec": (SynthSpec, TINY_SPEC),
+    "pipeline --config": (PipelineConfig, {"k": 3, "train": TINY_TRAIN,
+                                           "synth_spec": TINY_SPEC}),
+}
+
+
+def test_limits_tables_are_the_tested_rules():
+    tables = {flag: cls.limits for flag, (cls, _) in LIMIT_FILES.items()}
+    assert tables == LIMIT_RULES
+
+
+@pytest.mark.parametrize("flag, key, rule", [
+    pytest.param(flag, key, rule, id=key + rule.replace(" ", ""))
+    for flag, limits in LIMIT_RULES.items()
+    for key, rules in limits.items() for rule in rules])
+def test_config_values_out_of_range_give_one_error_line(
+        chain, tmp_path, capsys, flag, key, rule):
+    cls, base = LIMIT_FILES[flag]
+    kind = next(f.type for f in dataclasses.fields(cls) if f.name == key)
+    op, bound = rule.split()
+    bound = kind(bound)
+    # the bound of an open rule, or the nearest value past a closed one
+    step = -1 if op == ">=" else 1
+    past = (bound if op == ">" else bound + step if kind is int
+            else math.nextafter(bound, step * math.inf))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**base, key: past}))
+    command = flag.split()[0]
+    argv = (_config_argv(chain, tmp_path, command, path) if command != "pipeline"
+            else [command, "--config", str(path), "--out", str(tmp_path / "data")])
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert (capsys.readouterr().err
+            == f"error: {path}: {key} must be {rule}, got {past}\n")
+    assert not (tmp_path / "data").exists()
+    assert not (tmp_path / "ckpt.json").exists()
+    if op != ">":
+        cls.from_dict({**base, key: bound})  # a closed rule's bound passes
+
+
 @pytest.mark.parametrize("kappa", ["inf", "nan"])
 def test_sgt_embed_refuses_a_kappa_that_is_not_finite(chain, tmp_path,
                                                       capsys, kappa):
@@ -332,13 +396,20 @@ def test_sgt_embed_refuses_a_kappa_that_is_not_finite(chain, tmp_path,
     assert not out.exists()
 
 
-def test_layout_refuses_negative_iters(chain, tmp_path, capsys):
+@pytest.mark.parametrize("flag, value, message", [
+    pytest.param("--iters", "-5", "iters must be >= 0, got -5", id="iters"),
+    # NaN or a negative tol would never stop a descent early
+    pytest.param("--tol", "nan", "tol must be >= 0, got nan", id="tol-nan"),
+    pytest.param("--tol", "-1", "tol must be >= 0, got -1.0", id="tol-negative"),
+])
+def test_layout_refuses_negative_iters(chain, tmp_path, capsys, flag, value,
+                                       message):
     out = tmp_path / "layout.csv"
     capsys.readouterr()
     assert main(["layout", "--ckpt", str(chain / "aligned.json"),
                  "--features", str(chain / "data" / "train.csv"),
-                 "--iters", "-5", "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "error: iters must be >= 0, got -5\n"
+                 flag, value, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -518,6 +589,8 @@ BAD_COUNTS_CSVS = {
                        "line 2: negative taxon id -1"),
     "repeated-taxon": ("taxon_id,train_count\n0,500\n0,7\n",
                        "line 3: second count for taxon 0"),
+    "repeated-id": ("id,taxon_id\na,1\na,1\nb,2\n",
+                    "duplicate sequence id 'a'"),
     "negative-count": ("taxon_id,train_count\n1,-5\n",
                        "line 2: negative count -5"),
     "field-too-long": (f"id,taxon_id\na,0\n{LONG_FIELD},1\n",

@@ -253,6 +253,27 @@ def test_knn_holds_one_similarity_block():
     assert peak < 1.5 * evalkit.KNN_CHUNK * n * 8
 
 
+def test_knn_holds_two_similarity_blocks_on_a_tied_gallery():
+    # every group reaches the bound, so every column is a candidate
+    n = 4000
+    gallery = table(np.ones((n, 16)), np.arange(n) % 8)
+    queries = table(np.ones((600, 16)), np.zeros(600, dtype=int), prefix="q")
+    tracemalloc.start()
+    try:
+        pred = knn_predict(gallery, queries, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * evalkit.KNN_CHUNK * n * 8
+    assert np.all(pred == 0)  # gallery items 0-4, classes 0-4: a vote tie
+
+
+def test_knn_of_no_queries_is_empty():
+    gallery = table(np.eye(3), [0, 1, 2])
+    queries = table(np.zeros((0, 3)), np.zeros(0, dtype=int), prefix="q")
+    assert knn_predict(gallery, queries, 2).tolist() == []
+
+
 def test_knn_validates_inputs():
     gallery = table(np.eye(3), [0, 1, 2])
     queries = table(np.eye(3)[:1], [0], prefix="q")
