@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .dataio import (
     FeatureTable,
     SequenceRecord,
-    SplitSpec,
     load_feature_csv,
     parse_fasta,
     read_feature_bin,
@@ -24,7 +23,6 @@ __all__ = [
     "BIGRAM_ALPHABET",
     "FeatureTable",
     "SequenceRecord",
-    "SplitSpec",
     "load_feature_csv",
     "parse_fasta",
     "read_feature_bin",

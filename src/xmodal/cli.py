@@ -269,10 +269,7 @@ def _blas_thread_functions():
     dlsym on numpy's own extension module also searches the libraries
     it links, which is where the bundled OpenBLAS lives.
     """
-    try:
-        from numpy._core import _multiarray_umath as ext
-    except ImportError:  # numpy < 2
-        from numpy.core import _multiarray_umath as ext
+    from numpy._core import _multiarray_umath as ext
     try:
         lib = ctypes.CDLL(ext.__file__)
     except OSError:

@@ -2,9 +2,9 @@
 
 Covers FASTA sequence files, feature tables (CSV and the compact
 ``.vgfb`` binary form), sequence-to-taxon label files, per-class count
-tables, and train/test split lists.  Loaders validate their input and
-raise ``ValueError`` with enough context (row id or line number) to
-locate the offending record.
+tables, and JSON files.  Loaders validate their input and raise
+``ValueError`` with enough context (row id or line number) to locate
+the offending record.
 
 Formats
 -------
@@ -47,7 +47,7 @@ import re
 import struct
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 import orjson
@@ -176,14 +176,10 @@ def parse_fasta(source):
     return records
 
 
-def format_fasta(records):
-    """Render records back to FASTA text (one sequence line per record)."""
-    return "".join(f">{r.id}\n{r.residues}\n" for r in records)
-
-
 def write_fasta(records, path):
+    """Write records as FASTA text, one sequence line per record."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_fasta(records))
+        fh.write("".join(f">{r.id}\n{r.residues}\n" for r in records))
 
 
 @dataclass
@@ -527,21 +523,6 @@ def load_label_counts(path):
         if not counts:
             raise ValueError("no count rows")
     return counts
-
-
-@dataclass
-class SplitSpec:
-    """Disjoint train/test item id lists."""
-
-    train: list = field(default_factory=list)
-    test: list = field(default_factory=list)
-
-    def __post_init__(self):
-        self.train = list(self.train)
-        self.test = list(self.test)
-        overlap = set(self.train) & set(self.test)
-        if overlap:
-            raise ValueError(f"train/test overlap: {sorted(overlap)[:5]}")
 
 
 def read_json(path):

@@ -28,13 +28,13 @@ spec seed (streams: root, genus, species, individual, map, visual,
 split), so the same spec yields byte-identical output files.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import dataio
-from .dataio import FeatureTable, JsonConfig, SequenceRecord, SplitSpec
+from .dataio import FeatureTable, JsonConfig, SequenceRecord
 from .seeds import derive_seed
 from .sgt import BASES, anchors_from_table, embed_sequences
 
@@ -86,7 +86,6 @@ class SynthData:
     counts: np.ndarray
     train_table: FeatureTable
     test_table: FeatureTable
-    split: SplitSpec
     manifest: dict
 
 
@@ -191,7 +190,6 @@ def generate(spec):
                     out=matrix[len(ids):len(ids) + len(local)])
             ids.extend(f"img{taxon:02d}_{i:04d}" for i in local)
     train_table, test_table = (FeatureTable(*side) for side in sides)
-    split = SplitSpec(train_table.ids, test_table.ids)
 
     train_counts = np.bincount(train_table.labels, minlength=c)
     test_counts = np.bincount(test_table.labels, minlength=c)
@@ -210,8 +208,7 @@ def generate(spec):
         ],
     }
     return SynthData(spec, records, seq_labels, genetic, anchors, visual_means,
-                     map_matrix, counts, train_table, test_table, split,
-                     manifest)
+                     map_matrix, counts, train_table, test_table, manifest)
 
 
 def write_outputs(data, outdir):
@@ -222,5 +219,6 @@ def write_outputs(data, outdir):
     dataio.write_labels_csv(data.seq_labels, out / "labels.csv")
     dataio.write_feature_csv(data.train_table, out / "train.csv")
     dataio.write_feature_csv(data.test_table, out / "test.csv")
-    dataio.write_json(asdict(data.split), out / "split.json")
+    split = {"train": data.train_table.ids, "test": data.test_table.ids}
+    dataio.write_json(split, out / "split.json")
     dataio.write_json(data.manifest, out / "truth.json")

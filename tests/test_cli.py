@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import importlib.metadata
 import json
 import math
 import multiprocessing
@@ -1164,6 +1165,34 @@ def test_third_party_imports_are_declared_dependencies():
                 for dep in _pyproject("project", "dependencies")}
     assert "numpy" in third_party
     assert third_party <= declared, sorted(third_party - declared)
+
+
+def _release(version):
+    """The release numbers that lead `version`: "2.4.6rc1" -> (2, 4, 6)."""
+    return tuple(map(int, re.match(r"\d+(?:\.\d+)*", version)[0].split(".")))
+
+
+def test_installed_dependencies_meet_their_declared_floors():
+    """Each of [project].dependencies declares a >= floor that the
+    installed package meets, so the floor is a version the tests ran on.
+    numpy's must be 2 or later: cli imports numpy._core, new in numpy 2."""
+    floors = {}
+    for dep in _pyproject("project", "dependencies"):
+        match = re.fullmatch(r"([\w.-]+)>=([\d.]+)", dep)
+        assert match, f"{dep!r} declares no plain >= floor"
+        floors[match[1].lower()] = match[2]
+    assert _release(floors["numpy"]) >= (2,)
+    for name, floor in floors.items():
+        installed = importlib.metadata.version(name)
+        assert _release(installed) >= _release(floor), (name, installed, floor)
+
+
+def test_package_exports_resolve():
+    """Every name in xmodal.__all__ is defined on the package, so a
+    removed export cannot linger there, and `from xmodal import *` runs."""
+    missing = [name for name in xmodal.__all__ if not hasattr(xmodal, name)]
+    assert not missing, missing
+    exec("from xmodal import *", {})
 
 
 def test_json_files_are_read_and_written_only_by_dataio():

@@ -23,8 +23,6 @@ from xmodal import dataio
 from xmodal.dataio import (
     FeatureTable,
     SequenceRecord,
-    SplitSpec,
-    format_fasta,
     load_feature_csv,
     load_label_counts,
     load_labels_csv,
@@ -55,7 +53,8 @@ def test_parse_fasta_basic():
 
 
 def test_parse_fasta_round_trip(tmp_path):
-    records = [SequenceRecord("a", "ACGT"), SequenceRecord("b", "GGNNCC")]
+    records = [SequenceRecord("a", "ACGT"), SequenceRecord("b", "GGNNCC"),
+               SequenceRecord("q", "ACGTRYSWKM")]
     path = tmp_path / "seqs.fa"
     write_fasta(records, path)
     with open(path) as fh:
@@ -125,11 +124,6 @@ def test_feature_table_names_the_first_five_duplicate_ids_sorted(tmp_path):
     with pytest.raises(ValueError) as info:
         load_feature_csv(path)
     assert str(info.value) == f"{path}: duplicate ids {first_five}"
-
-
-def test_format_fasta_is_inverse_of_parse():
-    records = [SequenceRecord("q", "ACGTRYSWKM")]
-    assert parse_fasta(format_fasta(records)) == records
 
 
 def test_feature_table_validation():
@@ -410,11 +404,6 @@ def test_load_label_counts_tally(tmp_path):
     path = tmp_path / "labels.csv"
     path.write_text("sequence_id,taxon_id\na,0\nb,0\nc,1\n")
     assert load_label_counts(path) == {0: 2, 1: 1}
-
-
-def test_split_spec_overlap():
-    with pytest.raises(ValueError, match="overlap"):
-        SplitSpec(train=["a", "b"], test=["b"])
 
 
 def _midpoints(x):

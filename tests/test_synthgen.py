@@ -78,7 +78,7 @@ def test_generate_shapes_and_labels():
 def test_generate_split_is_per_class_and_disjoint():
     spec = small_spec()
     data = generate(spec)
-    assert not set(data.split.train) & set(data.split.test)
+    assert not set(data.train_table.ids) & set(data.test_table.ids)
     for taxon in range(spec.n_classes):
         n_train = int(np.sum(data.train_table.labels == taxon))
         n_test = int(np.sum(data.test_table.labels == taxon))
@@ -100,7 +100,7 @@ def test_generate_is_deterministic():
     two = generate(small_spec(seed=5))
     other = generate(small_spec(seed=6))
     assert one.train_table.matrix.tobytes() == two.train_table.matrix.tobytes()
-    assert one.split.train == two.split.train
+    assert one.train_table.ids == two.train_table.ids
     assert [r.residues for r in one.records] == [r.residues for r in two.records]
     assert one.train_table.matrix.tobytes() != other.train_table.matrix.tobytes()
 
@@ -120,7 +120,6 @@ def test_generate_tables_match_the_row_list_oracle(spec):
         assert got.ids == ids
         assert got.labels.tolist() == labels.tolist()
         assert got.matrix.tobytes() == matrix.tobytes()
-    assert data.split.train == want[0][0] and data.split.test == want[1][0]
 
 
 def test_generate_holds_the_features_once():
@@ -196,6 +195,6 @@ def test_write_outputs_round_trip(tmp_path):
     assert train.matrix.tobytes() == data.train_table.matrix.tobytes()
     assert train.ids == data.train_table.ids
     split = json.loads((tmp_path / "split.json").read_text())
-    assert split == {"train": data.split.train, "test": data.split.test}
+    assert split == {"train": data.train_table.ids, "test": data.test_table.ids}
     manifest = json.loads((tmp_path / "truth.json").read_text())
     assert manifest == data.manifest
