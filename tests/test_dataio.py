@@ -53,8 +53,7 @@ def test_parse_fasta_basic():
 
 
 def test_parse_fasta_round_trip(tmp_path):
-    records = [SequenceRecord("a", "ACGT"), SequenceRecord("b", "GGNNCC"),
-               SequenceRecord("q", "ACGTRYSWKM")]
+    records = [SequenceRecord("a", "ACGT"), SequenceRecord("b", "GGNNCC")]
     path = tmp_path / "seqs.fa"
     write_fasta(records, path)
     with open(path) as fh:
@@ -124,6 +123,13 @@ def test_feature_table_names_the_first_five_duplicate_ids_sorted(tmp_path):
     with pytest.raises(ValueError) as info:
         load_feature_csv(path)
     assert str(info.value) == f"{path}: duplicate ids {first_five}"
+
+
+def test_format_fasta_is_inverse_of_parse(tmp_path):
+    records = [SequenceRecord("q", "ACGTRYSWKM")]
+    path = tmp_path / "q.fa"
+    write_fasta(records, path)
+    assert parse_fasta(path.read_text()) == records
 
 
 def test_feature_table_validation():
