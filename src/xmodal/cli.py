@@ -515,7 +515,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError, OSError, KeyError) as exc:
+    except (ValueError, ArithmeticError, OSError, KeyError,
+            MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -207,7 +207,11 @@ class FeatureTable:
             raise ValueError(f"duplicate ids in feature table: {dupes[:5]}")
         if np.any(self.labels < 0):
             raise ValueError("labels must be non-negative integers")
-        if not np.all(np.isfinite(self.matrix)):
+        # a finite sum clears the matrix without an N x D bool temporary;
+        # finite values whose sum overflows fall through to the full check
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = np.add.reduce(self.matrix, axis=None)
+        if not np.isfinite(total) and not np.all(np.isfinite(self.matrix)):
             bad = np.where(~np.isfinite(self.matrix).all(axis=1))[0][0]
             raise ValueError(f"non-finite feature value in row {self.ids[bad]!r}")
 

@@ -39,6 +39,8 @@ from .seeds import derive_seed
 from .sgt import BASES, anchors_from_table, embed_sequences
 
 TEST_FRACTION = 0.2
+# doubles drawn between passes that scale and shift the drawn rows (1 MB)
+_NOISE_CHUNK = 1 << 17
 
 
 @dataclass
@@ -118,9 +120,10 @@ def class_counts(spec):
 
 def generate(spec):
     """Build the full dataset; see the module docstring for the recipe.
-    The split is drawn first (its stream is independent), so each taxon's
-    visual samples go straight into the train and test matrices, which
-    are the only full-size arrays built."""
+    The split is drawn first (its stream is independent), so each visual
+    sample is drawn straight into its row of the train or test matrix:
+    those two tables are the only full-size arrays built, and no noise
+    block is held beside them."""
     c = spec.n_classes
     counts = class_counts(spec)
 
@@ -175,21 +178,45 @@ def generate(spec):
         perm = rng_split.permutation(n)
         parts.append((np.sort(perm[n_test:]), np.sort(perm[:n_test])))
 
+    # each side's positions are sorted, so a run of consecutive samples bound
+    # for one side fills consecutive rows of that side's matrix: each run is
+    # drawn straight into its rows, and every chunk's rows are scaled and
+    # shifted while still in cache.  sigma*z + mean equals normal()'s
+    # (0 + sigma*z) + mean bit for bit unless a mean coordinate is -0.0
     rng_visual = np.random.default_rng(derive_seed(spec.seed, "visual"))
-    sides = []  # (ids, labels, matrix) of the train table, then the test one
-    for side in (0, 1):
-        sizes = [len(p[side]) for p in parts]
-        sides.append(([], np.repeat(np.arange(c), sizes),
-                      np.empty((sum(sizes), spec.dim))))
+    sizes = [[len(p[side]) for p in parts] for side in (0, 1)]
+    mats = [np.empty((sum(s), spec.dim)) for s in sizes]  # train, test
+    ids = ([], [])
+    filled = [0, 0]  # rows drawn so far, per side
+    chunk = max(1, _NOISE_CHUNK // spec.dim)  # rows drawn between passes
     for taxon, positions in enumerate(parts):
-        noise = rng_visual.normal(0.0, spec.sigma_v,
-                                  size=(counts[taxon], spec.dim))
-        noise += visual_means[taxon]
-        for local, (ids, _, matrix) in zip(positions, sides):
-            np.take(noise, local, axis=0,
-                    out=matrix[len(ids):len(ids) + len(local)])
-            ids.extend(f"img{taxon:02d}_{i:04d}" for i in local)
-    train_table, test_table = (FeatureTable(*side) for side in sides)
+        n = int(counts[taxon])
+        to_test = np.zeros(n, dtype=bool)
+        to_test[positions[1]] = True
+        # a piece of samples ends at every side change, every chunk's end
+        # and the taxon's last sample
+        is_last = np.ones(n, dtype=bool)
+        np.not_equal(to_test[1:], to_test[:-1], out=is_last[:-1])
+        is_last[chunk - 1::chunk] = True
+        last = np.flatnonzero(is_last)  # each piece's last sample
+        ends = (last + 1).tolist()
+        done = filled[:]  # rows of this taxon already scaled and shifted
+        for a, b, side in zip([0] + ends[:-1], ends, to_test[last].tolist()):
+            lo = filled[side]
+            filled[side] = lo + b - a
+            rng_visual.standard_normal(out=mats[side][lo:filled[side]])
+            if b % chunk == 0 or b == n:
+                for s in (0, 1):
+                    rows = mats[s][done[s]:filled[s]]
+                    rows *= spec.sigma_v
+                    rows += visual_means[taxon]
+                    done[s] = filled[s]
+        for side in (0, 1):
+            ids[side].extend(f"img{taxon:02d}_{i:04d}"
+                             for i in positions[side].tolist())
+    train_table, test_table = (
+        FeatureTable(ids[s], np.repeat(np.arange(c), sizes[s]), mats[s])
+        for s in (0, 1))
 
     train_counts = np.bincount(train_table.labels, minlength=c)
     test_counts = np.bincount(test_table.labels, minlength=c)

@@ -577,6 +577,45 @@ def test_cli_reports_errors_as_exit_one(chain, capsys):
     assert "exceeds gallery" in capsys.readouterr().err
 
 
+def test_out_of_memory_is_one_error_line(monkeypatch, tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(TINY_SPEC))
+    synth = ["synth", "--spec", str(spec_path), "--out", str(tmp_path / "d")]
+    pipeline = ["pipeline", "--spec", str(spec_path),
+                "--out", str(tmp_path / "p")]
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 EiB")
+
+    one_line = "error: Unable to allocate 8.00 EiB\n"
+
+    with monkeypatch.context() as patch:
+        patch.setattr(synthgen, "generate", exhausted)
+        for argv in (synth, pipeline):
+            capsys.readouterr()
+            assert main(argv) == 1
+            assert capsys.readouterr().err == one_line
+    assert not (tmp_path / "d").exists() and not (tmp_path / "p").exists()
+    # a branch's child raises it in the parent
+    with monkeypatch.context() as patch:
+        patch.setattr(trainer, "train_stage1", exhausted)
+        capsys.readouterr()
+        assert main(pipeline) == 1
+        assert capsys.readouterr().err == one_line
+    assert multiprocessing.active_children() == []
+
+    # a 1.8 EiB map matrix: beyond any process's address space, so the
+    # allocation fails at once and nothing is overcommitted
+    spec_path.write_text(json.dumps({**TINY_SPEC, "dim": 10**15}))
+    for argv in (synth, pipeline):
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate ")
+        assert err.count("\n") == 1, err
+    assert not (tmp_path / "d").exists()
+
+
 # a field one character over csv's default limit
 LONG_FIELD = "x" * 131_073
 FIELD_LIMIT = "field larger than field limit (131072)"

@@ -143,6 +143,30 @@ def test_feature_table_validation():
         FeatureTable(["a", "b"], [0, 1, 2], np.zeros((2, 3)))
 
 
+def _overflowing_sums():
+    to_nan = np.zeros((2, 8))  # +inf and -inf partial sums make nan
+    to_nan[:, 0], to_nan[:, 1] = 1e308, -1e308
+    return [np.full((2, 3), 1e308), to_nan]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("matrix", _overflowing_sums(), ids=["inf", "nan"])
+def test_feature_table_accepts_finite_values_whose_sum_overflows(matrix):
+    table = FeatureTable(["a", "b"], [0, 1], matrix)
+    assert table.matrix is matrix
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("fill", [0.0, 1e308])
+def test_feature_table_names_a_non_finite_value_in_the_last_row(bad, fill):
+    matrix = np.full((3, 4), fill)
+    matrix[2, 3] = bad
+    with pytest.raises(ValueError) as info:
+        FeatureTable(["a", "b", "c"], [0, 1, 2], matrix)
+    assert str(info.value) == "non-finite feature value in row 'c'"
+
+
 def test_feature_csv_round_trip_exact(tmp_path):
     table = small_table(np.random.default_rng(5))
     path = tmp_path / "features.csv"

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from xmodal import dataio
+from xmodal import dataio, synthgen
 from xmodal.sgt import sgt_embed, tokenize_bigrams
 from xmodal.synthgen import SynthSpec, _mutate, class_counts, generate, write_outputs
 
@@ -110,9 +110,28 @@ WIDE = dict(genera=4, species_per_genus=8, head=120, tail=10, ratio=0.9,
             dim=2048, seq_len=100, seqs_per_species=4)
 
 
-@pytest.mark.parametrize("spec", [SynthSpec(), SynthSpec(seed=3, **WIDE)],
-                         ids=["default", "wide"])
-def test_generate_tables_match_the_row_list_oracle(spec):
+# taxon 0's first and last samples both go to the test side
+EDGES = SynthSpec(genera=2, species_per_genus=2, head=12, tail=6, dim=5,
+                  seq_len=40, seqs_per_species=4, seed=8)
+
+
+@pytest.mark.parametrize("spec, chunk_rows", [
+    (SynthSpec(), None),
+    (SynthSpec(seed=3, **WIDE), None),
+    (SynthSpec(seed=4, sigma_v=0.0), None),
+    (SynthSpec(seed=5, dim=1), None),
+    (EDGES, None),
+    # passes inside runs and on run ends
+    (SynthSpec(seed=6, dim=3), 1),
+    (SynthSpec(seed=6, dim=3), 3),
+    (SynthSpec(seed=6, dim=3), 7),
+    (EDGES, 7),
+], ids=["default", "wide", "sigma0", "dim1", "edges", "chunk1", "chunk3",
+        "chunk7", "edges-chunk7"])
+def test_generate_tables_match_the_row_list_oracle(spec, chunk_rows,
+                                                   monkeypatch):
+    if chunk_rows is not None:
+        monkeypatch.setattr(synthgen, "_NOISE_CHUNK", chunk_rows * spec.dim)
     data = generate(spec)
     want = split_tables_oracle(spec, data.visual_means, data.counts)
     for got, (ids, labels, matrix) in zip(
@@ -120,6 +139,12 @@ def test_generate_tables_match_the_row_list_oracle(spec):
         assert got.ids == ids
         assert got.labels.tolist() == labels.tolist()
         assert got.matrix.tobytes() == matrix.tobytes()
+
+
+def test_edges_spec_sends_a_taxons_first_and_last_samples_to_test():
+    data = generate(EDGES)
+    last = int(data.counts[0]) - 1
+    assert {"img00_0000", f"img00_{last:04d}"} <= set(data.test_table.ids)
 
 
 def test_generate_holds_the_features_once():
@@ -134,9 +159,10 @@ def test_generate_holds_the_features_once():
     returned = sum(a.nbytes for a in (data.train_table.matrix,
                                       data.test_table.matrix,
                                       data.map_matrix, data.visual_means))
-    # the returned arrays, one taxon's noise block and the table checks;
-    # a full table plus per-row copies would be about 2.7x
-    assert peak <= 1.5 * returned
+    # the returned arrays and small per-taxon bookkeeping: no noise block
+    # and no N x D temporary of the table checks; a full table plus per-row
+    # copies would be about 2.7x
+    assert peak <= 1.05 * returned
 
 
 def test_taxonomy_signal_in_sequences_and_anchors():
