@@ -26,10 +26,9 @@ def main():
     print(f"dataset: {spec.n_classes} classes, train sizes {counts.tolist()}")
     print(f"         {len(data.records)} rDNA sequences, visual dim {spec.dim}\n")
 
-    seq_ids, genetic = sgt.embed_sequences(data.records, kappa=spec.kappa)
-    labels_g = np.array([data.seq_labels[i] for i in seq_ids])
-    anchors = {a.taxon: a.vector
-               for a in sgt.anchors_from_table(seq_ids, genetic, labels_g)}
+    # generate builds the anchors with sgt.anchor_table; align_stage2
+    # takes them as a {taxon: vector} dict
+    anchors = sgt.anchors_by_taxon(data.anchors)
 
     config = trainer.TrainConfig(d_in=spec.dim, seed=1, ltr_enabled=True)
     params, history = trainer.train_stage1(

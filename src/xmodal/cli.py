@@ -14,7 +14,9 @@ One executable, eight subcommands:
 
 `pipeline` calls the same stage functions as the subcommands, so its
 files equal those of the synth, sgt-embed, anchors, train, align and
-eval chain run on the same spec and config at one BLAS thread.
+eval chain run on the same spec and config at one BLAS thread.  Its
+anchors are those synthgen.generate builds once, with the sgt functions
+that sgt-embed and anchors call.
 
 All randomness flows from one --seed; stages derive their own streams
 from it, so rerunning any command with the same inputs reproduces its
@@ -24,10 +26,9 @@ Processes: `pipeline` trains its two independent branches (naive and
 balanced) side by side.  A two-worker thread pool starts them, and each
 pool thread runs its branch in a child process forked from this one and
 waits for it.  Fork copies nothing up front (the training data is shared
-copy-on-write) and each child has its own interpreter lock, where two
-threads of one interpreter waited on each other's (README, Threads).
-A child finishes its branch, writing its own files, and sends back only
-the branch's two metric reports.  It holds the BLAS library at one
+copy-on-write), and each child has its own interpreter lock.  A child
+finishes its branch, writing its own files, and sends back only the
+branch's two metric reports.  It holds the BLAS library at one
 thread, so each branch's matmuls use one core and the two branches fill
 two.  Left at its default, BLAS would start its own threads inside each
 branch, and the oversubscribed cores would run every branch at half
@@ -73,34 +74,6 @@ def _load_synth_spec(ref, seed=None, path=None):
     if seed is not None:
         spec = dataclasses.replace(spec, seed=seed)
     return spec
-
-
-def _genetic_table(records, labels, kappa):
-    """SGT-embed `records` -> FeatureTable labelled by `labels[id]`."""
-    missing = [r.id for r in records if r.id not in labels]
-    if missing:
-        raise ValueError(f"no taxon label for sequences {missing[:5]}")
-    ids, matrix = sgt.embed_sequences(records, kappa)
-    return dataio.FeatureTable(ids, [labels[i] for i in ids], matrix)
-
-
-def _anchor_table(genetic):
-    """Per-taxon median anchors of a genetic FeatureTable, one row each."""
-    anchors = sgt.anchors_from_table(genetic.ids, genetic.matrix,
-                                     genetic.labels)
-    taxa = [a.taxon for a in anchors]
-    return dataio.FeatureTable([f"anchor{t:02d}" for t in taxa], taxa,
-                               [a.vector for a in anchors])
-
-
-def _anchors_by_taxon(table):
-    """{taxon: vector} of an anchor table, which has one row per taxon."""
-    taxa, counts = np.unique(table.labels, return_counts=True)
-    if np.any(counts > 1):
-        raise ValueError(
-            f"anchor table has more than one row for taxa"
-            f" {taxa[counts > 1][:5].tolist()}")
-    return {int(lbl): table.matrix[i] for i, lbl in enumerate(table.labels)}
 
 
 def _save_stage(params, path, stage, seed, lineage=None):
@@ -159,17 +132,30 @@ def cmd_synth(args):
 def cmd_sgt_embed(args):
     with open(args.fasta, "rb") as fh:
         records = dataio.parse_fasta(fh)
-    table = _genetic_table(records, dataio.load_labels_csv(args.labels),
-                           args.kappa)
+    table = sgt.genetic_table(records, dataio.load_labels_csv(args.labels),
+                              args.kappa)
     dataio.write_feature_csv(table, args.out)
     print(f"embedded {table.n} sequences (kappa={args.kappa}) -> {args.out}")
     return 0
 
 
 def cmd_anchors(args):
-    table = _anchor_table(dataio.load_feature_csv(getattr(args, "in")))
+    table = sgt.anchor_table(dataio.load_feature_csv(getattr(args, "in")))
     dataio.write_feature_csv(table, args.out)
     print(f"{table.n} anchors -> {args.out}")
+    return 0
+
+
+def _finish_stage(args, config, params, history, lineage=None):
+    """Save a trained stage's checkpoint to --out and its history to
+    --history if given, then print the stage's `done` line."""
+    stage = history.stage
+    _save_stage(params, args.out, stage, config.seed, lineage)
+    if args.history:
+        trainer.write_history([history], args.history)
+    last = history.entries[-1]["mean_loss"] if history.entries else float("nan")
+    print(f"{stage} done: {getattr(config, f'epochs_{stage}')} epochs,"
+          f" final loss {last:.6f} -> {args.out}")
     return 0
 
 
@@ -177,29 +163,17 @@ def cmd_train(args):
     config = TrainConfig.load(args.config)
     table = dataio.load_feature_csv(args.features)
     params, history = trainer.train_stage1(config, table.matrix, table.labels)
-    _save_stage(params, args.out, "stage1", config.seed)
-    if args.history:
-        trainer.write_history(history, args.history)
-    last = history.entries[-1]["mean_loss"] if history.entries else float("nan")
-    print(f"stage1 done: {config.epochs_stage1} epochs, final loss {last:.6f}"
-          f" -> {args.out}")
-    return 0
+    return _finish_stage(args, config, params, history)
 
 
 def cmd_align(args):
     config = TrainConfig.load(args.config)
     params, _, lineage = load_checkpoint(args.ckpt)
     table = dataio.load_feature_csv(args.features)
-    anchors = _anchors_by_taxon(dataio.load_feature_csv(args.anchors))
+    anchors = sgt.anchors_by_taxon(dataio.load_feature_csv(args.anchors))
     params, history = trainer.align_stage2(config, params, anchors,
                                            table.matrix, table.labels)
-    _save_stage(params, args.out, "stage2", config.seed, lineage)
-    if args.history:
-        trainer.write_history(history, args.history)
-    last = history.entries[-1]["mean_loss"] if history.entries else float("nan")
-    print(f"stage2 done: {config.epochs_stage2} epochs, final loss {last:.6f}"
-          f" -> {args.out}")
-    return 0
+    return _finish_stage(args, config, params, history, lineage)
 
 
 def cmd_eval(args):
@@ -359,19 +333,22 @@ def run_pipeline(spec, pipe_config=None, out_dir=None):
     The branches share one seed, so `naive` and `wd+m` see identical
     triplet draws and differ only in the balance devices; the aligned
     variants continue their branch's checkpoint through stage 2.
-    The train overrides are checked first.  With `out_dir` set, each
-    branch's child writes its checkpoints and history, then the parent
-    writes the dataset, genetic features, anchors and, last, report.json.
-    Returns the report dict of the metrics the children send back.
+    The train overrides, d_in against the spec's dim included, are checked
+    first.  With `out_dir` set, each branch's child writes its checkpoints
+    and history, then the parent writes the dataset, genetic features,
+    generate's anchors and, last, report.json.  Returns the report dict of
+    the metrics the children send back.
     """
     pipe = pipe_config or PipelineConfig()
     train_config = pipe.train_config(d_in=spec.dim, seed=spec.seed)
+    if train_config.d_in != spec.dim:
+        raise ValueError(f"train d_in {train_config.d_in} != synth spec dim"
+                         f" {spec.dim}")
     data = synthgen.generate(spec)
     if out_dir is not None:  # an output path that cannot be made fails here
         out = Path(out_dir)
         (out / "data").mkdir(parents=True, exist_ok=True)
-    anchor_table = _anchor_table(data.genetic)
-    anchors = _anchors_by_taxon(anchor_table)
+    anchors = sgt.anchors_by_taxon(data.anchors)
     train, test = data.train_table, data.test_table
 
     def run_branch(ltr_enabled, fname):
@@ -406,7 +383,7 @@ def run_pipeline(spec, pipe_config=None, out_dir=None):
     if out_dir is not None:
         synthgen.write_outputs(data, out / "data")
         dataio.write_feature_csv(data.genetic, out / "genetic.csv")
-        dataio.write_feature_csv(anchor_table, out / "anchors.csv")
+        dataio.write_feature_csv(data.anchors, out / "anchors.csv")
         dataio.write_json(report, out / "report.json")
     return report
 

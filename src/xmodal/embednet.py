@@ -160,12 +160,10 @@ def init_head(d_in, hidden, embed_dim, n_classes, seed, scale=1.0,
 
 
 def forward(params, features):
-    """Run the head on a (B, D) batch (a single D-vector is promoted to a
-    batch of one) in the dtype of the head's buffer, to which the batch is
-    cast.  Returns (embedding (B, E), logits (B, C), cache)."""
+    """Run the head on a (B, D) batch in the dtype of the head's buffer,
+    to which the batch is cast; pass a single vector as a (1, D) batch.
+    Returns (embedding (B, E), logits (B, C), cache)."""
     x = np.asarray(features, dtype=params.flat.dtype)
-    if x.ndim == 1:
-        x = x[None, :]
     if x.ndim != 2 or x.shape[1] != params.dims[0]:
         raise ValueError(
             f"features must be (B, {params.dims[0]}), got {x.shape}")
@@ -181,16 +179,14 @@ def backward(cache, d_embedding, d_logits, out=None):
     """Exact gradients of the forward map in its dtype, summed over the
     batch, written into the gradient head `out` (new if None) and returned.
 
-    Either upstream gradient may be all zeros (e.g. a loss that never
-    looks at logits).  The relu subgradient at exactly 0 is taken as 0.
+    The upstream gradients have the (B, E) and (B, C) shapes of the
+    forward pass's outputs.  Either may be all zeros (e.g. a loss that
+    never looks at logits).  The relu subgradient at exactly 0 is taken
+    as 0.
     """
     p = cache.params
     d_e = np.asarray(d_embedding, dtype=p.flat.dtype)
     d_z = np.asarray(d_logits, dtype=p.flat.dtype)
-    if d_e.ndim == 1:
-        d_e = d_e[None, :]
-    if d_z.ndim == 1:
-        d_z = d_z[None, :]
     if d_e.shape != cache.embedding.shape or d_z.shape != cache.logits.shape:
         raise ValueError("upstream gradient shapes do not match the forward pass")
     g = HeadParams.empty(p.dims, p.flat.dtype) if out is None else out

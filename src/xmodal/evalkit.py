@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import dataio, embednet
+from . import dataio, embednet, sgt
 
 TAIL_THRESHOLD = 100
 HEAD_THRESHOLD = 1000
@@ -277,10 +277,8 @@ def anchor_centroid_cosines(table, anchors):
     """
     class_ids, cents = class_centroids(table)
     cosines = {}
-    for cid, cent in zip(class_ids, cents):
-        if cid not in anchors:
-            raise ValueError(f"no anchor for class {cid}")
-        a = np.asarray(anchors[cid], dtype=np.float64)
+    for cid, a, cent in zip(class_ids, sgt.anchor_rows(anchors, class_ids),
+                            cents):
         denom = np.linalg.norm(a) * np.linalg.norm(cent)
         if denom == 0:
             raise ValueError(f"zero-norm centroid or anchor for class {cid}")

@@ -19,12 +19,17 @@ sequences at once, one numpy step per position for the whole block;
 sgt_embed is the same kernel on one sequence.
 
 Per-taxon genetic anchors are elementwise medians of the taxon's
-embeddings, so single outlier sequences cannot drag the anchor.
+embeddings, so single outlier sequences cannot drag the anchor.  Every
+anchor is built and looked up here: genetic_table embeds labelled
+sequences, anchor_table reduces them to one row per taxon (id anchorTT)
+and anchor_rows lines the anchors up with a list of taxa.
 """
 
 from typing import NamedTuple
 
 import numpy as np
+
+from . import dataio
 
 BASES = "ACGT"
 
@@ -184,3 +189,46 @@ def anchors_from_table(ids, matrix, labels):
             f" labels, matrix of shape {matrix.shape}")
     return [GeneticAnchor(int(t), np.median(matrix[labels == t], axis=0))
             for t in np.unique(labels)]
+
+
+def genetic_table(records, labels, kappa):
+    """SGT-embed `records` -> FeatureTable labelled by `labels[id]`."""
+    missing = [r.id for r in records if r.id not in labels]
+    if missing:
+        raise ValueError(f"no taxon label for sequences {missing[:5]}")
+    ids, matrix = embed_sequences(records, kappa)
+    return dataio.FeatureTable(ids, [labels[i] for i in ids], matrix)
+
+
+def anchor_table(genetic):
+    """Per-taxon median anchors of a genetic FeatureTable: one row each,
+    sorted by taxon, with id anchorTT."""
+    anchors = anchors_from_table(genetic.ids, genetic.matrix, genetic.labels)
+    taxa = [a.taxon for a in anchors]
+    return dataio.FeatureTable([f"anchor{t:02d}" for t in taxa], taxa,
+                               [a.vector for a in anchors])
+
+
+def anchors_by_taxon(table):
+    """{taxon: vector} of an anchor table, which has one row per taxon."""
+    taxa, counts = np.unique(table.labels, return_counts=True)
+    if np.any(counts > 1):
+        raise ValueError(
+            f"anchor table has more than one row for taxa"
+            f" {taxa[counts > 1][:5].tolist()}")
+    return {int(lbl): table.matrix[i] for i, lbl in enumerate(table.labels)}
+
+
+def anchor_rows(anchors, taxa):
+    """{taxon: vector} anchors -> (T, E) matrix whose row i is the anchor
+    of the i-th taxon of sorted `taxa`, so its size never follows the
+    taxon ids.  Every taxon in `taxa` must have an anchor."""
+    by_taxon = {int(t): np.asarray(vec, dtype=np.float64)
+                for t, vec in anchors.items()}
+    missing = [int(t) for t in taxa if int(t) not in by_taxon]
+    if missing:
+        raise ValueError(f"missing anchors for present taxa {missing}")
+    dim = len(next(iter(by_taxon.values())))
+    if any(vec.shape != (dim,) for vec in by_taxon.values()):
+        raise ValueError("anchor vectors must share one dimension")
+    return np.array([by_taxon[t] for t in sorted(int(t) for t in taxa)])

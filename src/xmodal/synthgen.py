@@ -10,7 +10,7 @@ implements has a real signal to find:
      species master at mu_individual (iid per base, always to a
      different base);
   2. each species gets a genetic anchor, the median of its individual
-     sequences' SGT embeddings;
+     sequences' SGT embeddings, built by sgt.anchor_table;
   3. one fixed random linear map M sends anchors into visual space;
      a species' visual class mean is M @ anchor plus per-coordinate
      map noise sigma_map;
@@ -36,7 +36,7 @@ import numpy as np
 from . import dataio
 from .dataio import FeatureTable, JsonConfig, SequenceRecord
 from .seeds import derive_seed
-from .sgt import BASES, anchors_from_table, embed_sequences
+from .sgt import BASES, anchor_table, genetic_table
 
 TEST_FRACTION = 0.2
 # doubles drawn between passes that scale and shift the drawn rows (1 MB)
@@ -82,7 +82,7 @@ class SynthData:
     records: list
     seq_labels: dict
     genetic: FeatureTable  # each record's SGT embedding, labelled by taxon
-    anchors: np.ndarray
+    anchors: FeatureTable  # sgt.anchor_table of genetic, one row per taxon
     visual_means: np.ndarray
     map_matrix: np.ndarray
     counts: np.ndarray
@@ -151,18 +151,15 @@ def generate(spec):
             rec = SequenceRecord(f"seq{taxon:02d}_{i:02d}", _to_string(seq))
             records.append(rec)
             seq_labels[rec.id] = taxon
-    ids, matrix = embed_sequences(records, spec.kappa)
-    genetic = FeatureTable(ids, [seq_labels[i] for i in ids], matrix)
-    # row t: taxon t's genetic anchor
-    anchors = np.array([a.vector for a in anchors_from_table(
-        genetic.ids, genetic.matrix, genetic.labels)])
+    genetic = genetic_table(records, seq_labels, spec.kappa)
+    anchors = anchor_table(genetic)  # row t: taxon t's genetic anchor
 
     # entry scale map_scale/sqrt(256) puts feature norms in the range of
     # typical backbone descriptors, which the pinned learning rate expects
     rng_map = np.random.default_rng(derive_seed(spec.seed, "map"))
     map_matrix = rng_map.normal(0.0, spec.map_scale / np.sqrt(256.0),
                                 size=(spec.dim, 256))
-    visual_means = anchors @ map_matrix.T
+    visual_means = anchors.matrix @ map_matrix.T
     visual_means += rng_map.normal(0.0, spec.sigma_map, size=(c, spec.dim))
 
     rng_split = np.random.default_rng(derive_seed(spec.seed, "split"))

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dataio, embednet, losses
+from . import dataio, embednet, losses, sgt
 from .seeds import derive_seed
 
 
@@ -241,21 +241,6 @@ def train_stage1(config, train_features, labels, params=None):
     return _sgd_loop("stage1", config, params, x, draw, batch_loss)
 
 
-def _anchor_matrix(anchors, present_taxa):
-    """{taxon: vector} anchors -> (T, E) matrix whose row i is the anchor
-    of the i-th taxon of sorted `present_taxa`, so its size never follows
-    the taxon ids.  Every present taxon must have an anchor."""
-    by_taxon = {int(t): np.asarray(vec, dtype=np.float64)
-                for t, vec in anchors.items()}
-    missing = [int(t) for t in present_taxa if int(t) not in by_taxon]
-    if missing:
-        raise ValueError(f"missing anchors for present taxa {missing}")
-    dim = len(next(iter(by_taxon.values())))
-    if any(vec.shape != (dim,) for vec in by_taxon.values()):
-        raise ValueError("anchor vectors must share one dimension")
-    return np.array([by_taxon[t] for t in sorted(int(t) for t in present_taxa)])
-
-
 def align_stage2(config, params, anchors, train_features, labels):
     """Cross-modal alignment; returns (HeadParams, TrainHistory).
 
@@ -273,7 +258,7 @@ def align_stage2(config, params, anchors, train_features, labels):
     present = np.unique(labels)
     if present.size < 2:
         raise ValueError("stage 2 needs >= 2 taxa present")
-    anchor_mat = _anchor_matrix(anchors, present)
+    anchor_mat = sgt.anchor_rows(anchors, present)
     if anchor_mat.shape[1] != params.dims[2]:
         raise ValueError(
             f"anchor dim {anchor_mat.shape[1]} != embedding dim {params.dims[2]}")
@@ -304,7 +289,5 @@ def align_stage2(config, params, anchors, train_features, labels):
 
 
 def write_history(histories, path):
-    """Write one or more TrainHistory objects as history.json."""
-    if isinstance(histories, TrainHistory):
-        histories = [histories]
+    """Write a list of TrainHistory objects as history.json."""
     dataio.write_json({h.stage: h.entries for h in histories}, path)

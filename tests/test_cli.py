@@ -933,6 +933,23 @@ def test_pipeline_config_of_the_wrong_json_type_fails_before_training(
     assert not out.exists()
 
 
+def test_pipeline_train_d_in_that_contradicts_the_spec_fails_before_generate(
+        tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(synthgen, "generate",
+                        lambda *args, **kwargs: calls.append(args))
+    config_path = tmp_path / "pipe.json"
+    config_path.write_text(json.dumps({"train": {"d_in": 32}}))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["pipeline", "--config", str(config_path),
+                 "--out", str(out)]) == 1
+    assert (capsys.readouterr().err
+            == "error: train d_in 32 != synth spec dim 64\n")
+    assert calls == []
+    assert not (out / "data").exists()
+
+
 def test_pipeline_out_that_cannot_be_made_fails_before_training(
         tmp_path, capsys, monkeypatch):
     calls = []
@@ -960,7 +977,6 @@ def test_run_pipeline_embeds_each_sequence_once(monkeypatch, tmp_path):
         return real_embed(records, kappa)
 
     monkeypatch.setattr(sgt, "embed_sequences", spy)
-    monkeypatch.setattr(synthgen, "embed_sequences", spy)
     spec = SynthSpec.from_dict(TINY_SPEC)
     run_pipeline(spec, PipelineConfig.from_dict({"k": 3, "train": TINY_TRAIN}),
                  out_dir=tmp_path / "out")
@@ -969,10 +985,34 @@ def test_run_pipeline_embeds_each_sequence_once(monkeypatch, tmp_path):
     assert calls == [len(data.records)] * 2
     # genetic.csv is what sgt-embed writes for the same records
     dataio.write_feature_csv(
-        cli._genetic_table(data.records, data.seq_labels, spec.kappa),
+        sgt.genetic_table(data.records, data.seq_labels, spec.kappa),
         tmp_path / "genetic.csv")
     assert ((tmp_path / "out" / "genetic.csv").read_bytes()
             == (tmp_path / "genetic.csv").read_bytes())
+
+
+def test_run_pipeline_embeds_and_takes_the_anchor_medians_once(monkeypatch,
+                                                              tmp_path):
+    """The parent's dataset carries the anchors, so run_pipeline does not
+    take the medians again.  Every xmodal module that holds either sgt
+    function under its name gets the spy."""
+    seen = tmp_path / "seen.txt"
+    modules = [m for n, m in sys.modules.items()
+               if n == "xmodal" or n.startswith("xmodal.")]
+    for name in ("embed_sequences", "anchors_from_table"):
+        real = getattr(sgt, name)
+
+        def spy(*args, _name=name, _real=real, **kwargs):
+            _spy_write(seen, _name)
+            return _real(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, spy)
+    run_pipeline(SynthSpec.from_dict(TINY_SPEC),
+                 PipelineConfig.from_dict({"k": 3, "train": TINY_TRAIN}),
+                 out_dir=tmp_path / "out")
+    assert sorted(_spy_read(seen)) == ["anchors_from_table", "embed_sequences"]
 
 
 def test_pipeline_branches_run_on_one_blas_thread(monkeypatch, tmp_path):
@@ -1253,6 +1293,37 @@ def test_json_files_are_read_and_written_only_by_dataio():
                     found.add(where)
     assert ("dataio", "write_json") in found
     assert found <= allowed, sorted(found - allowed)
+
+
+def test_anchors_are_built_and_keyed_only_by_sgt():
+    """No module of src/xmodal but sgt names embed_sequences or
+    anchors_from_table or formats an `anchor{...}` id: the others build
+    and look up anchors through sgt's genetic_table, anchor_table,
+    anchors_by_taxon and anchor_rows."""
+    watched = {"embed_sequences", "anchors_from_table"}
+    found = set()
+    for path in Path(xmodal.__file__).resolve().parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.JoinedStr):  # f"anchor{...}"
+                names = ["anchor{" for part, after in zip(node.values,
+                                                          node.values[1:])
+                         if isinstance(part, ast.Constant)
+                         and part.value.endswith("anchor")
+                         and isinstance(after, ast.FormattedValue)]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names = ["anchor{"] if re.search(r"anchor[{%]", node.value) else []
+            else:
+                continue
+            found.update((path.stem, n) for n in names
+                         if n in watched or n == "anchor{")
+    assert {("sgt", n) for n in (*watched, "anchor{")} <= found
+    assert {module for module, _ in found} == {"sgt"}, sorted(found)
 
 
 def test_console_script_is_installed():

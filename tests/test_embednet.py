@@ -127,7 +127,7 @@ def test_forward_hand_case():
         Wc=np.array([[3.0], [0.0]]),
         bc=np.array([0.0, 4.0]),
     )
-    emb, logits, cache = forward(p, np.array([2.0, 1.0]))
+    emb, logits, cache = forward(p, np.array([[2.0, 1.0]]))
     # z1 = (2, -0.5), a1 = (2, 0), e = 2*2 + 0 - 1 = 3, z = (9, 4)
     assert emb.shape == (1, 1) and logits.shape == (1, 2)
     assert emb[0, 0] == pytest.approx(3.0)
@@ -140,7 +140,7 @@ def test_forward_rejects_bad_features():
     with pytest.raises(ValueError, match="features"):
         forward(p, np.zeros(3))
     with pytest.raises(ValueError, match="non-finite"):
-        forward(p, np.full(4, np.inf))
+        forward(p, np.full((1, 4), np.inf))
 
 
 def test_backward_matches_finite_differences():
@@ -176,8 +176,8 @@ def test_backward_sums_over_batch():
     whole = backward(cache, c_e, c_z)
     parts = []
     for i in range(2):
-        _, _, ci = forward(p, x[i])
-        parts.append(backward(ci, c_e[i], c_z[i]))
+        _, _, ci = forward(p, x[i:i + 1])
+        parts.append(backward(ci, c_e[i:i + 1], c_z[i:i + 1]))
     for name in FIELDS:
         summed = getattr(parts[0], name) + getattr(parts[1], name)
         assert np.allclose(getattr(whole, name), summed)

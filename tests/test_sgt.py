@@ -14,7 +14,7 @@ from xmodal.sgt import (
     sgt_embed,
     tokenize_bigrams,
 )
-from xmodal.dataio import SequenceRecord
+from xmodal.dataio import FeatureTable, SequenceRecord
 
 from oracles import bigram_tokens_oracle, sgt_oracle, sgt_recurrence_oracle
 
@@ -151,6 +151,37 @@ def test_anchors_from_table_rejects_misaligned_inputs():
         anchors_from_table(["a", "b"], matrix, [0, 0, 1])
     with pytest.raises(ValueError, match="3 ids, 2 labels"):
         anchors_from_table(["a", "b", "c"], matrix, [0, 1])
+
+
+def test_anchor_table_has_one_median_row_per_taxon():
+    rng = np.random.default_rng(4)
+    matrix = rng.normal(size=(6, 3))
+    genetic = FeatureTable([f"s{i}" for i in range(6)], [7, 0, 7, 0, 0, 123],
+                           matrix)
+    table = sgt.anchor_table(genetic)
+    assert table.ids == ["anchor00", "anchor07", "anchor123"]
+    assert table.labels.tolist() == [0, 7, 123]
+    assert np.array_equal(table.matrix, [a.vector for a in anchors_from_table(
+        genetic.ids, genetic.matrix, genetic.labels)])
+    by_taxon = sgt.anchors_by_taxon(table)
+    assert list(by_taxon) == [0, 7, 123]
+    assert np.array_equal(by_taxon[7], np.median(matrix[[0, 2]], axis=0))
+
+
+def test_anchor_rows_has_one_row_per_present_taxon():
+    vecs = {0: np.array([1.0, 0.0]), 2: np.array([0.0, 2.0]),
+            5: np.array([3.0, 3.0])}
+    mat = sgt.anchor_rows(vecs, [2, 0])
+    assert mat.shape == (2, 2)  # one row per present taxon, in sorted order
+    assert np.array_equal(mat, [[1.0, 0.0], [0.0, 2.0]])
+
+
+def test_anchor_rows_rejects_bad_tables():
+    a = np.array([1.0, 0.0])
+    with pytest.raises(ValueError, match="missing anchors"):
+        sgt.anchor_rows({0: a}, [0, 1])
+    with pytest.raises(ValueError, match="dimension"):
+        sgt.anchor_rows({0: a, 1: np.ones(3)}, [0, 1])
 
 
 def _random_residues(rng, length, letters="ACGT"):

@@ -64,12 +64,14 @@ def test_generate_shapes_and_labels():
         assert set(rec.residues) <= set("ACGT")
         assert 0 <= data.seq_labels[rec.id] < c
     # row t of the anchor matrix is the median of taxon t's SGT embeddings
-    assert data.anchors.shape == (c, 256)
+    assert data.anchors.matrix.shape == (c, 256)
+    assert data.anchors.labels.tolist() == list(range(c))
     for taxon in range(c):
         embs = [sgt_embed(tokenize_bigrams(r.residues), spec.kappa)
                 for r in data.records if data.seq_labels[r.id] == taxon]
         assert len(embs) == spec.seqs_per_species
-        assert np.array_equal(data.anchors[taxon], np.median(embs, axis=0))
+        assert np.array_equal(data.anchors.matrix[taxon],
+                              np.median(embs, axis=0))
     assert data.visual_means.shape == (c, spec.dim)
     assert data.map_matrix.shape == (spec.dim, 256)
     assert np.array_equal(data.counts, class_counts(spec))
@@ -181,7 +183,7 @@ def test_taxonomy_signal_in_sequences_and_anchors():
     sister = agreement(by_taxon[0][0], by_taxon[2][0])  # taxa 0,2: same genus
     assert same > sister > cross
 
-    vecs = data.anchors
+    vecs = data.anchors.matrix
     unit = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
     cos = unit @ unit.T
     assert cos[0, 2] > cos[0, 1]  # sister anchors closer than cross-genus
@@ -190,7 +192,7 @@ def test_taxonomy_signal_in_sequences_and_anchors():
 def test_visual_means_follow_anchor_geometry():
     spec = small_spec(sigma_map=0.0, seq_len=200)
     data = generate(spec)
-    assert np.allclose(data.visual_means, data.anchors @ data.map_matrix.T)
+    assert np.allclose(data.visual_means, data.anchors.matrix @ data.map_matrix.T)
 
 
 def test_mutate_rates_and_stream_alignment():

@@ -13,7 +13,6 @@ from xmodal import dataio, embednet, trainer
 from xmodal.trainer import (
     TrainConfig,
     TrainHistory,
-    _anchor_matrix,
     _triplet_tables,
     align_stage2,
     sample_triplets,
@@ -131,7 +130,7 @@ def test_same_seed_runs_write_identical_histories(tmp_path):
     for run in ("one", "two"):
         params, hist1 = train_stage1(config, x, labels)
         _, hist2 = align_stage2(config, params, anchors, x, labels)
-        for name, hists in (("train", hist1), ("align", hist2),
+        for name, hists in (("train", [hist1]), ("align", [hist2]),
                             ("both", [hist1, hist2])):
             path = tmp_path / f"{run}_{name}.json"
             write_history(hists, path)
@@ -353,22 +352,6 @@ def test_only_a_classifier_that_moves_is_capped(monkeypatch):
     aligned, _ = align_stage2(config, start, anchors_for(labels, 5), x, labels)
     assert calls == []
     assert aligned.Wc.tobytes() == start.Wc.tobytes()
-
-
-def test_anchor_matrix_has_one_row_per_present_taxon():
-    vecs = {0: np.array([1.0, 0.0]), 2: np.array([0.0, 2.0]),
-            5: np.array([3.0, 3.0])}
-    mat = _anchor_matrix(vecs, present_taxa=[2, 0])
-    assert mat.shape == (2, 2)  # one row per present taxon, in sorted order
-    assert np.array_equal(mat, [[1.0, 0.0], [0.0, 2.0]])
-
-
-def test_anchor_matrix_rejects_bad_tables():
-    a = np.array([1.0, 0.0])
-    with pytest.raises(ValueError, match="missing anchors"):
-        _anchor_matrix({0: a}, present_taxa=[0, 1])
-    with pytest.raises(ValueError, match="dimension"):
-        _anchor_matrix({0: a, 1: np.ones(3)}, present_taxa=[0, 1])
 
 
 def anchors_for(labels, dim, seed=0):
