@@ -23,11 +23,15 @@ block by block, with weight decay on the three weight matrices only,
 and can write each updated block's float32 cast into a working head.
 maxnorm_project caps the L2 norm of each classifier row at delta, the
 balance device that stops head classes from growing oversized logit
-scales.
+scales.  save_checkpoint writes a head as JSON one row at a time, and
+load_checkpoint parses it back through a read window of a block plus
+one row, so neither holds the checkpoint's whole text.
 """
 
 import json
+import os
 import re
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,6 +210,7 @@ def sgd_step(params, grads, lr, weight_decay=0.0, projection_only=False,
              scratch=None, work=None):
     """One SGD update of `params`, in place: p <- p - lr*(g + wd*p) element
     by element, with wd = 0.0 on the biases and float32 `grads` upcast.
+    Where wd is 0.0 the wd*p pass is skipped, with the same bits.
 
     Each field is walked in blocks of SGD_BLOCK doubles through one
     scratch block (`scratch`, or a new one).  Each updated block is cast
@@ -232,8 +237,15 @@ def sgd_step(params, grads, lr, weight_decay=0.0, projection_only=False,
             for lo in range(start, stop, SGD_BLOCK):
                 hi = min(lo + SGD_BLOCK, stop)
                 p, t = params.flat[lo:hi], s[:hi - lo]
-                np.multiply(wd, p, out=t)
-                np.add(grads.flat[lo:hi], t, out=t)
+                if wd:
+                    np.multiply(wd, p, out=t)
+                    np.add(grads.flat[lo:hi], t, out=t)
+                else:
+                    # t = g differs from g + 0*p only for g = -0.0 on
+                    # p >= +0.0, a zero step whose sign p - lr*t drops.
+                    # Upcast before the product: lr times a float32 block
+                    # would round in float32 (NEP 50)
+                    np.copyto(t, grads.flat[lo:hi])
                 np.multiply(lr, t, out=t)
                 np.subtract(p, t, out=p)
                 if work is not None:
@@ -314,10 +326,66 @@ def save_checkpoint(params, path, stage, seed_lineage=None):
                  + b',"stage":' + _dumps(stage) + b"}\n")
 
 
-# save_checkpoint's text up to the first array: dims in sorted-key order
+# save_checkpoint's text up to the first array: dims in sorted-key order,
+# at most 109 bytes
 _CANONICAL_DIMS = re.compile(
     rb'\{"dims":\{"d_in":([1-9][0-9]{0,8}),"embed_dim":([1-9][0-9]{0,8}),'
     rb'"hidden":([1-9][0-9]{0,8}),"n_classes":([1-9][0-9]{0,8})\},"params":\{')
+
+
+# bytes load_checkpoint reads at a time
+_READ_BLOCK = 1 << 16
+
+
+class _FileText:
+    """The bytes of binary file `fh` as load_checkpoint's parser reads
+    them: forward, at absolute positions, through the few bytes methods
+    it uses.  Bytes before the last position asked for are dropped and
+    the file is read _READ_BLOCK bytes at a time, so at most a block plus
+    one row of text is held (a row without its ']' runs to the file's
+    end, which a slice without a stop also reads to).  A pipe is read
+    whole when its length is asked for."""
+
+    def __init__(self, fh):
+        self._fh, self._buf, self._base = fh, bytearray(), 0
+        info = os.fstat(fh.fileno())
+        self._size = info.st_size if stat.S_ISREG(info.st_mode) else None
+
+    def __len__(self):
+        if self._size is None:  # a pipe's length is known once it is read
+            self._hold(self._base, None)
+            self._size = self._base + len(self._buf)
+        return self._size
+
+    def _more(self):
+        block = self._fh.read(_READ_BLOCK)
+        self._buf += block
+        return bool(block)
+
+    def _hold(self, start, stop):
+        """Keep the bytes from `start` on, read to `stop` (None: the end)."""
+        del self._buf[:start - self._base]
+        self._base = start
+        while (stop is None or len(self._buf) < stop - start) and self._more():
+            pass
+
+    def __getitem__(self, key):
+        start = key.start or 0
+        self._hold(start, key.stop)
+        return self._buf[:None if key.stop is None else key.stop - start]
+
+    def startswith(self, token, pos):
+        self._hold(pos, pos + len(token))
+        return self._buf.startswith(token)
+
+    def find(self, sub, start):
+        self._hold(start, start + len(sub))
+        at = 0
+        while (i := self._buf.find(sub, at)) < 0:
+            at = max(0, len(self._buf) - len(sub) + 1)
+            if not self._more():
+                return -1
+        return self._base + i
 
 
 def _expect(text, pos, token, field):
@@ -340,7 +408,7 @@ def _parse_rows(text, pos, name, rows):
             raise ValueError(f"{name} row at byte {start}: {exc}") from None
         if values is None:
             bad = text[start + 1:end - 1].translate(None, _NUMBER_BYTES)
-            at = text.index(bad[:1], start + 1)
+            at = text.find(bad[:1], start + 1)
             raise ValueError(f"{name} holds an entry that is not a number at byte {at}")
         row[:] = values
         pos = end
@@ -352,31 +420,33 @@ def load_checkpoint(path):
 
     The file must be in exactly save_checkpoint's layout, its numbers in
     orjson's or older versions' repr notation; orjson parses each array
-    row straight into the head's buffer.  Any other text raises one
+    row straight into the head's buffer, and the file is read forward
+    through a _FileText window, so the load holds the head, a read block
+    and one row's text, never the whole file.  Any other text raises one
     ValueError naming `path` and the field or byte where it leaves that
     layout (a non-number entry, a misshapen array, an unknown stage...)."""
     with open(path, "rb") as fh:
-        text = fh.read()
-    try:
-        m = _CANONICAL_DIMS.match(text)
-        if not m:
-            raise ValueError("'dims' leaves save_checkpoint's layout at byte 0")
-        dims = tuple(int(v) for v in m.group(1, 3, 2, 4))  # D, H, E, C
-        if 2 * _layout(dims)[-1][3] > len(text):  # a value takes >= 2 bytes
-            raise ValueError("stored arrays disagree with recorded dims")
-        head, pos = HeadParams.empty(dims), m.end()
-        for name, opening, rows, closing in _arrays(head):
-            pos = _parse_rows(text, _expect(text, pos, opening, name), name, rows)
-            pos = _expect(text, pos, closing, name)
-        pos = _expect(text, pos, b"},", "params")
+        text = _FileText(fh)
         try:
-            rest = json.loads(b"{" + text[pos:])
-            if (list(rest) != ["seed_lineage", "stage"]
-                    or not isinstance(rest["seed_lineage"], dict)):
-                raise ValueError('not {"seed_lineage": {...}, "stage": ...}')
-            _check_stage(rest["stage"])
+            m = _CANONICAL_DIMS.match(text[:128])
+            if not m:
+                raise ValueError("'dims' leaves save_checkpoint's layout at byte 0")
+            dims = tuple(int(v) for v in m.group(1, 3, 2, 4))  # D, H, E, C
+            if 2 * _layout(dims)[-1][3] > len(text):  # a value takes >= 2 bytes
+                raise ValueError("stored arrays disagree with recorded dims")
+            head, pos = HeadParams.empty(dims), m.end()
+            for name, opening, rows, closing in _arrays(head):
+                pos = _parse_rows(text, _expect(text, pos, opening, name), name, rows)
+                pos = _expect(text, pos, closing, name)
+            pos = _expect(text, pos, b"},", "params")
+            try:
+                rest = json.loads(b"{" + text[pos:])
+                if (list(rest) != ["seed_lineage", "stage"]
+                        or not isinstance(rest["seed_lineage"], dict)):
+                    raise ValueError('not {"seed_lineage": {...}, "stage": ...}')
+                _check_stage(rest["stage"])
+            except ValueError as exc:
+                raise ValueError(f"trailer at byte {pos}: {exc}") from None
         except ValueError as exc:
-            raise ValueError(f"trailer at byte {pos}: {exc}") from None
-    except ValueError as exc:
-        raise ValueError(f"{path}: malformed checkpoint: {exc}") from None
+            raise ValueError(f"{path}: malformed checkpoint: {exc}") from None
     return head, rest["stage"], rest["seed_lineage"]

@@ -19,12 +19,16 @@ its anchor as one with a thousand, which is where the tail recovery
 comes from.  The classifier layer is frozen throughout stage 2; only
 the projection layers move.
 
-Forward and backward run in float32 on a working copy of the float64
-master head: copied once per run, then kept equal to the master's
-float32 cast by sgd_step, which writes each updated block into it, and
-by a refresh of its Wc after each capping max-norm.  The SGD update,
-max-norm and the returned head stay float64 (the usual mixed-precision
-split).
+A run holds one float64 master head: a fresh stage-1 head is trained
+in place, and a caller's head is copied once and never written.
+Forward and backward run in float32 on a working copy of the master:
+copied once per run, then kept equal to the master's float32 cast by
+sgd_step, which writes each updated block into it, and by writing the
+Wc of each capping max-norm into both heads.  The SGD update, max-norm
+and the returned head stay float64 (the usual mixed-precision split).
+No float32 copy of the features is held: a check over blocks of rows
+refuses features beyond the float32 range before the schedule is
+drawn, and each batch casts the float64 rows it gathers.
 
 Everything is driven by seeded generators in a documented draw order
 (per triplet: anchor, positive, negative in stage 1; taxon, positive,
@@ -133,14 +137,35 @@ def sample_triplets(labels, batch_size, rng, tables=None):
     return triplets
 
 
-def _float32_features(x):
-    """The (N, D) training features as float32, cast once per run."""
-    with np.errstate(over="ignore"):
-        x32 = x.astype(np.float32)
-    if not np.all(np.isfinite(x32)):
-        raise ValueError(
-            "training features are non-finite or exceed the float32 range")
-    return x32
+# float64 values at or beyond this one round to +-inf in float32: it is
+# halfway between float32's largest value, 2**128 - 2**104, and 2**128
+_FLOAT32_LIMIT = 2.0**128 - 2.0**103
+# doubles of feature rows taken at a time (256 KB): a block of a batch
+# stays in cache between its gather and its float32 cast
+_ROW_BLOCK = 1 << 15
+
+
+def _check_float32_range(x):
+    """Raise unless every value of the (N, D) features `x` casts to a
+    finite float32, as each batch is cast; checked over blocks of rows,
+    so no float32 copy of `x` is made.  NaN fails both comparisons."""
+    step = max(1, _ROW_BLOCK // x.shape[1])
+    for lo in range(0, x.shape[0], step):
+        block = x[lo:lo + step]
+        if not (-_FLOAT32_LIMIT < block.min() and block.max() < _FLOAT32_LIMIT):
+            raise ValueError(
+                "training features are non-finite or exceed the float32 range")
+
+
+def _float32_rows(x, rows):
+    """x[rows] cast to float32, with the bits x[rows].astype(np.float32)
+    gives, but gathered a block of rows at a time, so no float64 copy of
+    the whole batch is made."""
+    out = np.empty((rows.size, x.shape[1]), np.float32)
+    step = max(1, _ROW_BLOCK // x.shape[1])
+    for lo in range(0, rows.size, step):
+        out[lo:lo + step] = x[rows[lo:lo + step]]
+    return out
 
 
 def _apply_maxnorm(params, delta, scope):
@@ -159,20 +184,19 @@ def _check_loss(value, stage, epoch, batch_idx, components):
 
 def _sgd_loop(stage, config, params, x, draw, batch_loss,
               frozen_classifier=False):
-    """Train the head `params` on the (N, D) features `x` for the stage's
-    epochs; returns (HeadParams, TrainHistory) and never writes `params`.
-    `draw()` gives one batch, (rows of `x`, key); the whole schedule is
-    drawn before the first step.  `batch_loss(key, embedding, logits)`
-    gives (loss, {component: value}, d_embedding row blocks, d_logits).
+    """Train the head `params` in place on the (N, D) float64 features
+    `x` for the stage's epochs; returns (params, TrainHistory).  `draw()`
+    gives one batch, (rows of `x`, key); the whole schedule is drawn
+    before the first step.  `batch_loss(key, embedding, logits)` gives
+    (loss, {component: value}, d_embedding row blocks, d_logits).
     ltr_enabled turns on weight decay and, unless the classifier is
     frozen, the max-norm cap after each step."""
     params.check_width(x.shape[1])
-    x32 = _float32_features(x)
+    _check_float32_range(x)
     epochs = getattr(config, f"epochs_{stage}")
     batches = -(-x.shape[0] // config.batch_size)
     schedule = [draw() for _ in range(epochs * batches)]
     wd = config.weight_decay if config.ltr_enabled else 0.0
-    params = params.copy() if epochs else params
     work = embednet.HeadParams.empty(params.dims, np.float32)
     grads = embednet.HeadParams.empty(params.dims, np.float32)
     scratch = np.empty(embednet.SGD_BLOCK)
@@ -182,7 +206,8 @@ def _sgd_loop(stage, config, params, x, draw, batch_loss,
         sums = 0.0  # the loss, then each component
         for batch_idx in range(batches):
             rows, key = schedule[epoch * batches + batch_idx]
-            emb, logits, cache = embednet.forward(work, x32[rows])
+            emb, logits, cache = embednet.forward(
+                work, _float32_rows(x, rows))
             loss, parts, d_emb, d_log = batch_loss(key, emb, logits)
             _check_loss(loss, stage, epoch, batch_idx, parts)
             embednet.backward(cache, np.concatenate(d_emb), d_log, out=grads)
@@ -190,9 +215,11 @@ def _sgd_loop(stage, config, params, x, draw, batch_loss,
                               projection_only=frozen_classifier,
                               scratch=scratch, work=work)
             if config.ltr_enabled and not frozen_classifier:
-                params = _apply_maxnorm(params, config.maxnorm_delta,
+                capped = _apply_maxnorm(params, config.maxnorm_delta,
                                         "classifier")
-                np.copyto(work.Wc, params.Wc)  # the cap moves Wc alone
+                if capped is not params:  # the cap moves Wc alone
+                    np.copyto(params.Wc, capped.Wc)
+                    np.copyto(work.Wc, capped.Wc)
             sums += np.array((loss, *parts.values()))
         mean = sums / batches
         history.record(epoch, mean[0], dict(zip(parts, mean[1:])))
@@ -217,11 +244,13 @@ def train_stage1(config, train_features, labels, params=None):
     if taxa.size < 2:
         raise ValueError("stage 1 needs >= 2 classes")
 
-    if params is None:
+    if params is None:  # trained in place: the one float64 head of the run
         params = embednet.init_head(config.d_in, config.hidden, config.embed_dim,
                                     taxa.size, derive_seed(config.seed, "init"),
                                     scale=config.init_scale,
                                     classifier_scale=config.classifier_init_scale)
+    elif config.epochs_stage1:  # the caller's head is never written
+        params = params.copy()
     tables = _triplet_tables(codes)
     rng = np.random.default_rng(derive_seed(config.seed, "stage1"))
     b = config.batch_size
@@ -284,6 +313,8 @@ def align_stage2(config, params, anchors, train_features, labels):
             anchor32[taxa], *np.split(emb, 2), config.margin_m)
         return loss, {"cosine": loss}, d_emb, np.zeros_like(logits)
 
+    if config.epochs_stage2:  # the caller's head is never written
+        params = params.copy()
     return _sgd_loop("stage2", config, params, x, draw, batch_loss,
                      frozen_classifier=True)
 

@@ -2,8 +2,10 @@
 
 import copy
 import json
+import os
 import pickle
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -317,6 +319,29 @@ def test_projection_only_step_keeps_classifier_bits(monkeypatch):
         assert getattr(p, name).tobytes() == fields[name].tobytes(), name
 
 
+@pytest.mark.parametrize("weight_decay", [0.0, 0.21])
+@pytest.mark.parametrize("lr", [0.0, 0.037])
+def test_signed_zero_gradients_step_like_the_oracle(monkeypatch, lr,
+                                                    weight_decay):
+    # params cycle through +0.0, -0.0, 0.5, -0.5 and gradients through
+    # -0.0, +0.0, -0.0, -0.0, 0.25, so every pair of the two meets; the
+    # 0.25 entries catch a product lr * g rounded in float32
+    monkeypatch.setattr(embednet, "SGD_BLOCK", 7)
+    p = small_head()
+    p.flat[:] = np.resize([0.0, -0.0, 0.5, -0.5], p.flat.size)
+    for dtype in (np.float32, np.float64):
+        grads = HeadParams.empty(p.dims, dtype)
+        grads.flat[:] = np.resize([-0.0, 0.0, -0.0, -0.0, 0.25], p.flat.size)
+        want = sgd_step_oracle(
+            {n: getattr(p, n).copy() for n in FIELDS},
+            {n: getattr(grads, n).astype(np.float64) for n in FIELDS},
+            lr=lr, weight_decay=weight_decay)
+        q = p.copy()
+        sgd_step(q, grads, lr=lr, weight_decay=weight_decay)
+        for name in FIELDS:
+            assert getattr(q, name).tobytes() == want[name].tobytes(), name
+
+
 @pytest.mark.parametrize("field", ["W1", "bc"])
 def test_sgd_step_rejects_nan_in_last_partial_block(monkeypatch, field):
     # W1 has 20 entries and bc 2, so with blocks of 7 both end in a
@@ -554,3 +579,77 @@ def test_loading_a_checkpoint_holds_its_text_and_one_head(tmp_path):
     # the file's text, the head and one field being parsed; a Python
     # float per value would add about 4x the head's bytes
     assert peak <= path.stat().st_size + 3 * p.flat.nbytes
+
+
+def test_loading_a_checkpoint_holds_one_head_and_a_window(tmp_path):
+    """Whatever the file's size, a load holds the head it returns plus a
+    read block and one row's text, not the file: both files here are
+    larger than that bound."""
+    bound = 1_000_000
+    for dims in ((512, 256, 64, 8), (1024, 512, 64, 8)):
+        p = init_head(*dims, seed=0)
+        path = tmp_path / "head.json"
+        save_checkpoint(p, path, "stage1")
+        assert path.stat().st_size > bound
+        load_checkpoint(path)  # warm imports and caches
+        tracemalloc.start()
+        try:
+            head = load_checkpoint(path)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert head.flat.tobytes() == p.flat.tobytes()
+        assert peak < p.flat.nbytes + bound, dims
+
+
+@pytest.mark.parametrize("block", [7, 1 << 16, None])
+def test_checkpoint_errors_name_the_same_byte_through_any_window(
+        tmp_path, monkeypatch, block):
+    """Faults past the first read block are named at the absolute byte a
+    parse of the whole text names (block None reads the file at once)."""
+    path = tmp_path / "head.json"
+    save_checkpoint(init_head(64, 128, 32, 4, seed=1), path, "stage1")
+    text = path.read_bytes()
+    last = text.rindex(b'"W2":')  # a W2 row sits past the first block
+    row = text.index(b"],[", last) + 2  # the '[' of W2's second row
+    value = text[row + 1:text.index(b",", row)]
+    cases = [
+        # a non-number entry: the byte of its first non-number character
+        (text[:row + 1] + b'"x"' + text[row + 1 + len(value):],
+         f"W2 holds an entry that is not a number at byte {row + 1}"),
+        # a value orjson refuses: the byte of its row's '['
+        (text[:row + 1] + b"1e999" + text[row + 1 + len(value):],
+         f"W2 row at byte {row}: "),
+        # a row cut off by the end of the file
+        (text[:row + 5], f"W2 row at byte {row}: "),
+        # a row that ends early: the byte its next row should start at
+        (text[:row + 1] + text[text.index(b"]", row):],
+         f"W2 row at byte {row}: "),
+    ]
+    trailer = text.index(b"},", text.rindex(b"]")) + 2
+    cases.append((text[:trailer] + b'"stage":"stage1"}\n',
+                  f"trailer at byte {trailer}: "))
+    for bad, message in cases:
+        assert len(bad) > 1 << 16
+        path.write_bytes(bad)
+        monkeypatch.setattr(embednet, "_READ_BLOCK", block or len(bad))
+        with pytest.raises(ValueError) as info:
+            load_checkpoint(path)
+        assert str(info.value).startswith(
+            f"{path}: malformed checkpoint: {message}"), str(info.value)
+
+
+def test_a_checkpoint_loads_from_a_pipe(tmp_path):
+    p = init_head(64, 32, 8, 4, seed=2)
+    path, fifo = tmp_path / "head.json", tmp_path / "fifo"
+    save_checkpoint(p, path, "stage2", seed_lineage={"seed": 2})
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()))
+    writer.start()
+    try:
+        head, stage, lineage = load_checkpoint(fifo)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert head.flat.tobytes() == p.flat.tobytes()
+    assert (stage, lineage) == ("stage2", {"seed": 2})

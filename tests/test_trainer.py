@@ -291,6 +291,95 @@ def test_features_beyond_float32_are_rejected():
             align_stage2(config, start, anchors_for(labels, 5), x, labels)
 
 
+FLOAT32_MIDPOINT = 3.4028235677973366e38  # halfway from float32's max to 2**128
+
+
+class ReachedForward(Exception):
+    pass
+
+
+@pytest.mark.parametrize("value", [
+    float(np.finfo(np.float32).max), -float(np.finfo(np.float32).max),
+    np.nextafter(FLOAT32_MIDPOINT, 0.0), -np.nextafter(FLOAT32_MIDPOINT, 0.0),
+    FLOAT32_MIDPOINT, -FLOAT32_MIDPOINT, np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("row", [0, -1])
+def test_float32_range_check_refuses_what_a_full_cast_would(monkeypatch,
+                                                            value, row):
+    """The blocked range check decides as a float32 cast of the whole
+    table did, and refuses before the first forward."""
+    with np.errstate(over="ignore"):
+        refused = not np.isfinite(np.float32(value))
+    assert refused == (abs(value) >= FLOAT32_MIDPOINT or np.isnan(value))
+    x, labels = toy_data()
+    x[row, 4] = value
+    config = toy_config()
+    start = embednet.init_head(6, 8, 5, 3, seed=0)
+
+    def forward(params, features):
+        raise ReachedForward
+
+    # blocks of two rows: the last row sits in the last of 15 blocks
+    monkeypatch.setattr(trainer, "_ROW_BLOCK", 12)
+    monkeypatch.setattr(embednet, "forward", forward)
+    message = "training features are non-finite or exceed the float32 range"
+    for train in (lambda: train_stage1(config, x, labels),
+                  lambda: align_stage2(config, start, anchors_for(labels, 5),
+                                       x, labels)):
+        with pytest.raises(ValueError if refused else ReachedForward) as info:
+            train()
+        if refused:
+            assert str(info.value) == message
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 5, 64])
+def test_batch_rows_are_cast_as_a_float32_table_gave(monkeypatch,
+                                                     block_rows):
+    monkeypatch.setattr(trainer, "_ROW_BLOCK", 6 * block_rows)
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(40, 6)) * 1e30  # every value rounds in float32
+    rows = rng.integers(0, 40, 27)  # repeats, and 27 rows fill no block
+    got = trainer._float32_rows(x, rows)
+    assert got.tobytes() == x.astype(np.float32)[rows].tobytes()
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_training_holds_no_float32_copy_of_the_features():
+    """Doubling the rows adds no N x D float32 table to a run's peak."""
+    config = toy_config(d_in=256, epochs_stage1=1, epochs_stage2=1,
+                        batch_size=32)
+    n, peaks = 512, []
+    for rows in (n, 2 * n):
+        x, labels = toy_data(n_per=rows // 4, n_classes=4, dim=256)
+        start = embednet.init_head(256, 8, 5, 4, seed=0)
+        anchors = anchors_for(labels, 5)
+        train_stage1(config, x, labels)  # warm imports and caches
+        peaks.append((
+            _traced_peak(lambda: train_stage1(config, x, labels)),
+            _traced_peak(lambda: align_stage2(config, start, anchors, x,
+                                              labels))))
+    for small, large in zip(*peaks):
+        assert large - small < n * 256 * 4 // 2
+
+
+def test_train_stage1_holds_one_float64_head():
+    """A fresh head is trained in place: the run holds it, its float32
+    working head and gradients, and no spare float64 copy."""
+    x, labels = toy_data(dim=1024)
+    config = toy_config(d_in=1024, hidden=256, epochs_stage1=1)
+    train_stage1(config, x, labels)  # warm imports and caches
+    head = embednet.init_head(1024, 256, 5, 3, seed=0)
+    peak = _traced_peak(lambda: train_stage1(config, x, labels))
+    assert peak < 2.5 * head.flat.nbytes
+
+
 def test_train_stage1_warm_start_and_validation():
     x, labels = toy_data()
     start = embednet.init_head(6, 8, 5, 3, seed=42)
