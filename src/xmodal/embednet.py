@@ -23,15 +23,15 @@ block by block, with weight decay on the three weight matrices only,
 and can write each updated block's float32 cast into a working head.
 maxnorm_project caps the L2 norm of each classifier row at delta, the
 balance device that stops head classes from growing oversized logit
-scales.  save_checkpoint writes a head as JSON one row at a time, and
-load_checkpoint parses it back through a read window of a block plus
-one row, so neither holds the checkpoint's whole text.
+scales.  save_checkpoint writes a head as JSON with each array row on
+a line of its own, and load_checkpoint reads it back a line at a time,
+so neither holds the checkpoint's whole text.
 """
 
+import io
 import json
+import math
 import os
-import re
-import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +56,7 @@ def _layout(dims):
     d, h, e, c = dims
     out, start = [], 0
     for name, shape in zip(FIELDS, ((h, d), (h,), (e, h), (e,), (c, e), (c,))):
-        stop = start + int(np.prod(shape))
+        stop = start + math.prod(shape)
         out.append((name, shape, start, stop))
         start = stop
     return out
@@ -295,158 +295,115 @@ def _check_stage(stage):
         raise ValueError(f"stage must be 'stage1' or 'stage2', got {stage!r}")
 
 
-def _arrays(head):
-    """save_checkpoint's layout of `head`'s arrays, which load_checkpoint
-    reads back: per field in sorted-key order, its name, the bytes before
-    its ','-separated rows, the rows as views into `head`, the bytes after."""
+def _header(dims):
+    """save_checkpoint's first line for a head of `dims`: the dims in
+    sorted-key order and the opening of params."""
+    keys = ("d_in", "hidden", "embed_dim", "n_classes")
+    return b'{"dims":' + _dumps(dict(zip(keys, dims))) + b',"params":{\n'
+
+
+def _lines(head):
+    """save_checkpoint's array lines of `head`, which load_checkpoint reads
+    back: per row of each field in sorted-key order, the field's name, the
+    bytes before the row, the row as a view into `head` and the bytes
+    after it to the line's end (',' between rows, ']' closing a matrix)."""
     for i, name in enumerate(sorted(FIELDS)):
         arr = getattr(head, name)
-        yield (name, (b"," if i else b"") + _dumps(name) + b":" + b"[" * (arr.ndim - 1),
-               arr.reshape(-1, arr.shape[-1]), b"]" * (arr.ndim - 1))
+        rows = arr.reshape(-1, arr.shape[-1])
+        opening = (b"," if i else b"") + _dumps(name) + b":" + b"[" * (arr.ndim - 1)
+        for j, row in enumerate(rows):
+            yield (name, b"" if j else opening, row,
+                   b",\n" if j < len(rows) - 1 else b"]" * (arr.ndim - 1) + b"\n")
 
 
 def save_checkpoint(params, path, stage, seed_lineage=None):
     """Write the sorted-key, compact JSON of dims, params, seed lineage and
-    stage, one array row at a time (not one 49 MB dump at paper width), by
+    stage, with a line break after the params' opening and after each
+    array row, one row at a time (not one 49 MB dump at paper width), by
     orjson in shortest round-trip text: load(save(p)) is bit-exact, and
     values keep repr's digits but may print positionally (0.0000663 where
     repr gives 6.63e-05)."""
     _check_stage(stage)
-    d, h, e, c = params.dims
-    dims = {"d_in": d, "hidden": h, "embed_dim": e, "n_classes": c}
     with open(path, "wb") as fh:
-        fh.write(b'{"dims":' + _dumps(dims) + b',"params":{')
-        for _, opening, rows, closing in _arrays(params):
-            fh.write(opening)
-            for j, row in enumerate(rows):
-                fh.write((b"," if j else b"")
-                         + orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY))
-            fh.write(closing)
+        fh.write(_header(params.dims))
+        for _, before, row, after in _lines(params):
+            fh.write(before + orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)
+                     + after)
         fh.write(b'},"seed_lineage":' + _dumps(seed_lineage or {})
                  + b',"stage":' + _dumps(stage) + b"}\n")
 
 
-# save_checkpoint's text up to the first array: dims in sorted-key order,
-# at most 109 bytes
-_CANONICAL_DIMS = re.compile(
-    rb'\{"dims":\{"d_in":([1-9][0-9]{0,8}),"embed_dim":([1-9][0-9]{0,8}),'
-    rb'"hidden":([1-9][0-9]{0,8}),"n_classes":([1-9][0-9]{0,8})\},"params":\{')
+def _read_dims(header):
+    """The (D, H, E, C) of `header`, save_checkpoint's first line, whose
+    runs of digits are the dims in sorted-key order."""
+    numbers = [int(v) for v in bytes(b if b in b"0123456789" else 32
+                                     for b in header).split()]
+    if len(numbers) == 4 and 0 not in numbers:
+        dims = (numbers[0], numbers[2], numbers[1], numbers[3])
+        if header == _header(dims):
+            return dims
+    raise ValueError("'dims' leaves save_checkpoint's layout at byte 0")
 
 
-# bytes load_checkpoint reads at a time
-_READ_BLOCK = 1 << 16
-
-
-class _FileText:
-    """The bytes of binary file `fh` as load_checkpoint's parser reads
-    them: forward, at absolute positions, through the few bytes methods
-    it uses.  Bytes before the last position asked for are dropped and
-    the file is read _READ_BLOCK bytes at a time, so at most a block plus
-    one row of text is held (a row without its ']' runs to the file's
-    end, which a slice without a stop also reads to).  A pipe is read
-    whole when its length is asked for."""
-
-    def __init__(self, fh):
-        self._fh, self._buf, self._base = fh, bytearray(), 0
-        info = os.fstat(fh.fileno())
-        self._size = info.st_size if stat.S_ISREG(info.st_mode) else None
-
-    def __len__(self):
-        if self._size is None:  # a pipe's length is known once it is read
-            self._hold(self._base, None)
-            self._size = self._base + len(self._buf)
-        return self._size
-
-    def _more(self):
-        block = self._fh.read(_READ_BLOCK)
-        self._buf += block
-        return bool(block)
-
-    def _hold(self, start, stop):
-        """Keep the bytes from `start` on, read to `stop` (None: the end)."""
-        del self._buf[:start - self._base]
-        self._base = start
-        while (stop is None or len(self._buf) < stop - start) and self._more():
-            pass
-
-    def __getitem__(self, key):
-        start = key.start or 0
-        self._hold(start, key.stop)
-        return self._buf[:None if key.stop is None else key.stop - start]
-
-    def startswith(self, token, pos):
-        self._hold(pos, pos + len(token))
-        return self._buf.startswith(token)
-
-    def find(self, sub, start):
-        self._hold(start, start + len(sub))
-        at = 0
-        while (i := self._buf.find(sub, at)) < 0:
-            at = max(0, len(self._buf) - len(sub) + 1)
-            if not self._more():
-                return -1
-        return self._base + i
-
-
-def _expect(text, pos, token, field):
-    """The position after `token` at text[pos:]; raises naming `field`."""
-    if not text.startswith(token, pos):
-        raise ValueError(f"{field!r} leaves save_checkpoint's layout at byte {pos}")
-    return pos + len(token)
-
-
-def _parse_rows(text, pos, name, rows):
-    """Parse field `name`'s ','-separated rows at text[pos:] into `rows`;
-    return the position after them.  A character check keeps quotes, true
-    and spaces out, and orjson holds the rest to JSON's number grammar."""
-    for j, row in enumerate(rows):
-        start = _expect(text, pos, b",[" if j else b"[", name) - 1
-        end = text.find(b"]", start) + 1 or len(text)
-        try:
-            values = _number_row(text[start:end], len(row))
-        except ValueError as exc:
-            raise ValueError(f"{name} row at byte {start}: {exc}") from None
-        if values is None:
-            bad = text[start + 1:end - 1].translate(None, _NUMBER_BYTES)
-            at = text.find(bad[:1], start + 1)
-            raise ValueError(f"{name} holds an entry that is not a number at byte {at}")
-        row[:] = values
-        pos = end
-    return pos
+def _expect(line, at, token, pos, field):
+    """The index after `token` at line[at:]; raises naming `field` and the
+    absolute byte, `line` starting at byte `pos` of the file."""
+    if not line.startswith(token, at):
+        raise ValueError(f"{field!r} leaves save_checkpoint's layout at byte {pos + at}")
+    return at + len(token)
 
 
 def load_checkpoint(path):
     """Read a checkpoint -> (HeadParams, stage, seed_lineage).
 
     The file must be in exactly save_checkpoint's layout, its numbers in
-    orjson's or older versions' repr notation; orjson parses each array
-    row straight into the head's buffer, and the file is read forward
-    through a _FileText window, so the load holds the head, a read block
-    and one row's text, never the whole file.  Any other text raises one
-    ValueError naming `path` and the field or byte where it leaves that
-    layout (a non-number entry, a misshapen array, an unknown stage...)."""
-    with open(path, "rb") as fh:
-        text = _FileText(fh)
+    orjson's or older versions' repr notation.  It is read a line at a
+    time: the dims line, one line per array row, which orjson parses
+    straight into the head's buffer, and the trailer; so the load holds
+    the head and one row's text, never the whole file (a pipe, whose
+    size is known once it is read, is read whole).  Any other text, an
+    earlier version's one-line layout too, raises one ValueError naming
+    `path` and the field or absolute byte where it leaves that layout (a
+    non-number entry, a misshapen array, an unknown stage...).  A
+    character check keeps quotes, true and spaces out of a row, and
+    orjson holds the rest to JSON's number grammar."""
+    with open(path, "rb") as raw:
+        fh = raw if raw.seekable() else io.BytesIO(raw.read())
+        size = fh.seek(0, os.SEEK_END)
+        fh.seek(0)
         try:
-            m = _CANONICAL_DIMS.match(text[:128])
-            if not m:
-                raise ValueError("'dims' leaves save_checkpoint's layout at byte 0")
-            dims = tuple(int(v) for v in m.group(1, 3, 2, 4))  # D, H, E, C
-            if 2 * _layout(dims)[-1][3] > len(text):  # a value takes >= 2 bytes
+            header = fh.readline(128)  # dims of up to 63 digits in all
+            dims = _read_dims(header)
+            if 2 * _layout(dims)[-1][3] > size:  # a value takes >= 2 bytes
                 raise ValueError("stored arrays disagree with recorded dims")
-            head, pos = HeadParams.empty(dims), m.end()
-            for name, opening, rows, closing in _arrays(head):
-                pos = _parse_rows(text, _expect(text, pos, opening, name), name, rows)
-                pos = _expect(text, pos, closing, name)
-            pos = _expect(text, pos, b"},", "params")
+            head, pos = HeadParams.empty(dims), len(header)
+            for name, before, row, after in _lines(head):
+                line = fh.readline()
+                start = _expect(line, 0, before, pos, name)
+                _expect(line, start, b"[", pos, name)
+                end = line.find(b"]", start) + 1 or len(line)
+                try:
+                    values = _number_row(line[start:end], len(row))
+                except ValueError as exc:
+                    raise ValueError(
+                        f"{name} row at byte {pos + start}: {exc}") from None
+                if values is None:
+                    bad = line[start + 1:end - 1].translate(None, _NUMBER_BYTES)
+                    raise ValueError(f"{name} holds an entry that is not a number "
+                                     f"at byte {pos + line.find(bad[:1], start + 1)}")
+                row[:] = values
+                _expect(line, end, after, pos, name)
+                pos += len(line)
+            rest = fh.read()
+            _expect(rest, 0, b"},", pos, "params")
             try:
-                rest = json.loads(b"{" + text[pos:])
+                rest = json.loads(b"{" + rest[2:])
                 if (list(rest) != ["seed_lineage", "stage"]
                         or not isinstance(rest["seed_lineage"], dict)):
                     raise ValueError('not {"seed_lineage": {...}, "stage": ...}')
                 _check_stage(rest["stage"])
             except ValueError as exc:
-                raise ValueError(f"trailer at byte {pos}: {exc}") from None
+                raise ValueError(f"trailer at byte {pos + 2}: {exc}") from None
         except ValueError as exc:
             raise ValueError(f"{path}: malformed checkpoint: {exc}") from None
     return head, rest["stage"], rest["seed_lineage"]

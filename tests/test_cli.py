@@ -1291,8 +1291,7 @@ def test_json_files_are_read_and_written_only_by_dataio():
                         and node.value.id == "json"
                         and node.attr in ("dump", "dumps", "load", "loads")):
                     found.add(where)
-    assert ("dataio", "write_json") in found
-    assert found <= allowed, sorted(found - allowed)
+    assert found == allowed, sorted(found ^ allowed)
 
 
 def test_anchors_are_built_and_keyed_only_by_sgt():

@@ -5,12 +5,16 @@ import json
 import os
 import pickle
 import re
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import orjson
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xmodal import embednet
 from xmodal.embednet import (
@@ -417,6 +421,11 @@ def test_maxnorm_project_touches_classifier_only():
     assert small is out
 
 
+def _one_line(text):
+    """`text` in the one-line layout earlier versions wrote."""
+    return text.replace("\n", "") + "\n"
+
+
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(13)
     p = small_head(seed=8)
@@ -430,11 +439,18 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     for name in FIELDS:
         assert getattr(loaded, name).tobytes() == getattr(p, name).tobytes()
     # the file is the sorted-key, compact JSON of the whole checkpoint
+    # with line breaks after the params' opening and after each array row
     whole = {"dims": dict(zip(("d_in", "hidden", "embed_dim", "n_classes"), p.dims)),
              "params": {name: getattr(p, name) for name in FIELDS},
              "seed_lineage": {"seed": 8, "label": "init"}, "stage": "stage1"}
-    assert path.read_bytes() == orjson.dumps(
-        whole, option=orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY) + b"\n"
+    text = path.read_bytes()
+    assert text.replace(b"\n", b"") == orjson.dumps(
+        whole, option=orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY)
+    lines = text.split(b"\n")
+    assert lines[0].endswith(b'"params":{') and lines[-1] == b""
+    rows = [row for name in sorted(FIELDS) for row in np.atleast_2d(getattr(p, name))]
+    assert [line[line.rindex(b"["):line.index(b"]") + 1] for line in lines[1:-2]] == [
+        orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY) for row in rows]
 
 
 def test_checkpoint_validates_stage_and_dims(tmp_path):
@@ -474,11 +490,16 @@ def test_canonical_checkpoint_is_parsed_without_json(tmp_path, monkeypatch):
     p.W1[0, :2] = [6.63480772013432e-05, 1e22]
     path, old = tmp_path / "head.json", tmp_path / "old.json"
     save_checkpoint(p, path, "stage2", seed_lineage={"seed": 5})
-    # the stdlib json text older versions wrote: repr floats, 6.63e-05
-    # where orjson writes 0.0000663
-    old.write_text(json.dumps(json.loads(path.read_text()), sort_keys=True,
-                              separators=(",", ":")) + "\n")
+    # each row as the stdlib json text older versions wrote: repr floats,
+    # 6.63e-05 where orjson writes 0.0000663
+    lines = path.read_text().split("\n")
+    for k, line in enumerate(lines[1:-2], 1):
+        start, end = line.rindex("["), line.index("]") + 1
+        lines[k] = (line[:start] + json.dumps(json.loads(line[start:end]),
+                                              separators=(",", ":")) + line[end:])
+    old.write_text("\n".join(lines))
     assert b"6.63480772013432e-05" in old.read_bytes()
+    assert old.read_bytes().count(b"\n") == path.read_bytes().count(b"\n")
 
     def no_json(*args, **kwargs):
         raise AssertionError("a canonical checkpoint went through json.load")
@@ -512,7 +533,7 @@ VARIANTS = {
     "form-feed": lambda t: _first_w1_value(t, "0.5\f"),
     "short-row": lambda t: _first_w1_value(t, "").replace("[[,", "[[", 1),
     "extra-row": lambda t: t.replace('"W1":[[', '"W1":[[0.5,0.5,0.5,0.5],[', 1),
-    "row-separator": lambda t: t.replace("],[", "] ,", 1),
+    "row-separator": lambda t: t.replace("],\n[", "] ,\n[", 1),
     "empty-row": lambda t: t.replace('"W1":[[', '"W1":[[],[', 1),
     "missing-key": lambda t: t.replace(',"stage":"stage1"', ""),
     "string-value": lambda t: _first_w1_value(t, '"0.5"'),
@@ -524,6 +545,12 @@ VARIANTS = {
     "lineage-list": lambda t: t.replace('"seed_lineage":{}', '"seed_lineage":[5]'),
     "repeated-key": lambda t: t.replace('"stage":', '"dims":{},"stage":'),
     "truncated": lambda t: t[:len(t) // 2],
+    "one-line": _one_line,
+    "crlf": lambda t: t.replace("\n", "\r\n"),
+    "split-row": lambda t: re.sub(r'("W1":\[\[[^,]+),', r"\1,\n", t, count=1),
+    "joined-rows": lambda t: t.replace("],\n[", "],[", 1),
+    "blank-line": lambda t: t.replace("],\n[", "],\n\n[", 1),
+    "number-for-row": lambda t: t.replace("],\n[", "],\n5\n[", 1),
 }
 
 # number spellings save_checkpoint never writes that still load, with
@@ -581,10 +608,10 @@ def test_loading_a_checkpoint_holds_its_text_and_one_head(tmp_path):
     assert peak <= path.stat().st_size + 3 * p.flat.nbytes
 
 
-def test_loading_a_checkpoint_holds_one_head_and_a_window(tmp_path):
-    """Whatever the file's size, a load holds the head it returns plus a
-    read block and one row's text, not the file: both files here are
-    larger than that bound."""
+def test_loading_a_checkpoint_holds_one_head_and_a_row(tmp_path):
+    """Whatever the file's size, a load holds the head it returns plus
+    one row's text, not the file: both files here are larger than that
+    bound."""
     bound = 1_000_000
     for dims in ((512, 256, 64, 8), (1024, 512, 64, 8)):
         p = init_head(*dims, seed=0)
@@ -602,16 +629,76 @@ def test_loading_a_checkpoint_holds_one_head_and_a_window(tmp_path):
         assert peak < p.flat.nbytes + bound, dims
 
 
-@pytest.mark.parametrize("block", [7, 1 << 16, None])
-def test_checkpoint_errors_name_the_same_byte_through_any_window(
-        tmp_path, monkeypatch, block):
-    """Faults past the first read block are named at the absolute byte a
-    parse of the whole text names (block None reads the file at once)."""
+def test_a_one_line_checkpoint_is_refused_at_its_first_line(tmp_path):
+    """A file in the one-line layout earlier versions wrote is one 'dims'
+    error, found without reading that line whole."""
+    bound = 1_000_000
+    path = tmp_path / "old.json"
+    save_checkpoint(init_head(512, 256, 64, 8, seed=0), path, "stage1")
+    path.write_text(_one_line(path.read_text()))
+    assert path.stat().st_size > bound
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as info:
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == (f"{path}: malformed checkpoint: "
+                               "'dims' leaves save_checkpoint's layout at byte 0")
+    assert peak < bound
+
+
+def test_readme_recipe_converts_a_one_line_checkpoint(tmp_path, monkeypatch):
+    """README's one-line conversion turns a one-line file, in orjson's
+    or repr notation, into the file save_checkpoint writes for the same
+    arrays, bit for bit."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    recipe = next(line for line in readme.splitlines()
+                  if line.startswith("python -c '") and "save_checkpoint" in line)
+    code = recipe.split("'")[1]
+    p = small_head(seed=3)
+    p.W1[0, :2] = [6.63480772013432e-05, -0.0]
+    path, old, new = (tmp_path / name for name in ("head.json", "old.json", "new.json"))
+    save_checkpoint(p, path, "stage2", seed_lineage={"seed": 3})
+    whole = json.loads(path.read_text())
+    for text in (_one_line(path.read_text()),
+                 json.dumps(whole, sort_keys=True, separators=(",", ":")) + "\n"):
+        old.write_text(text)
+        with pytest.raises(ValueError, match="'dims' leaves"):
+            load_checkpoint(old)
+        monkeypatch.setattr(sys, "argv", ["-c", str(old), str(new)])
+        exec(code, {})
+        head, stage, lineage = load_checkpoint(new)
+        assert head.flat.tobytes() == p.flat.tobytes()
+        assert (stage, lineage) == ("stage2", {"seed": 3})
+        assert new.read_bytes() == path.read_bytes()
+
+
+def _load_through_a_pipe(path, fifo):
+    """load_checkpoint(fifo) while a thread writes `path`'s bytes into it."""
+    if not fifo.exists():
+        os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()),
+                              daemon=True)
+    writer.start()
+    try:
+        return load_checkpoint(fifo)
+    finally:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
+@pytest.mark.parametrize("source", ["file", "pipe"])
+def test_checkpoint_errors_name_the_byte_a_whole_text_parse_names(tmp_path, source):
+    """Faults deep in the file are named at the absolute byte a parse of
+    the whole text names, whether the file is read a line at a time or,
+    from a pipe, whole."""
     path = tmp_path / "head.json"
     save_checkpoint(init_head(64, 128, 32, 4, seed=1), path, "stage1")
     text = path.read_bytes()
-    last = text.rindex(b'"W2":')  # a W2 row sits past the first block
-    row = text.index(b"],[", last) + 2  # the '[' of W2's second row
+    last = text.rindex(b'"W2":')  # a W2 row sits far into the file
+    row = text.index(b"],\n[", last) + 3  # the '[' of W2's second row
     value = text[row + 1:text.index(b",", row)]
     cases = [
         # a non-number entry: the byte of its first non-number character
@@ -630,26 +717,91 @@ def test_checkpoint_errors_name_the_same_byte_through_any_window(
     cases.append((text[:trailer] + b'"stage":"stage1"}\n',
                   f"trailer at byte {trailer}: "))
     for bad, message in cases:
-        assert len(bad) > 1 << 16
         path.write_bytes(bad)
-        monkeypatch.setattr(embednet, "_READ_BLOCK", block or len(bad))
         with pytest.raises(ValueError) as info:
-            load_checkpoint(path)
+            if source == "pipe":
+                _load_through_a_pipe(path, tmp_path / "fifo")
+            else:
+                load_checkpoint(path)
+        where = tmp_path / "fifo" if source == "pipe" else path
         assert str(info.value).startswith(
-            f"{path}: malformed checkpoint: {message}"), str(info.value)
+            f"{where}: malformed checkpoint: {message}"), str(info.value)
 
 
 def test_a_checkpoint_loads_from_a_pipe(tmp_path):
     p = init_head(64, 32, 8, 4, seed=2)
-    path, fifo = tmp_path / "head.json", tmp_path / "fifo"
+    path = tmp_path / "head.json"
     save_checkpoint(p, path, "stage2", seed_lineage={"seed": 2})
-    os.mkfifo(fifo)
-    writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()))
-    writer.start()
-    try:
-        head, stage, lineage = load_checkpoint(fifo)
-    finally:
-        writer.join(timeout=10)
-    assert not writer.is_alive()
+    head, stage, lineage = _load_through_a_pipe(path, tmp_path / "fifo")
     assert head.flat.tobytes() == p.flat.tobytes()
     assert (stage, lineage) == ("stage2", {"seed": 2})
+
+
+@pytest.fixture(scope="module")
+def sweep_file(tmp_path_factory):
+    """A 16 -> 32 -> 8 -> 4 checkpoint's bytes, with values orjson prints
+    positionally, and a path to write corrupt copies of it to."""
+    head = init_head(16, 32, 8, 4, seed=12)
+    head.W1[0, :3] = [6.63480772013432e-05, -0.0, 1e22]
+    head.bc[:] = [0.5, -2.0, 5e-324, 1e16]
+    path = tmp_path_factory.mktemp("sweep") / "head.json"
+    save_checkpoint(head, path, "stage2", seed_lineage={"seed": 12})
+    return path.read_bytes(), path
+
+
+@st.composite
+def _corrupt_copies(draw, data):
+    """`data` truncated, with a byte edited, bytes deleted, a line
+    repeated or a recorded dim inflated."""
+    at = draw(st.integers(0, len(data) - 1))
+    kind = draw(st.sampled_from(["truncate", "edit", "delete", "repeat", "dims"]))
+    if kind == "truncate":
+        return data[:at]
+    if kind == "edit":
+        byte = draw(st.sampled_from(b'0123456789.eE+-,[]{}:"\n\r ')
+                    | st.integers(0, 255))
+        return data[:at] + bytes([byte]) + data[at + 1:]
+    if kind == "delete":
+        return data[:at] + data[at + draw(st.integers(1, 64)):]
+    lines = data.splitlines(keepends=True)
+    if kind == "repeat":
+        k = draw(st.integers(0, len(lines) - 1))
+        return b"".join(lines[:k + 1] + lines[k:])
+    key = draw(st.sampled_from(["d_in", "embed_dim", "hidden", "n_classes"]))
+    value = draw(st.integers(0, 10**30))
+    return re.sub(f'"{key}":[0-9]+'.encode(), f'"{key}":{value}'.encode(), data, count=1)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(case=st.data())
+def test_corrupt_checkpoints_load_as_json_reads_them_or_raise_one_error(
+        sweep_file, case):
+    """Every corrupt copy of a checkpoint either loads the arrays, stage
+    and lineage json reads from it, bit for bit, or raises one ValueError
+    of one line naming the path.  Either way the load holds at most the
+    file's size twice over, one head of its recorded dims (which the dims
+    guard keeps under four times the file's size) and 16 KB for the file
+    buffer and the parser's objects."""
+    data, path = sweep_file
+    bad = case.draw(_corrupt_copies(data))
+    path.write_bytes(bad)
+    tracemalloc.start()
+    try:
+        try:
+            head, stage, lineage = load_checkpoint(path)
+            error = None
+        except ValueError as exc:
+            error = str(exc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * len(bad) + 16_384
+    if error is not None:
+        assert error.startswith(f"{path}: malformed checkpoint: "), error
+        assert "\n" not in error
+        return
+    whole = json.loads(bad)
+    for name in FIELDS:
+        assert getattr(head, name).tobytes() == np.asarray(
+            whole["params"][name], dtype=np.float64).tobytes(), name
+    assert (stage, lineage) == (whole["stage"], whole["seed_lineage"])
