@@ -689,12 +689,9 @@ def _load_through_a_pipe(path, fifo):
         assert not writer.is_alive()
 
 
-@pytest.mark.parametrize("source", ["file", "pipe"])
-def test_checkpoint_errors_name_the_byte_a_whole_text_parse_names(tmp_path, source):
-    """Faults deep in the file are named at the absolute byte a parse of
-    the whole text names, whether the file is read a line at a time or,
-    from a pipe, whole."""
-    path = tmp_path / "head.json"
+def _faults_deep_in_a_checkpoint(path):
+    """Save a head to `path` -> [(bad bytes, start of the message naming
+    the fault)], each fault past the file's first 64 KiB."""
     save_checkpoint(init_head(64, 128, 32, 4, seed=1), path, "stage1")
     text = path.read_bytes()
     last = text.rindex(b'"W2":')  # a W2 row sits far into the file
@@ -716,7 +713,17 @@ def test_checkpoint_errors_name_the_byte_a_whole_text_parse_names(tmp_path, sour
     trailer = text.index(b"},", text.rindex(b"]")) + 2
     cases.append((text[:trailer] + b'"stage":"stage1"}\n',
                   f"trailer at byte {trailer}: "))
-    for bad, message in cases:
+    assert row > 1 << 16
+    return cases
+
+
+@pytest.mark.parametrize("source", ["file", "pipe"])
+def test_checkpoint_errors_name_the_byte_a_whole_text_parse_names(tmp_path, source):
+    """Faults deep in the file are named at the absolute byte a parse of
+    the whole text names, whether the file is read a line at a time or,
+    from a pipe, whole."""
+    path = tmp_path / "head.json"
+    for bad, message in _faults_deep_in_a_checkpoint(path):
         path.write_bytes(bad)
         with pytest.raises(ValueError) as info:
             if source == "pipe":
@@ -726,6 +733,30 @@ def test_checkpoint_errors_name_the_byte_a_whole_text_parse_names(tmp_path, sour
         where = tmp_path / "fifo" if source == "pipe" else path
         assert str(info.value).startswith(
             f"{where}: malformed checkpoint: {message}"), str(info.value)
+
+
+@pytest.mark.parametrize("block", [7, 1 << 16])
+def test_checkpoint_errors_name_the_same_byte_through_any_window(
+        tmp_path, monkeypatch, block):
+    """The byte an error names does not hang on the read buffer under the
+    line reads: with a 7-byte buffer each row spans many refills, with a
+    64 KiB one the faults lie past the first."""
+    opened = []
+
+    def buffered_open(file, mode="r"):
+        fh = open(file, mode, buffering=block)
+        opened.append(fh)
+        return fh
+    monkeypatch.setattr(embednet, "open", buffered_open, raising=False)
+    path = tmp_path / "head.json"
+    for bad, message in _faults_deep_in_a_checkpoint(path):
+        path.write_bytes(bad)
+        opened.clear()
+        with pytest.raises(ValueError) as info:
+            load_checkpoint(path)
+        assert [fh.raw.name for fh in opened] == [str(path)]
+        assert str(info.value).startswith(
+            f"{path}: malformed checkpoint: {message}"), str(info.value)
 
 
 def test_a_checkpoint_loads_from_a_pipe(tmp_path):
