@@ -356,6 +356,9 @@ def run_pipeline(spec, pipe_config=None, out_dir=None):
         params, hist1 = trainer.train_stage1(config, train.matrix,
                                              train.labels)
         base_metrics, gallery = _evaluate(params, train, test, pipe.k)
+        if out_dir is not None:  # before stage 2 trains the head in place
+            lineage = _save_stage(params, out / f"ckpt_{fname}.json",
+                                  "stage1", config.seed)
         aligned, hist2 = trainer.align_stage2(config, params, anchors,
                                               train.matrix, train.labels)
         aligned_metrics, aligned_gallery = _evaluate(aligned, train, test,
@@ -367,8 +370,6 @@ def run_pipeline(spec, pipe_config=None, out_dir=None):
                 evalkit.anchor_centroid_cosines(aligned_gallery, anchors)[0],
         }
         if out_dir is not None:
-            lineage = _save_stage(params, out / f"ckpt_{fname}.json",
-                                  "stage1", config.seed)
             _save_stage(aligned, out / f"ckpt_{fname}_aligned.json",
                         "stage2", config.seed, lineage)
             trainer.write_history([hist1, hist2],

@@ -23,15 +23,17 @@ block by block, with weight decay on the three weight matrices only,
 and can write each updated block's float32 cast into a working head.
 maxnorm_project caps the L2 norm of each classifier row at delta, the
 balance device that stops head classes from growing oversized logit
-scales.  save_checkpoint writes a head as JSON with each array row on
-a line of its own, and load_checkpoint reads it back a line at a time,
-so neither holds the checkpoint's whole text.
+scales; a capping call returns the capped Wc alone, never a new head.
+save_checkpoint writes a head as JSON with each array row on a line of
+its own, and load_checkpoint reads it back a line at a time, so neither
+holds the checkpoint's whole text.
 """
 
 import io
 import json
 import math
 import os
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -254,36 +256,29 @@ def sgd_step(params, grads, lr, weight_decay=0.0, projection_only=False,
                     _check_finite(name, p)
 
 
-def maxnorm_rows(matrix, delta):
-    """Rows with L2 norm above delta rescaled to norm delta; others kept.
-
-    The tiny relative guard keeps the projection exactly idempotent: a
-    freshly rescaled row lands within a few ulp of delta and must not be
-    touched again.
-    """
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    norms = np.linalg.norm(matrix, axis=1)
-    over = norms > delta * (1.0 + 1e-12)
-    if not np.any(over):
-        return matrix
-    out = matrix.copy()
-    out[over] *= (delta / norms[over])[:, None]
-    return out
+# what a capping maxnorm_project returns: the capped classifier alone
+CappedWc = namedtuple("CappedWc", "Wc")
 
 
 def maxnorm_project(params, delta):
-    """Cap the L2 norm of each classifier row at delta; other layers kept.
+    """Cap the L2 norm of each classifier row of `params` at delta.
 
-    Returns `params` itself when no row is over delta, else a capped
-    copy, so the input is never written.
+    Returns `params` itself when no row is over delta, else a CappedWc
+    holding a copy of Wc with the rows over delta rescaled to norm delta,
+    so no head is copied and the input is never written.  Only `.Wc` is
+    read, so a CappedWc can be capped again.  The tiny relative guard
+    keeps the cap exactly idempotent: a freshly rescaled row lands within
+    a few ulp of delta and must not be touched again.
     """
-    Wc = maxnorm_rows(params.Wc, delta)
-    if Wc is params.Wc:
+    if not delta > 0:
+        raise ValueError(f"delta must be positive, got {delta}")
+    norms = np.linalg.norm(params.Wc, axis=1)
+    over = norms > delta * (1.0 + 1e-12)
+    if not np.any(over):
         return params
-    out = params.copy()
-    out.Wc[...] = Wc
-    return out
+    Wc = params.Wc.copy()
+    Wc[over] *= (delta / norms[over])[:, None]
+    return CappedWc(Wc)
 
 
 def _dumps(obj):

@@ -19,16 +19,18 @@ its anchor as one with a thousand, which is where the tail recovery
 comes from.  The classifier layer is frozen throughout stage 2; only
 the projection layers move.
 
-A run holds one float64 master head: a fresh stage-1 head is trained
-in place, and a caller's head is copied once and never written.
-Forward and backward run in float32 on a working copy of the master:
-copied once per run, then kept equal to the master's float32 cast by
-sgd_step, which writes each updated block into it, and by writing the
-Wc of each capping max-norm into both heads.  The SGD update, max-norm
-and the returned head stay float64 (the usual mixed-precision split).
-No float32 copy of the features is held: a check over blocks of rows
-refuses features beyond the float32 range before the schedule is
-drawn, and each batch casts the float64 rows it gathers.
+A run holds one float64 master head and trains it in place: stage 1
+builds its head with init_head, and stage 2 trains the head it is given
+and returns that same object, so a caller that still needs the stage-1
+head copies or saves it first.  Forward and backward run in float32 on
+a working copy of the master: copied once per run, then kept equal to
+the master's float32 cast by sgd_step, which writes each updated block
+into it, and by writing the Wc of each capping max-norm into both heads;
+no step copies a whole head.  The SGD update, max-norm and the returned
+head stay float64 (the usual mixed-precision split).  No float32 copy of
+the features is held: a check over blocks of rows refuses features
+beyond the float32 range before the schedule is drawn, and each batch
+casts the float64 rows it gathers.
 
 Everything is driven by seeded generators in a documented draw order
 (per triplet: anchor, positive, negative in stage 1; taxon, positive,
@@ -169,8 +171,9 @@ def _float32_rows(x, rows):
 
 
 def _apply_maxnorm(params, delta, scope):
-    """The stage-1 cap on classifier rows (`scope` is "classifier"); a
-    capping step returns a copy, so `params` is never written."""
+    """The stage-1 cap on classifier rows (`scope` is "classifier"):
+    `params` itself when no row is over delta, else the capped Wc alone
+    (embednet.maxnorm_project); `params` is never written here."""
     return embednet.maxnorm_project(params, delta)
 
 
@@ -226,15 +229,15 @@ def _sgd_loop(stage, config, params, x, draw, batch_loss,
     return params, history
 
 
-def train_stage1(config, train_features, labels, params=None):
+def train_stage1(config, train_features, labels):
     """Metric pretraining; returns (HeadParams, TrainHistory).
 
     Classifier row i is the i-th smallest taxon id in `labels`.  The head
-    is initialized from derive_seed(seed, 'init') unless an existing
-    `params` is passed in; the features need the head's d_in columns.
-    With ltr_enabled, weight decay is applied in every step and the
-    max-norm projection follows each step; without it both devices are
-    off, which is the naive baseline.
+    is built by init_head from the config's dims, scales and
+    derive_seed(seed, 'init'), then trained in place; the features need
+    its d_in columns.  With ltr_enabled, weight decay is applied in every
+    step and the max-norm projection follows each step; without it both
+    devices are off, which is the naive baseline.
     """
     x = np.asarray(train_features, dtype=np.float64)
     labels = np.asarray(labels)
@@ -244,13 +247,10 @@ def train_stage1(config, train_features, labels, params=None):
     if taxa.size < 2:
         raise ValueError("stage 1 needs >= 2 classes")
 
-    if params is None:  # trained in place: the one float64 head of the run
-        params = embednet.init_head(config.d_in, config.hidden, config.embed_dim,
-                                    taxa.size, derive_seed(config.seed, "init"),
-                                    scale=config.init_scale,
-                                    classifier_scale=config.classifier_init_scale)
-    elif config.epochs_stage1:  # the caller's head is never written
-        params = params.copy()
+    params = embednet.init_head(config.d_in, config.hidden, config.embed_dim,
+                                taxa.size, derive_seed(config.seed, "init"),
+                                scale=config.init_scale,
+                                classifier_scale=config.classifier_init_scale)
     tables = _triplet_tables(codes)
     rng = np.random.default_rng(derive_seed(config.seed, "stage1"))
     b = config.batch_size
@@ -271,7 +271,8 @@ def train_stage1(config, train_features, labels, params=None):
 
 
 def align_stage2(config, params, anchors, train_features, labels):
-    """Cross-modal alignment; returns (HeadParams, TrainHistory).
+    """Cross-modal alignment of `params`, trained in place; returns
+    (params, TrainHistory), the head being the object passed in.
 
     Per triplet a taxon is drawn uniformly among taxa present in the
     visual training set, its genetic anchor is the fixed anchor, and a
@@ -313,8 +314,6 @@ def align_stage2(config, params, anchors, train_features, labels):
             anchor32[taxa], *np.split(emb, 2), config.margin_m)
         return loss, {"cosine": loss}, d_emb, np.zeros_like(logits)
 
-    if config.epochs_stage2:  # the caller's head is never written
-        params = params.copy()
     return _sgd_loop("stage2", config, params, x, draw, batch_loss,
                      frozen_classifier=True)
 

@@ -25,7 +25,6 @@ from xmodal.embednet import (
     init_head,
     load_checkpoint,
     maxnorm_project,
-    maxnorm_rows,
     save_checkpoint,
     sgd_step,
 )
@@ -392,33 +391,37 @@ def test_sgd_step_checks_values_not_their_sum(monkeypatch):
     assert work.W1.tobytes() == p.W1.astype(np.float32).tobytes()
 
 
-def test_maxnorm_rows_caps_and_is_idempotent():
-    m = np.array([[3.0, 4.0], [0.1, 0.2], [0.0, 0.0]])
-    out = maxnorm_rows(m, delta=1.0)
-    norms = np.linalg.norm(out, axis=1)
-    assert norms[0] == pytest.approx(1.0)
-    assert np.array_equal(out[1], m[1]) and np.array_equal(out[2], m[2])
-    again = maxnorm_rows(out, delta=1.0)
-    assert again is out
-    assert np.array_equal(m[0], [3.0, 4.0])
+def test_maxnorm_project_caps_and_is_idempotent():
+    p = init_head(4, 5, 2, 3, seed=0)
+    p.Wc[...] = [[3.0, 4.0], [0.1, 0.2], [0.0, 0.0]]
+    kept = p.flat.copy()
+    out = maxnorm_project(p, delta=1.0)
+    assert np.linalg.norm(out.Wc, axis=1)[0] == pytest.approx(1.0)
+    assert np.array_equal(out.Wc[1:], p.Wc[1:])
+    # the input is unwritten, and a capped Wc is not capped again
+    assert p.flat.tobytes() == kept.tobytes()
+    assert maxnorm_project(out, delta=1.0) is out
 
 
-def test_maxnorm_rows_validates_delta():
-    with pytest.raises(ValueError, match="delta"):
-        maxnorm_rows(np.ones((1, 2)), delta=0.0)
+def test_maxnorm_project_validates_delta():
+    for delta in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="delta"):
+            maxnorm_project(small_head(), delta=delta)
 
 
 def test_maxnorm_project_touches_classifier_only():
     p = small_head(seed=6)
     p.Wc[0] = np.array([10.0, 0.0, 0.0])
+    kept = p.flat.copy()
     out = maxnorm_project(p, delta=1.0)
-    for name in ("W1", "b1", "W2", "b2", "bc"):
-        assert getattr(out, name).tobytes() == getattr(p, name).tobytes()
+    # only the capped Wc comes back, in a new array: no head is copied
+    assert out._fields == ("Wc",) and not np.shares_memory(out.Wc, p.flat)
+    assert out.Wc.shape == p.Wc.shape
     assert np.linalg.norm(out.Wc[0]) == pytest.approx(1.0)
-    # a capped head is a copy: the input keeps its oversized row
-    assert np.array_equal(p.Wc[0], [10.0, 0.0, 0.0])
-    small = maxnorm_project(out, delta=100.0)
-    assert small is out
+    # the input keeps its oversized row; with no row over delta the head
+    # itself comes back
+    assert p.flat.tobytes() == kept.tobytes()
+    assert maxnorm_project(p, delta=100.0) is p
 
 
 def _one_line(text):

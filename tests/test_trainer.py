@@ -1,6 +1,7 @@
 """Two-stage training tests: config, sampling, the shared loop."""
 
 import ast
+import inspect
 import json
 import tracemalloc
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 
 from oracles import sample_triplets_oracle
 from xmodal import dataio, embednet, trainer
+from xmodal.seeds import derive_seed
 from xmodal.trainer import (
     TrainConfig,
     TrainHistory,
@@ -161,21 +163,26 @@ def test_dropped_config_fields_are_rejected():
             TrainConfig.from_dict({name: 1.0})
 
 
-def test_training_leaves_the_callers_head_untouched():
+def test_stage1_builds_its_head_and_stage2_trains_the_head_it_is_given():
     x, labels = toy_data(seed=6)
-    # classifier rows start past the cap, so stage 1 takes capping steps
-    config = toy_config(maxnorm_delta=0.5)
-    start = embednet.init_head(6, 8, 5, 3, seed=3, classifier_scale=2.0)
-    assert np.linalg.norm(start.Wc, axis=1).max() > 0.5
-    kept = start.flat.copy()
-    trained, _ = train_stage1(config, x, labels, params=start)
-    assert start.flat.tobytes() == kept.tobytes()
-    kept = trained.flat.copy()
+    config = toy_config(maxnorm_delta=0.5, classifier_init_scale=2.0)
+    # stage 1 takes no head: it builds init_head's head from the config
+    assert list(inspect.signature(train_stage1).parameters) == [
+        "config", "train_features", "labels"]
+    fresh, _ = train_stage1(toy_config(epochs_stage1=0, init_scale=0.3,
+                                       classifier_init_scale=2.0), x, labels)
+    want = embednet.init_head(6, 8, 5, 3, derive_seed(0, "init"), scale=0.3,
+                              classifier_scale=2.0)
+    assert fresh.flat.tobytes() == want.flat.tobytes()
+    trained, _ = train_stage1(config, x, labels)
+    kept = trained.copy()
     aligned, _ = align_stage2(config, trained, anchors_for(labels, 5), x,
                               labels)
-    assert trained.flat.tobytes() == kept.tobytes()
-    assert not np.array_equal(aligned.W1, trained.W1)
-    assert trained.flat.dtype == aligned.flat.dtype == np.float64
+    assert aligned is trained and aligned.flat.dtype == np.float64
+    assert not np.array_equal(aligned.W1, kept.W1)
+    # in place, with the bytes that aligning a copy gives
+    again, _ = align_stage2(config, kept, anchors_for(labels, 5), x, labels)
+    assert again is kept and again.flat.tobytes() == aligned.flat.tobytes()
 
 
 def test_trainers_run_forward_in_float32(monkeypatch):
@@ -258,21 +265,29 @@ def test_working_head_is_the_masters_float32_cast_at_every_step(monkeypatch):
     def cap(params, delta, scope):
         out = real_cap(params, delta, scope)
         capped.append(out is not params)
-        want[-1] = out.flat.astype(np.float32).tobytes()
+        master = params.copy()  # the master once _sgd_loop writes out.Wc
+        master.Wc[...] = out.Wc
+        want[-1] = master.flat.astype(np.float32).tobytes()
         return out
 
     monkeypatch.setattr(embednet, "forward", forward)
     monkeypatch.setattr(embednet, "sgd_step", step)
     monkeypatch.setattr(trainer, "_apply_maxnorm", cap)
     x, labels = toy_data(seed=6)
-    # classifier rows reach the cap during stage 1: some steps cap them
-    config = toy_config(maxnorm_delta=0.5)
+    # stage 1's classifier rows start past the cap: some steps cap them
+    config = toy_config(maxnorm_delta=0.5, classifier_init_scale=1.0)
+    stage1_start = embednet.init_head(
+        6, 8, 5, 3, derive_seed(0, "init"), scale=config.init_scale,
+        classifier_scale=1.0)
+    assert np.linalg.norm(stage1_start.Wc, axis=1).max() > 0.5
     start = embednet.init_head(6, 8, 5, 3, seed=3, classifier_scale=0.5)
-    for train in (train_stage1, lambda *args: align_stage2(
-            config, start, anchors_for(labels, 5), x, labels)):
+    for first, train in (
+            (stage1_start, lambda: train_stage1(config, x, labels)),
+            (start, lambda: align_stage2(config, start,
+                                         anchors_for(labels, 5), x, labels))):
         seen.clear()
-        want[:] = [start.flat.astype(np.float32).tobytes()]
-        out, _ = train(config, x, labels, start)
+        want[:] = [first.flat.astype(np.float32).tobytes()]
+        out, _ = train()
         assert len(seen) > 1 and seen == want[:-1]
         assert want[-1] == out.flat.astype(np.float32).tobytes()
     assert any(capped) and not all(capped)
@@ -380,11 +395,39 @@ def test_train_stage1_holds_one_float64_head():
     assert peak < 2.5 * head.flat.nbytes
 
 
-def test_train_stage1_warm_start_and_validation():
+def test_a_capping_stage1_run_copies_no_head():
+    """Each capping step allocates a new Wc, not a new head: the run's
+    peak stays that of a run that never caps (2.34 heads; a head copy
+    per capping step made it 4.2)."""
+    x, labels = toy_data(dim=1024)
+    config = toy_config(d_in=1024, hidden=256, epochs_stage1=1,
+                        maxnorm_delta=0.2, classifier_init_scale=3.0)
+    head = embednet.init_head(1024, 256, 5, 3, derive_seed(0, "init"),
+                              scale=config.init_scale, classifier_scale=3.0)
+    assert np.linalg.norm(head.Wc, axis=1).min() > 0.2  # the first step caps
+    trained, _ = train_stage1(config, x, labels)  # warm imports and caches
+    assert np.linalg.norm(trained.Wc, axis=1).max() <= 0.2 + 1e-12
+    peak = _traced_peak(lambda: train_stage1(config, x, labels))
+    assert peak < 2.5 * head.flat.nbytes
+
+
+def test_align_stage2_holds_one_float64_head():
+    """Stage 2 trains the head it is given: the run holds the float32
+    working head and gradients beside it, and no float64 copy (1.27
+    heads; copying the head it was given made it 2.27)."""
+    x, labels = toy_data(dim=1024)
+    config = toy_config(d_in=1024, hidden=256)
+    anchors = anchors_for(labels, 5)
+    align_stage2(config, embednet.init_head(1024, 256, 5, 3, seed=0), anchors,
+                 x, labels)  # warm imports and caches
+    start = embednet.init_head(1024, 256, 5, 3, seed=0)
+    peak = _traced_peak(lambda: align_stage2(config, start, anchors, x,
+                                             labels))
+    assert peak < 2.0 * start.flat.nbytes
+
+
+def test_train_stage1_validation():
     x, labels = toy_data()
-    start = embednet.init_head(6, 8, 5, 3, seed=42)
-    params, _ = train_stage1(toy_config(epochs_stage1=0), x, labels, params=start)
-    assert params is start
     with pytest.raises(ValueError, match="aligned"):
         train_stage1(toy_config(), x, labels[:-1])
     with pytest.raises(ValueError, match="d_in"):
@@ -408,11 +451,14 @@ def test_both_stages_check_the_feature_width_before_any_draw(monkeypatch):
             draws.append(1)
             return self.rng.integers(*args, **kwargs)
 
+        def __getattr__(self, name):  # init_head's uniform weights
+            return getattr(self.rng, name)
+
     monkeypatch.setattr(np.random, "default_rng",
                         lambda seed: CountedGenerator(real_default_rng(seed)))
     message = "feature dim 6 != head d_in 9"
     with pytest.raises(ValueError, match=message):
-        train_stage1(toy_config(), x, labels, params=wide)
+        train_stage1(toy_config(d_in=9), x, labels)
     with pytest.raises(ValueError, match=message):
         align_stage2(toy_config(), wide, anchors, x, labels)
     assert draws == []
@@ -438,9 +484,10 @@ def test_only_a_classifier_that_moves_is_capped(monkeypatch):
     # stage 2 starts from classifier rows far over the cap and keeps them
     start = embednet.init_head(6, 8, 5, 3, seed=2, classifier_scale=5.0)
     assert np.linalg.norm(start.Wc, axis=1).min() > config.maxnorm_delta
+    kept = start.Wc.tobytes()
     aligned, _ = align_stage2(config, start, anchors_for(labels, 5), x, labels)
     assert calls == []
-    assert aligned.Wc.tobytes() == start.Wc.tobytes()
+    assert aligned.Wc.tobytes() == kept
 
 
 def anchors_for(labels, dim, seed=0):
@@ -452,11 +499,12 @@ def test_align_stage2_freezes_classifier_and_records():
     x, labels = toy_data()
     config = toy_config()
     start, _ = train_stage1(config, x, labels)
+    kept = start.copy()
     anchors = anchors_for(labels, 5)
     aligned, history = align_stage2(config, start, anchors, x, labels)
-    assert aligned.Wc.tobytes() == start.Wc.tobytes()
-    assert aligned.bc.tobytes() == start.bc.tobytes()
-    assert not np.array_equal(aligned.W1, start.W1)
+    assert aligned.Wc.tobytes() == kept.Wc.tobytes()
+    assert aligned.bc.tobytes() == kept.bc.tobytes()
+    assert not np.array_equal(aligned.W1, kept.W1)
     assert len(history.entries) == config.epochs_stage2
     assert history.entries[0]["components"].keys() == {"cosine"}
 
@@ -476,8 +524,9 @@ def test_align_stage2_pulls_embeddings_toward_anchors():
             total += cos.mean()
         return total / len(anchors)
 
+    before = mean_anchor_cos(start)
     aligned, history = align_stage2(config, start, anchors, x, labels)
-    assert mean_anchor_cos(aligned) > mean_anchor_cos(start)
+    assert mean_anchor_cos(aligned) > before
     assert history.entries[-1]["mean_loss"] < history.entries[0]["mean_loss"]
 
 
@@ -486,7 +535,7 @@ def test_align_stage2_sizes_nothing_by_taxon_id():
     config = toy_config()
     start = embednet.init_head(6, 8, 5, 2, seed=3)
     vecs = anchors_for(labels, 5, seed=2)
-    small, _ = align_stage2(config, start, vecs, x, labels)
+    small, _ = align_stage2(config, start.copy(), vecs, x, labels)
     far = np.where(labels == 1, 10**6, 0)
     tracemalloc.start()
     try:
@@ -504,8 +553,8 @@ def test_align_stage2_is_deterministic():
     config = toy_config()
     start = embednet.init_head(6, 8, 5, 3, seed=1)
     anchors = anchors_for(labels, 5)
-    one, _ = align_stage2(config, start, anchors, x, labels)
-    two, _ = align_stage2(config, start, anchors, x, labels)
+    one, _ = align_stage2(config, start.copy(), anchors, x, labels)
+    two, _ = align_stage2(config, start.copy(), anchors, x, labels)
     for name in embednet.FIELDS:
         assert getattr(one, name).tobytes() == getattr(two, name).tobytes()
 
