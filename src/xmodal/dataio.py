@@ -61,15 +61,15 @@ _HEADER_ID_SPLIT = re.compile(r"[\s|]")
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def _int64(value, where, noun, negative=None):
+def _int64(value, where, noun):
     """int(`value`) if it lies in [0, 2**63); else a ValueError naming
-    `where` and `noun`, or saying `negative` for a negative value."""
+    `where`, `noun` and the value."""
     try:
         value = int(value)
     except ValueError:
         raise ValueError(f"{where}: {noun} {value!r} is not an integer") from None
     if value < 0:
-        raise ValueError(f"{where}: " + (negative or f"negative {noun} {value}"))
+        raise ValueError(f"{where}: negative {noun} {value}")
     if value > _INT64_MAX:
         raise ValueError(f"{where}: {noun} {value} exceeds int64")
     return value
@@ -204,7 +204,7 @@ class FeatureTable:
             )
         if len(set(self.ids)) != n:
             dupes = sorted(i for i, m in Counter(self.ids).items() if m > 1)
-            raise ValueError(f"duplicate ids in feature table: {dupes[:5]}")
+            raise ValueError(f"duplicate ids {dupes[:5]}")
         if np.any(self.labels < 0):
             raise ValueError("labels must be non-negative integers")
         # a finite sum clears the matrix without an N x D bool temporary;
@@ -327,10 +327,10 @@ def load_feature_csv(path, check_width=None):
     correctly, so every value is float()'s bit for bit.
 
     Any fault raises one ValueError naming `path` and, where it has one,
-    the line or row id: the first fault in file order, then duplicate
-    ids.  `check_width`, if given, is called with D once the header is
-    read, before any data row is parsed; its ValueError (a head's
-    check_width) passes through as it is.
+    the line or row id: the first fault in file order, then FeatureTable's
+    duplicate ids.  `check_width`, if given, is called with D once the
+    header is read, before any data row is parsed; its ValueError (a
+    head's check_width) passes through as it is.
     """
     with open(path, "rb") as fh:
         with _naming(path):
@@ -363,10 +363,7 @@ def load_feature_csv(path, check_width=None):
                     labels.append(label)
             if not ids:
                 raise ValueError("feature CSV has no data rows")
-            if len(set(ids)) != len(ids):
-                dupes = sorted(i for i, m in Counter(ids).items() if m > 1)
-                raise ValueError(f"duplicate ids {dupes[:5]}")
-    return FeatureTable(ids, np.array(labels), matrix[:len(ids)])
+            return FeatureTable(ids, np.array(labels), matrix[:len(ids)])
 
 
 def _check_ids(ids):
@@ -460,6 +457,18 @@ def read_feature_bin(path):
         return FeatureTable(ids, np.array(labels), matrix)
 
 
+def _taxa_by_id(records):
+    """{sequence id: taxon id} of the ``sequence_id,taxon_id`` rows left
+    in `records`: two fields each, an int64 taxon id, each id once."""
+    mapping = {}
+    for where, (sid, taxon) in _rows(records, 2):
+        taxon = _int64(taxon, where, "taxon id")
+        if sid in mapping:
+            raise ValueError(f"duplicate sequence id {sid!r}")
+        mapping[sid] = taxon
+    return mapping
+
+
 def load_labels_csv(path):
     """Load a sequence->taxon map from a ``sequence_id,taxon_id`` CSV."""
     with _naming(path):
@@ -467,13 +476,7 @@ def load_labels_csv(path):
             records = _records(fh)
             if len(_fields(next(records, b""), "line 1")) != 2:
                 raise ValueError("expected a two-column sequence_id,taxon_id CSV")
-            mapping = {}
-            for where, (sid, taxon) in _rows(records, 2):
-                # older wording for a negative taxon, without the value
-                taxon = _int64(taxon, where, "taxon id", "negative taxon id")
-                if sid in mapping:
-                    raise ValueError(f"duplicate sequence id {sid!r}")
-                mapping[sid] = taxon
+            mapping = _taxa_by_id(records)
         if not mapping:
             raise ValueError("no label rows")
     return mapping
@@ -489,9 +492,9 @@ def write_labels_csv(mapping, path):
 def load_label_counts(path):
     """Read per-taxon counts from a CSV -> {taxon id: count}.
 
-    Accepts either a two-column id->taxon file (counts are tallied per
-    taxon, each id once) or a ``taxon_id[,name],train_count`` table
-    (counts read directly, one row per taxon, each count non-negative).
+    Accepts either a two-column id->taxon file, read by load_labels_csv's
+    row rule and tallied per taxon, or a ``taxon_id[,name],train_count``
+    table (one row per taxon, taxon id and count non-negative int64s).
     """
     with _naming(path):
         with open(path, "rb") as fh:
@@ -509,21 +512,16 @@ def load_label_counts(path):
                     f"unrecognized counts header {header};"
                     " expected id,taxon_id or taxon_id[,name],train_count"
                 )
-            counts, ids = {}, set()
-            for where, row in _rows(records, len(header)):
-                try:
-                    taxon = int(row[0] if direct else row[1])
-                    count = int(row[-1]) if direct else counts.get(taxon, 0) + 1
-                except ValueError:
-                    raise ValueError(f"{where}: non-integer taxon id or count"
-                                     f" in {row}") from None
-                _int64(taxon, where, "taxon id")
-                if direct and taxon in counts:
-                    raise ValueError(f"{where}: second count for taxon {taxon}")
-                if not direct and row[0] in ids:
-                    raise ValueError(f"duplicate sequence id {row[0]!r}")
-                ids.add(row[0])
-                counts[taxon] = _int64(count, where, "count")
+            if direct:
+                counts = {}
+                for where, row in _rows(records, len(header)):
+                    taxon = _int64(row[0], where, "taxon id")
+                    if taxon in counts:
+                        raise ValueError(
+                            f"{where}: second count for taxon {taxon}")
+                    counts[taxon] = _int64(row[-1], where, "count")
+            else:
+                counts = dict(Counter(_taxa_by_id(records).values()))
         if not counts:
             raise ValueError("no count rows")
     return counts

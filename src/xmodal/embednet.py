@@ -53,6 +53,12 @@ def _check_finite(name, arr):
         raise ValueError(f"non-finite values in {name}")
 
 
+def _check_width(d, d_in):
+    """Refuse `d` feature columns for a head of input width `d_in`."""
+    if d != d_in:
+        raise ValueError(f"feature dim {d} != head d_in {d_in}")
+
+
 def _layout(dims):
     """(name, shape, start, stop) of each field in `flat`, in FIELDS order."""
     d, h, e, c = dims
@@ -106,8 +112,7 @@ class HeadParams:
 
     def check_width(self, d):
         """Refuse features of `d` columns unless the head takes d_in = d."""
-        if d != self.dims[0]:
-            raise ValueError(f"feature dim {d} != head d_in {self.dims[0]}")
+        _check_width(d, self.dims[0])
 
 
 @dataclass

@@ -27,10 +27,11 @@ a working copy of the master: copied once per run, then kept equal to
 the master's float32 cast by sgd_step, which writes each updated block
 into it, and by writing the Wc of each capping max-norm into both heads;
 no step copies a whole head.  The SGD update, max-norm and the returned
-head stay float64 (the usual mixed-precision split).  No float32 copy of
-the features is held: a check over blocks of rows refuses features
-beyond the float32 range before the schedule is drawn, and each batch
-casts the float64 rows it gathers.
+head stay float64 (the usual mixed-precision split).  Both stages enter
+through _class_index, which checks features and labels before anything
+is drawn, init_head's weights included, and builds the one class index
+both draw from.  No float32 copy of the features is held: the range
+check is a whole-array min and max; each batch casts the rows it gathers.
 
 Everything is driven by seeded generators in a documented draw order
 (per triplet: anchor, positive, negative in stage 1; taxon, positive,
@@ -39,6 +40,7 @@ the resulting checkpoint.  The loop draws a run's whole schedule of
 batches before its first step.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,67 +98,63 @@ class TrainHistory:
         })
 
 
-def _triplet_tables(labels):
-    """Validated index tables for sample_triplets: (labels, eligible
-    anchors, ascending members and complement of each anchor class)."""
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.size < 2:
-        raise ValueError("need a 1-D label array with >= 2 items")
-    classes, counts = np.unique(labels, return_counts=True)
-    if classes.size < 2:
-        raise ValueError("triplet sampling needs >= 2 classes")
-    anchor_classes = classes[counts >= 2]
-    eligible = np.flatnonzero(np.isin(labels, anchor_classes))
-    if eligible.size == 0:
-        raise ValueError("no class has >= 2 samples; cannot form a positive pair")
-    members = {int(c): np.flatnonzero(labels == c) for c in anchor_classes}
-    others = {int(c): np.flatnonzero(labels != c) for c in anchor_classes}
-    return labels, eligible, members, others
-
-
-def sample_triplets(labels, batch_size, rng, tables=None):
-    """Uniform random triplets (anchor_idx, pos_idx, neg_idx).
-
-    Anchors are uniform over items whose class has at least 2 samples,
-    the positive is uniform over the anchor's classmates, the negative
-    uniform over everything else.  Draw order per triplet: anchor,
-    positive, negative.  `tables` is _triplet_tables(labels), which a
-    training run builds once; without it they are built here.
-    """
-    labels, eligible, members, others = (
-        _triplet_tables(labels) if tables is None else tables)
-    triplets = []
-    for _ in range(int(batch_size)):
-        a = int(eligible[rng.integers(eligible.size)])
-        c = int(labels[a])
-        same = members[c]
-        # j indexes the classmates with `a` left out
-        j = int(rng.integers(same.size - 1))
-        p = int(same[j] if same[j] < a else same[j + 1])
-        diff = others[c]
-        n = int(diff[rng.integers(diff.size)])
-        triplets.append((a, p, n))
-    return triplets
-
-
 # float64 values at or beyond this one round to +-inf in float32: it is
 # halfway between float32's largest value, 2**128 - 2**104, and 2**128
 _FLOAT32_LIMIT = 2.0**128 - 2.0**103
 # doubles of feature rows taken at a time (256 KB): a block of a batch
 # stays in cache between its gather and its float32 cast
 _ROW_BLOCK = 1 << 15
+ClassIndex = namedtuple("ClassIndex", "taxa codes members others eligible")
 
 
-def _check_float32_range(x):
-    """Raise unless every value of the (N, D) features `x` casts to a
-    finite float32, as each batch is cast; checked over blocks of rows,
-    so no float32 copy of `x` is made.  NaN fails both comparisons."""
-    step = max(1, _ROW_BLOCK // x.shape[1])
-    for lo in range(0, x.shape[0], step):
-        block = x[lo:lo + step]
-        if not (-_FLOAT32_LIMIT < block.min() and block.max() < _FLOAT32_LIMIT):
-            raise ValueError(
-                "training features are non-finite or exceed the float32 range")
+def _class_index(train_features, labels, d_in):
+    """Both stages' checked front door: (float64 features, ClassIndex).
+    Before anything is drawn it refuses, in order, labels not aligned
+    with the rows, a width other than `d_in` (embednet's one check), a
+    value that a batch's float32 cast makes non-finite (a whole-array
+    min and max, which NaN fails; an empty table passes) and one class.
+    The index holds the sorted taxa, each item's code (its taxon's place
+    in taxa), each class's ascending members and complement, and the
+    stage-1 anchors: the items whose class has >= 2 members."""
+    x = np.asarray(train_features, dtype=np.float64)
+    if x.ndim != 2 or np.shape(labels) != x.shape[:1]:
+        raise ValueError("features must be (N, D) aligned with labels")
+    embednet._check_width(x.shape[1], d_in)
+    if not (-_FLOAT32_LIMIT < x.min(initial=0.0)
+            and x.max(initial=0.0) < _FLOAT32_LIMIT):
+        raise ValueError(
+            "training features are non-finite or exceed the float32 range")
+    taxa, codes, counts = np.unique(labels, return_inverse=True,
+                                    return_counts=True)
+    if taxa.size < 2:
+        raise ValueError("training needs >= 2 classes")
+    return x, ClassIndex(
+        taxa, codes, [np.flatnonzero(codes == c) for c in range(taxa.size)],
+        [np.flatnonzero(codes != c) for c in range(taxa.size)],
+        np.flatnonzero(counts[codes] >= 2))
+
+
+def sample_triplets(index, batch_size, rng):
+    """Uniform random triplets (anchor_idx, pos_idx, neg_idx) from the
+    class index that _class_index builds once per run.
+
+    Anchors are uniform over items whose class has at least 2 samples,
+    the positive is uniform over the anchor's classmates, the negative
+    uniform over everything else.  Draw order per triplet: anchor,
+    positive, negative.
+    """
+    triplets = []
+    for _ in range(int(batch_size)):
+        a = int(index.eligible[rng.integers(index.eligible.size)])
+        c = index.codes[a]
+        same = index.members[c]
+        # j indexes the classmates with `a` left out
+        j = int(rng.integers(same.size - 1))
+        p = int(same[j] if same[j] < a else same[j + 1])
+        diff = index.others[c]
+        n = int(diff[rng.integers(diff.size)])
+        triplets.append((a, p, n))
+    return triplets
 
 
 def _float32_rows(x, rows):
@@ -193,9 +191,8 @@ def _sgd_loop(stage, config, params, x, draw, batch_loss,
     before the first step.  `batch_loss(key, embedding, logits)` gives
     (loss, {component: value}, d_embedding row blocks, d_logits).
     ltr_enabled turns on weight decay and, unless the classifier is
-    frozen, the max-norm cap after each step."""
-    params.check_width(x.shape[1])
-    _check_float32_range(x)
+    frozen, the max-norm cap after each step.  `x` comes checked from
+    _class_index."""
     epochs = getattr(config, f"epochs_{stage}")
     batches = -(-x.shape[0] // config.batch_size)
     schedule = [draw() for _ in range(epochs * batches)]
@@ -239,25 +236,19 @@ def train_stage1(config, train_features, labels):
     step and the max-norm projection follows each step; without it both
     devices are off, which is the naive baseline.
     """
-    x = np.asarray(train_features, dtype=np.float64)
-    labels = np.asarray(labels)
-    if x.ndim != 2 or x.shape[0] != labels.shape[0]:
-        raise ValueError("features must be (N, D) aligned with labels")
-    taxa, codes = np.unique(labels, return_inverse=True)
-    if taxa.size < 2:
-        raise ValueError("stage 1 needs >= 2 classes")
-
-    params = embednet.init_head(config.d_in, config.hidden, config.embed_dim,
-                                taxa.size, derive_seed(config.seed, "init"),
-                                scale=config.init_scale,
-                                classifier_scale=config.classifier_init_scale)
-    tables = _triplet_tables(codes)
+    x, index = _class_index(train_features, labels, config.d_in)
+    if index.eligible.size == 0:
+        raise ValueError("no class has >= 2 samples; cannot form a positive pair")
+    params = embednet.init_head(
+        config.d_in, config.hidden, config.embed_dim, index.taxa.size,
+        derive_seed(config.seed, "init"), scale=config.init_scale,
+        classifier_scale=config.classifier_init_scale)
     rng = np.random.default_rng(derive_seed(config.seed, "stage1"))
     b = config.batch_size
 
     def draw():  # anchors, positives, negatives, and the anchors' classes
-        rows = np.array(sample_triplets(codes, b, rng, tables)).T.ravel()
-        return rows, codes[rows[:b]]
+        rows = np.array(sample_triplets(index, b, rng)).T.ravel()
+        return rows, index.codes[rows[:b]]
 
     def batch_loss(classes, emb, logits):
         loss, ce_part, rtl_part, d_logits_a, *d_emb = (
@@ -281,31 +272,23 @@ def align_stage2(config, params, anchors, train_features, labels):
     comparison); with ltr_enabled the projection weights keep their
     weight decay, but no max-norm is applied in this stage.
     """
-    x = np.asarray(train_features, dtype=np.float64)
-    labels = np.asarray(labels)
-    if x.ndim != 2 or x.shape[0] != labels.shape[0]:
-        raise ValueError("features must be (N, D) aligned with labels")
-    present = np.unique(labels)
-    if present.size < 2:
-        raise ValueError("stage 2 needs >= 2 taxa present")
-    anchor_mat = sgt.anchor_rows(anchors, present)
+    x, index = _class_index(train_features, labels, params.dims[0])
+    anchor_mat = sgt.anchor_rows(anchors, index.taxa)
     if anchor_mat.shape[1] != params.dims[2]:
         raise ValueError(
             f"anchor dim {anchor_mat.shape[1]} != embedding dim {params.dims[2]}")
     if np.any(np.linalg.norm(anchor_mat, axis=1) == 0):
         raise ValueError("zero-norm genetic anchor has no direction")
-    per_taxon = {int(t): np.flatnonzero(labels == t) for t in present}
-    other_taxa = {int(t): np.flatnonzero(labels != t) for t in present}
     anchor32 = anchor_mat.astype(np.float32)
     rng = np.random.default_rng(derive_seed(config.seed, "stage2"))
 
     def draw():  # positives and negatives, and the anchors' taxon indices
         drawn = []  # (taxon index, positive, negative), in draw order
         for _ in range(config.batch_size):
-            j = rng.integers(present.size)
-            t = int(present[j])
-            p = per_taxon[t][rng.integers(per_taxon[t].size)]
-            drawn.append((j, p, other_taxa[t][rng.integers(other_taxa[t].size)]))
+            j = rng.integers(index.taxa.size)
+            same, diff = index.members[j], index.others[j]
+            drawn.append((j, same[rng.integers(same.size)],
+                          diff[rng.integers(diff.size)]))
         taxa, *pos_neg = np.array(drawn).T
         return np.concatenate(pos_neg), taxa
 

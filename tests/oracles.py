@@ -217,7 +217,11 @@ def feature_csv_writer_oracle(table, path):
             fh.write(f"{rid},{label},{','.join(map(repr, row.tolist()))}\n")
 
 
-def _check_int64_oracle(value, where, noun):
+def _check_int64_oracle(text, where, noun):
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(f"{where}: {noun} {text!r} is not an integer") from None
     if value < 0:
         raise ValueError(f"{where}: negative {noun} {value}")
     if value > 2**63 - 1:
@@ -241,14 +245,8 @@ def labels_csv_oracle(path):
             if len(row) != 2:
                 raise ValueError(f"{path}: line {lineno}: expected 2 fields")
             sid = row[0]
-            try:
-                taxon = int(row[1])
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: taxon id {row[1]!r}"
-                                 " is not an integer") from None
-            if taxon < 0:
-                raise ValueError(f"{path}: line {lineno}: negative taxon id")
-            _check_int64_oracle(taxon, f"{path}: line {lineno}", "taxon id")
+            taxon = _check_int64_oracle(row[1], f"{path}: line {lineno}",
+                                        "taxon id")
             if sid in mapping:
                 raise ValueError(f"{path}: duplicate sequence id {sid!r}")
             mapping[sid] = taxon
@@ -284,19 +282,15 @@ def label_counts_oracle(path):
             if len(row) != len(header):
                 raise ValueError(
                     f"{where}: expected {len(header)} fields, got {len(row)}")
-            try:
-                taxon = int(row[0] if direct else row[1])
-                count = int(row[-1]) if direct else counts.get(taxon, 0) + 1
-            except ValueError:
-                raise ValueError(f"{where}: non-integer taxon id or count"
-                                 f" in {row}") from None
-            _check_int64_oracle(taxon, where, "taxon id")
+            taxon = _check_int64_oracle(row[0] if direct else row[1], where,
+                                        "taxon id")
             if direct and taxon in counts:
                 raise ValueError(f"{where}: second count for taxon {taxon}")
             if not direct and row[0] in ids:
                 raise ValueError(f"{path}: duplicate sequence id {row[0]!r}")
             ids.add(row[0])
-            counts[taxon] = _check_int64_oracle(count, where, "count")
+            counts[taxon] = (_check_int64_oracle(row[-1], where, "count")
+                             if direct else counts.get(taxon, 0) + 1)
     if not counts:
         raise ValueError(f"{path}: no count rows")
     return counts

@@ -623,10 +623,14 @@ FIELD_LIMIT = "field larger than field limit (131072)"
 BAD_COUNTS_CSVS = {
     "short-row": ("id,taxon_id\na\n", "line 2: expected 2 fields, got 1"),
     "count-not-integer": ("taxon_id,train_count\n0,3\n1,many\n",
-                          "line 3: non-integer taxon id or count"
-                          " in ['1', 'many']"),
+                          "line 3: count 'many' is not an integer"),
     "negative-taxon": ("taxon_id,train_count\n-1,3\n",
                        "line 2: negative taxon id -1"),
+    # tallied rows are read by the labels file's rule and wording
+    "tally-taxon-not-integer": ("id,taxon_id\na,0\nb,x\n",
+                                "line 3: taxon id 'x' is not an integer"),
+    "tally-negative-taxon": ("id,taxon_id\na,-2\n",
+                             "line 2: negative taxon id -2"),
     "repeated-taxon": ("taxon_id,train_count\n0,500\n0,7\n",
                        "line 3: second count for taxon 0"),
     "repeated-id": ("id,taxon_id\na,1\na,1\nb,2\n",
@@ -666,7 +670,7 @@ def test_eval_rejects_bad_counts_file(chain, tmp_path, capsys, name):
 
 @pytest.mark.parametrize("row, message", [
     ("s1,x", "line 2: taxon id 'x' is not an integer"),
-    ("s1,-2", "line 2: negative taxon id"),
+    ("s1,-2", "line 2: negative taxon id -2"),
     pytest.param(f"{LONG_FIELD},0", f"line 2: {FIELD_LIMIT}",
                  id="field-too-long"),
     # "\udcff" is written as the byte 0xff

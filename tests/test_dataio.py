@@ -116,8 +116,8 @@ def test_feature_table_names_the_first_five_duplicate_ids_sorted(tmp_path):
     first_five = "['img00003', 'img00007', 'img00012', 'img15000', 'img20000']"
     with pytest.raises(ValueError) as info:
         FeatureTable(ids, np.zeros(len(ids), dtype=int), np.zeros((len(ids), 1)))
-    assert str(info.value) == f"duplicate ids in feature table: {first_five}"
-    # the CSV reader counts them in one pass and names the same five
+    assert str(info.value) == f"duplicate ids {first_five}"
+    # the CSV reader's table names the same five, after the file
     path = tmp_path / "features.csv"
     path.write_text("id,label,f0\n" + "".join(f"{i},0,1.0\n" for i in ids))
     with pytest.raises(ValueError) as info:

@@ -15,7 +15,6 @@ from xmodal.seeds import derive_seed
 from xmodal.trainer import (
     TrainConfig,
     TrainHistory,
-    _triplet_tables,
     align_stage2,
     sample_triplets,
     train_stage1,
@@ -70,10 +69,15 @@ def test_config_save_load(tmp_path):
     assert TrainConfig.load(path) == config
 
 
+def class_index(labels):
+    """The class index a run builds for `labels`, on one-column features."""
+    return trainer._class_index(np.zeros((len(labels), 1)), labels, 1)[1]
+
+
 def test_sample_triplets_structure():
     labels = np.array([0, 0, 0, 1, 1, 2])
     rng = np.random.default_rng(3)
-    for a, p, n in sample_triplets(labels, 200, rng):
+    for a, p, n in sample_triplets(class_index(labels), 200, rng):
         assert labels[a] == labels[p] and a != p
         assert labels[n] != labels[a]
         # class 2 has one sample: never an anchor, allowed as negative
@@ -81,9 +85,9 @@ def test_sample_triplets_structure():
 
 
 def test_sample_triplets_is_seed_deterministic():
-    labels = np.array([0, 0, 1, 1, 1])
-    one = sample_triplets(labels, 16, np.random.default_rng(9))
-    two = sample_triplets(labels, 16, np.random.default_rng(9))
+    index = class_index(np.array([0, 0, 1, 1, 1]))
+    one = sample_triplets(index, 16, np.random.default_rng(9))
+    two = sample_triplets(index, 16, np.random.default_rng(9))
     assert one == two
 
 
@@ -93,25 +97,25 @@ def test_sample_triplets_matches_oracle(seed):
     # has one and is only ever a negative
     labels = np.array([2, 0, 1, 0, 3, 1, 0, 2, 4, 1, 0, 3, 2, 0, 1])
     labels = np.random.default_rng(100 + seed).permutation(labels)
-    got = sample_triplets(labels, 64, np.random.default_rng(seed))
+    index = class_index(labels)
+    got = sample_triplets(index, 64, np.random.default_rng(seed))
     want = sample_triplets_oracle(labels, 64, np.random.default_rng(seed))
     assert got == want
-    # tables built once and reused across calls make the same draws
-    tables = _triplet_tables(labels)
+    # one index reused across calls makes the same draws
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(3):
-        assert (sample_triplets(labels, 16, rng, tables)
+        assert (sample_triplets(index, 16, rng)
                 == sample_triplets_oracle(labels, 16, oracle_rng))
 
 
 def test_sample_triplets_rejects_degenerate_labels():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError, match=">= 2 item"):
-        sample_triplets(np.array([0]), 4, rng)
-    with pytest.raises(ValueError, match=">= 2 class"):
-        sample_triplets(np.array([0, 0, 0]), 4, rng)
+    """Labels that give no triplet are refused before stage 1 draws: the
+    class index needs two classes, and stage 1 an anchor class."""
+    for labels in ([0], [0, 0, 0]):
+        with pytest.raises(ValueError, match=">= 2 class"):
+            class_index(np.array(labels))
     with pytest.raises(ValueError, match="positive pair"):
-        sample_triplets(np.array([0, 1]), 4, rng)
+        train_stage1(toy_config(d_in=1), np.zeros((2, 1)), np.array([0, 1]))
 
 
 def test_train_stage1_descends_and_records():
@@ -320,8 +324,9 @@ class ReachedForward(Exception):
 @pytest.mark.parametrize("row", [0, -1])
 def test_float32_range_check_refuses_what_a_full_cast_would(monkeypatch,
                                                             value, row):
-    """The blocked range check decides as a float32 cast of the whole
-    table did, and refuses before the first forward."""
+    """The whole-array range check decides as a float32 cast of the
+    whole table did, for a value in the first row or the last, and
+    refuses before the first forward."""
     with np.errstate(over="ignore"):
         refused = not np.isfinite(np.float32(value))
     assert refused == (abs(value) >= FLOAT32_MIDPOINT or np.isnan(value))
@@ -333,8 +338,6 @@ def test_float32_range_check_refuses_what_a_full_cast_would(monkeypatch,
     def forward(params, features):
         raise ReachedForward
 
-    # blocks of two rows: the last row sits in the last of 15 blocks
-    monkeypatch.setattr(trainer, "_ROW_BLOCK", 12)
     monkeypatch.setattr(embednet, "forward", forward)
     message = "training features are non-finite or exceed the float32 range"
     for train in (lambda: train_stage1(config, x, labels),
@@ -436,10 +439,10 @@ def test_train_stage1_validation():
         train_stage1(toy_config(), x, np.zeros(len(x), dtype=int))
 
 
-def test_both_stages_check_the_feature_width_before_any_draw(monkeypatch):
-    x, labels = toy_data()
-    anchors = anchors_for(labels, 5)
-    wide = embednet.init_head(9, 8, 5, 3, seed=0)
+def count_draws(monkeypatch):
+    """A list that gets one entry per attribute looked up on any generator
+    np.random.default_rng makes from here on: each draw, init_head's
+    uniform weights included."""
     draws = []
     real_default_rng = np.random.default_rng
 
@@ -447,20 +450,59 @@ def test_both_stages_check_the_feature_width_before_any_draw(monkeypatch):
         def __init__(self, rng):
             self.rng = rng
 
-        def integers(self, *args, **kwargs):
-            draws.append(1)
-            return self.rng.integers(*args, **kwargs)
-
-        def __getattr__(self, name):  # init_head's uniform weights
+        def __getattr__(self, name):
+            draws.append(name)
             return getattr(self.rng, name)
 
     monkeypatch.setattr(np.random, "default_rng",
                         lambda seed: CountedGenerator(real_default_rng(seed)))
+    return draws
+
+
+def test_both_stages_check_the_feature_width_before_any_draw(monkeypatch):
+    x, labels = toy_data()
+    anchors = anchors_for(labels, 5)
+    wide = embednet.init_head(9, 8, 5, 3, seed=0)
+    draws = count_draws(monkeypatch)
     message = "feature dim 6 != head d_in 9"
     with pytest.raises(ValueError, match=message):
         train_stage1(toy_config(d_in=9), x, labels)
     with pytest.raises(ValueError, match=message):
         align_stage2(toy_config(), wide, anchors, x, labels)
+    assert draws == []
+
+
+def beyond_float32(x, labels):
+    x = x.copy()
+    x[3, 2] = 1e39
+    return x, labels
+
+
+@pytest.mark.parametrize("bad, message", [
+    (lambda x, labels: (x, labels[:-1]),
+     "features must be (N, D) aligned with labels"),
+    (lambda x, labels: (np.hstack([x, x[:, :1]]), labels),
+     "feature dim 7 != head d_in 6"),
+    (beyond_float32,
+     "training features are non-finite or exceed the float32 range"),
+    (lambda x, labels: (x, np.zeros_like(labels)),
+     "training needs >= 2 classes"),
+], ids=["misaligned", "wrong-width", "beyond-float32", "one-class"])
+def test_both_stages_refuse_the_same_inputs_the_same_way(monkeypatch, bad,
+                                                         message):
+    """Both stages enter through one check: the same bad input raises the
+    same one-line message in each, before any generator draw."""
+    x, labels = toy_data()
+    anchors = anchors_for(labels, 5)
+    start = embednet.init_head(6, 8, 5, 3, seed=0)
+    x, labels = bad(x, labels)
+    draws = count_draws(monkeypatch)
+    for train in (lambda: train_stage1(toy_config(), x, labels),
+                  lambda: align_stage2(toy_config(), start, anchors, x,
+                                       labels)):
+        with pytest.raises(ValueError) as info:
+            train()
+        assert str(info.value) == message
     assert draws == []
 
 
@@ -569,7 +611,7 @@ def test_align_stage2_validation():
     bad[0] = np.zeros(5)
     with pytest.raises(ValueError, match="zero-norm"):
         align_stage2(config, params, bad, x, labels)
-    with pytest.raises(ValueError, match=">= 2 taxa"):
+    with pytest.raises(ValueError, match=">= 2 classes"):
         align_stage2(config, params, bad, x, np.zeros_like(labels))
 
 
@@ -585,6 +627,17 @@ def test_history_record_and_write(tmp_path):
     obj = json.loads(path.read_text())
     assert set(obj) == {"stage1", "stage2"}
     assert obj["stage1"][0]["mean_loss"] == 2.0
+
+
+def test_trainer_builds_one_class_index():
+    """Per-class member arrays (np.unique, np.flatnonzero) are built in
+    _class_index alone, the index both stages and sample_triplets use."""
+    tree = ast.parse(Path(trainer.__file__).read_text(encoding="utf-8"))
+    builders = {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Attribute)
+                and node.attr in ("unique", "flatnonzero")}
+    assert builders == {"_class_index"}
 
 
 def test_trainer_runs_one_training_loop():
