@@ -87,14 +87,12 @@ def _save_stage(params, path, stage, seed, lineage=None):
     return lineage
 
 
-def _evaluate(params, gallery_feats, query_feats, k, counts=None,
-              centroids=False):
+def _evaluate(params, gallery_feats, query_feats, k, counts=None):
     """Embed gallery and queries once, cosine-KNN, long-tailed metrics.
 
     `counts` ({taxon: train count}, by default the gallery tally) gives 0
     to the taxa it leaves out.  The report's rows are the sorted taxa of
-    gallery, queries and `counts`, listed in its `taxa`.  With
-    `centroids`, class centroids stand in for the gallery.  Returns
+    gallery, queries and `counts`, listed in its `taxa`.  Returns
     (MetricsReport, gallery EmbeddingTable).
     """
     gallery = evalkit.embed_features(params, gallery_feats)
@@ -104,12 +102,7 @@ def _evaluate(params, gallery_feats, query_feats, k, counts=None,
                                      list(counts)]))
     train_counts = np.zeros(len(taxa), dtype=np.int64)
     train_counts[np.searchsorted(taxa, list(counts))] = list(counts.values())
-    reference = gallery
-    if centroids:
-        class_ids, cents = evalkit.class_centroids(gallery)
-        reference = evalkit.EmbeddingTable(
-            [f"centroid{c:02d}" for c in class_ids], class_ids, cents)
-    preds = evalkit.knn_predict(reference, queries, k)
+    preds = evalkit.knn_predict(gallery, queries, k)
     report = evalkit.compute_metrics(np.searchsorted(taxa, preds),
                                      np.searchsorted(taxa, queries.labels),
                                      train_counts, k=k)
@@ -181,8 +174,7 @@ def cmd_eval(args):
     counts = dataio.load_label_counts(args.counts) if args.counts else None
     gallery, queries = (dataio.load_feature_csv(path, params.check_width)
                         for path in (args.gallery, args.queries))
-    report, _ = _evaluate(params, gallery, queries, args.k, counts,
-                          args.centroids)
+    report, _ = _evaluate(params, gallery, queries, args.k, counts)
     dataio.write_json(report.to_dict(), args.out)
     tail = "absent" if report.tail is None else f"{report.tail:.4f}"
     print(f"overall {report.overall:.4f}, macro {report.macro:.4f},"
@@ -463,8 +455,6 @@ def build_parser():
                    help="CSV of per-taxon train counts (id,taxon_id rows"
                         " to tally, or taxon_id,train_count rows); taxa it"
                         " does not list count 0; default: tally the gallery")
-    p.add_argument("--centroids", action="store_true",
-                   help="use class centroids as the gallery")
     p.add_argument("--out", required=True, help="output metrics JSON")
     p.set_defaults(func=cmd_eval)
 

@@ -73,7 +73,8 @@ def _layout(dims):
 class HeadParams:
     """The six head arrays as named views into one buffer `flat`.
     Construction copies them into a new float64 buffer and checks shapes
-    and finiteness.  `dims` is (D, H, E, C)."""
+    and finiteness.  `dims` is (D, H, E, C).  copy.deepcopy copies a head
+    (see __reduce__)."""
 
     def __init__(self, W1, b1, W2, b2, Wc, bc):
         arrays = [np.asarray(a, dtype=np.float64)
@@ -101,9 +102,6 @@ class HeadParams:
     def empty(cls, dims, dtype=np.float64):
         """An unchecked, uninitialized head of `dims` and `dtype`."""
         return cls._on(np.empty(_layout(dims)[-1][3], dtype), dims)
-
-    def copy(self):
-        return HeadParams._on(self.flat.copy(), self.dims)
 
     def __reduce__(self):
         # pickle and copy.deepcopy would copy each view on its own; this

@@ -10,9 +10,9 @@ alphabet AA..TT.  The SGT then summarizes, for every ordered token pair
     |Lam_u|   = number of positions l in 1..L-1 with s_l = u
     psi(u, v) = W(u, v) / |Lam_u|      (0 when u never starts a pair)
 
-The result is psi flattened row-major, a 256-vector for the bigram
-alphabet.  This is the length-sensitive SGT variant; kappa (default
-1.0) sets how fast long-range co-occurrence decays.
+The result is psi flattened row-major, a 256-vector over the 16
+bigram tokens.  This is the length-sensitive SGT variant; kappa
+(default 1.0) sets how fast long-range co-occurrence decays.
 
 embed_sequences runs the O(L * |V|) recurrence over blocks of _BLOCK
 sequences at once, one numpy step per position for the whole block;
@@ -35,6 +35,7 @@ BASES = "ACGT"
 
 # 16 bigram tokens in lexicographic order: AA, AC, AG, AT, CA, ..., TT.
 BIGRAM_ALPHABET = [a + b for a in BASES for b in BASES]
+_BIGRAM_INDEX = {tok: i for i, tok in enumerate(BIGRAM_ALPHABET)}
 
 # byte -> its base's index in BASES; 4 for every other byte
 _BASE_CODE = np.full(256, 4, dtype=np.uint8)
@@ -111,32 +112,26 @@ def _check_kappa(kappa):
     return kappa
 
 
-def sgt_embed(symbols, kappa=1.0, alphabet=None):
-    """Embed a symbol sequence as the flattened |V| x |V| psi matrix.
+def sgt_embed(symbols, kappa=1.0):
+    """Embed a list of bigram tokens as the flattened 16 x 16 psi matrix.
 
-    `symbols` is a list of tokens over `alphabet` (the 16-bigram
-    alphabet by default; any symbol list works, which keeps the math
-    checkable on tiny hand examples).  Returns a float64 vector of
-    length |V|**2, row-major by (u, v) in alphabet order.
+    `symbols` are tokens of BIGRAM_ALPHABET, as tokenize_bigrams gives
+    them.  Returns a float64 vector of length 256, row-major by (u, v)
+    in alphabet order.
 
     Runs in O(L * |V|) by keeping, per symbol u, the decayed mass of
     all its occurrences before the current position; equals the
     all-pairs double loop to ~1e-15.  It is embed_sequences' block
     recurrence run on one row.
     """
-    if alphabet is None:
-        alphabet = BIGRAM_ALPHABET
-    index = {sym: i for i, sym in enumerate(alphabet)}
-    if len(index) != len(alphabet):
-        raise ValueError("alphabet contains duplicate symbols")
     if len(symbols) < 2:
         raise ValueError(f"need at least 2 symbols, got {len(symbols)}")
     kappa = _check_kappa(kappa)
     try:
-        seq = np.array([index[s] for s in symbols], dtype=np.intp)
+        seq = np.array([_BIGRAM_INDEX[s] for s in symbols], dtype=np.intp)
     except KeyError as exc:
         raise ValueError(f"symbol {exc.args[0]!r} not in alphabet") from None
-    return _psi_rows([seq], len(alphabet), kappa)[0]
+    return _psi_rows([seq], len(BIGRAM_ALPHABET), kappa)[0]
 
 
 def embed_sequences(records, kappa=1.0):

@@ -36,8 +36,8 @@ check is a whole-array min and max; each batch casts the rows it gathers.
 Everything is driven by seeded generators in a documented draw order
 (per triplet: anchor, positive, negative in stage 1; taxon, positive,
 negative in stage 2), so a (config, data, seed) tuple fully determines
-the resulting checkpoint.  The loop draws a run's whole schedule of
-batches before its first step.
+the resulting checkpoint.  The loop draws each batch right before its
+step, so a run holds one batch at a time whatever its epochs.
 """
 
 from collections import namedtuple
@@ -187,15 +187,14 @@ def _sgd_loop(stage, config, params, x, draw, batch_loss,
               frozen_classifier=False):
     """Train the head `params` in place on the (N, D) float64 features
     `x` for the stage's epochs; returns (params, TrainHistory).  `draw()`
-    gives one batch, (rows of `x`, key); the whole schedule is drawn
-    before the first step.  `batch_loss(key, embedding, logits)` gives
+    gives one batch, (rows of `x`, key), and is called right before that
+    batch's step.  `batch_loss(key, embedding, logits)` gives
     (loss, {component: value}, d_embedding row blocks, d_logits).
     ltr_enabled turns on weight decay and, unless the classifier is
     frozen, the max-norm cap after each step.  `x` comes checked from
     _class_index."""
     epochs = getattr(config, f"epochs_{stage}")
     batches = -(-x.shape[0] // config.batch_size)
-    schedule = [draw() for _ in range(epochs * batches)]
     wd = config.weight_decay if config.ltr_enabled else 0.0
     work = embednet.HeadParams.empty(params.dims, np.float32)
     grads = embednet.HeadParams.empty(params.dims, np.float32)
@@ -205,7 +204,7 @@ def _sgd_loop(stage, config, params, x, draw, batch_loss,
     for epoch in range(epochs):
         sums = 0.0  # the loss, then each component
         for batch_idx in range(batches):
-            rows, key = schedule[epoch * batches + batch_idx]
+            rows, key = draw()
             emb, logits, cache = embednet.forward(
                 work, _float32_rows(x, rows))
             loss, parts, d_emb, d_log = batch_loss(key, emb, logits)

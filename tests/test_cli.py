@@ -115,17 +115,6 @@ def test_eval_and_layout_outputs(chain):
     assert len(lines) == 5
 
 
-def test_eval_with_centroid_gallery(chain):
-    out = chain / "metrics_centroid.json"
-    rc = main(["eval", "--ckpt", str(chain / "aligned.json"),
-               "--gallery", str(chain / "data" / "train.csv"),
-               "--queries", str(chain / "data" / "test.csv"),
-               "--k", "1", "--centroids", "--out", str(out)])
-    assert rc == 0
-    metrics = json.loads(out.read_text())
-    assert metrics["k"] == 1 and metrics["n_test"] > 0
-
-
 def test_eval_counts_pads_to_query_labels(tmp_path):
     """Counts cover taxon 0 only, the gallery {0, 1}, the queries {0, 1, 2}."""
     rng = np.random.default_rng(0)

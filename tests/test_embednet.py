@@ -50,7 +50,7 @@ def test_head_params_validates_shapes():
 def test_head_params_dims_and_copy():
     p = small_head()
     assert p.dims == DIMS
-    q = p.copy()
+    q = copy.deepcopy(p)
     q.W1[0, 0] += 1.0
     assert p.W1[0, 0] != q.W1[0, 0]
     assert all(getattr(p, n).dtype == np.float64 for n in FIELDS)
@@ -271,7 +271,7 @@ def test_head_params_is_one_buffer_of_named_views():
 
 def test_sgd_step_arithmetic():
     p = small_head(seed=9)
-    before = p.copy()
+    before = copy.deepcopy(p)
     sgd_step(p, filled_grads(p.dims, 1.0), lr=0.1, weight_decay=0.5)
     assert np.allclose(p.W1, before.W1 - 0.1 * (1.0 + 0.5 * before.W1))
     assert np.allclose(p.b1, before.b1 - 0.1)
@@ -339,7 +339,7 @@ def test_signed_zero_gradients_step_like_the_oracle(monkeypatch, lr,
             {n: getattr(p, n).copy() for n in FIELDS},
             {n: getattr(grads, n).astype(np.float64) for n in FIELDS},
             lr=lr, weight_decay=weight_decay)
-        q = p.copy()
+        q = copy.deepcopy(p)
         sgd_step(q, grads, lr=lr, weight_decay=weight_decay)
         for name in FIELDS:
             assert getattr(q, name).tobytes() == want[name].tobytes(), name
@@ -364,7 +364,7 @@ def test_sgd_step_writes_the_float32_cast_into_the_working_head(
     p, grads = random_head_and_grads(6)
     stale = HeadParams.empty(p.dims, np.float32)
     stale.flat[:] = np.arange(stale.flat.size)
-    work = stale.copy()
+    work = copy.deepcopy(stale)
     sgd_step(p, grads, lr=0.037, weight_decay=0.21,
              projection_only=projection_only, work=work)
     for name in FIELDS:

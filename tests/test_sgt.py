@@ -24,14 +24,13 @@ def random_bigram_sequence(rng, length):
 
 
 def test_three_symbol_hand_example():
-    # sequence X Y X at kappa=1: W(X,Y)=e^-1, W(Y,X)=e^-1, W(X,X)=e^-2,
-    # X starts twice in positions 1..L-1? no: positions 1..2 are X,Y so
-    # |Lambda_X|=1, |Lambda_Y|=1.
-    alphabet = ["X", "Y"]
-    psi = sgt_embed(["X", "Y", "X"], kappa=1.0, alphabet=alphabet)
-    e1 = np.exp(-1.0)
-    e2 = np.exp(-2.0)
-    expected = np.array([e2, e1, e1, 0.0])
+    # sequence AA AC AA at kappa=1: W(AA,AC)=e^-1, W(AC,AA)=e^-1,
+    # W(AA,AA)=e^-2; positions 1..L-1 are AA, AC, so |Lambda_AA|=1 and
+    # |Lambda_AC|=1.  AA is token 0 and AC token 1 of the 16.
+    psi = sgt_embed(["AA", "AC", "AA"], kappa=1.0).reshape(16, 16)
+    expected = np.zeros((16, 16))
+    expected[0, 0] = np.exp(-2.0)
+    expected[0, 1] = expected[1, 0] = np.exp(-1.0)
     assert np.allclose(psi, expected, atol=1e-15)
 
 
@@ -210,13 +209,21 @@ def test_embed_sequences_is_bit_identical_to_the_recurrence(kappa):
 
 @pytest.mark.parametrize("kappa", [0.25, 1.0, 4.0])
 def test_sgt_embed_is_bit_identical_to_the_recurrence_on_any_alphabet(kappa):
+    # sgt_embed's kernel, _psi_rows, takes symbol indices over any
+    # alphabet size; one block holds sequences of very different lengths
     rng = np.random.default_rng(19)
-    alphabet = ["x", "yy", "z", "w0", "\u6728"]
-    for length in (2, 3, 17, 400):
-        symbols = [alphabet[i] for i in rng.integers(0, 5, size=length)]
-        got = sgt_embed(symbols, kappa, alphabet)
-        want = sgt_recurrence_oracle(symbols, kappa, alphabet)
-        assert got.tobytes() == want.tobytes()
+    for alphabet in (["x"], ["x", "yy", "z", "w0", "\u6728"],
+                     BIGRAM_ALPHABET):
+        v = len(alphabet)
+        seqs = [rng.integers(0, v, size=n) for n in (2, 3, 17, 400)]
+        got = sgt._psi_rows(seqs, v, kappa)
+        for row, seq in zip(got, seqs):
+            want = sgt_recurrence_oracle([alphabet[i] for i in seq], kappa,
+                                         alphabet)
+            assert row.tobytes() == want.tobytes()
+    symbols = random_bigram_sequence(rng, 50)
+    assert sgt_embed(symbols, kappa).tobytes() == sgt_recurrence_oracle(
+        symbols, kappa, BIGRAM_ALPHABET).tobytes()
 
 
 def test_tokenize_bigrams_equals_the_pair_scan():

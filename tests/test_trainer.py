@@ -1,6 +1,7 @@
 """Two-stage training tests: config, sampling, the shared loop."""
 
 import ast
+import copy
 import inspect
 import json
 import tracemalloc
@@ -179,7 +180,7 @@ def test_stage1_builds_its_head_and_stage2_trains_the_head_it_is_given():
                               classifier_scale=2.0)
     assert fresh.flat.tobytes() == want.flat.tobytes()
     trained, _ = train_stage1(config, x, labels)
-    kept = trained.copy()
+    kept = copy.deepcopy(trained)
     aligned, _ = align_stage2(config, trained, anchors_for(labels, 5), x,
                               labels)
     assert aligned is trained and aligned.flat.dtype == np.float64
@@ -207,50 +208,43 @@ def test_trainers_run_forward_in_float32(monkeypatch):
     assert set(seen) == {(np.dtype(np.float32), np.dtype(np.float32))}
 
 
-def test_each_stage_draws_its_schedule_before_its_first_step(monkeypatch):
-    events = []
-    real_forward, real_sample = embednet.forward, trainer.sample_triplets
-    real_default_rng = np.random.default_rng
+def test_each_stage_draws_each_batch_right_before_its_step(monkeypatch):
+    """A run holds one batch at a time: on 2,000 rows sixteen epochs
+    peak where one does (drawing the whole schedule first held 2-3 KiB
+    a batch, over 1 MiB more here), and each step's draws come right
+    before its forward."""
+    x, labels = toy_data(n_per=500, n_classes=4, dim=16)
+    anchors = anchors_for(labels, 5)
+    start = embednet.init_head(16, 8, 5, 4, seed=0)
+    for stage, train in (
+            ("stage1", lambda c: train_stage1(c, x, labels)),
+            ("stage2", lambda c: align_stage2(c, start, anchors, x, labels))):
+        configs = [toy_config(d_in=16, batch_size=64, **{f"epochs_{stage}": n})
+                   for n in (1, 16)]
+        train(configs[0])  # warm imports and caches
+        one, sixteen = (_traced_peak(lambda: train(c)) for c in configs)
+        assert abs(sixteen - one) < 0.25 * 2**20, stage
 
-    class LoggedGenerator:
-        def __init__(self, rng):
-            self.rng = rng
-
-        def integers(self, *args, **kwargs):
-            events.append("draw")
-            return self.rng.integers(*args, **kwargs)
-
-        def __getattr__(self, name):
-            return getattr(self.rng, name)
+    x, labels = toy_data(seed=3)
+    anchors = anchors_for(labels, 5)
+    config = toy_config()
+    events = count_draws(monkeypatch)
+    real_forward = embednet.forward
 
     def forward(params, features):
         events.append("forward")
         return real_forward(params, features)
 
-    def sample(*args, **kwargs):
-        events.append("sample")
-        return real_sample(*args, **kwargs)
-
     monkeypatch.setattr(embednet, "forward", forward)
-    monkeypatch.setattr(trainer, "sample_triplets", sample)
-    monkeypatch.setattr(np.random, "default_rng",
-                        lambda seed: LoggedGenerator(real_default_rng(seed)))
-    x, labels = toy_data(seed=3)
-    config = toy_config()
-    trained, _ = train_stage1(config, x, labels)
     batches = -(-len(labels) // config.batch_size)
-    steps = config.epochs_stage1 * batches
-    first = events.index("forward")
-    assert events[:first].count("sample") == steps
-    assert "sample" not in events[first:] and "draw" not in events[first:]
-    assert events.count("forward") == steps
+    # three draws per triplet: anchor (or taxon), positive, negative
+    step = ["integers"] * 3 * config.batch_size + ["forward"]
+    trained, _ = train_stage1(config, x, labels)
+    # init_head draws W1, W2 and Wc first
+    assert events == ["uniform"] * 3 + step * config.epochs_stage1 * batches
     events.clear()
-    align_stage2(config, trained, anchors_for(labels, 5), x, labels)
-    steps = config.epochs_stage2 * batches
-    first = events.index("forward")
-    assert events[:first].count("draw") == 3 * config.batch_size * steps
-    assert "draw" not in events[first:]
-    assert events.count("forward") == steps
+    align_stage2(config, trained, anchors, x, labels)
+    assert events == step * config.epochs_stage2 * batches
 
 
 def test_working_head_is_the_masters_float32_cast_at_every_step(monkeypatch):
@@ -269,7 +263,7 @@ def test_working_head_is_the_masters_float32_cast_at_every_step(monkeypatch):
     def cap(params, delta, scope):
         out = real_cap(params, delta, scope)
         capped.append(out is not params)
-        master = params.copy()  # the master once _sgd_loop writes out.Wc
+        master = copy.deepcopy(params)  # the master once Wc is written
         master.Wc[...] = out.Wc
         want[-1] = master.flat.astype(np.float32).tobytes()
         return out
@@ -541,7 +535,7 @@ def test_align_stage2_freezes_classifier_and_records():
     x, labels = toy_data()
     config = toy_config()
     start, _ = train_stage1(config, x, labels)
-    kept = start.copy()
+    kept = copy.deepcopy(start)
     anchors = anchors_for(labels, 5)
     aligned, history = align_stage2(config, start, anchors, x, labels)
     assert aligned.Wc.tobytes() == kept.Wc.tobytes()
@@ -577,7 +571,7 @@ def test_align_stage2_sizes_nothing_by_taxon_id():
     config = toy_config()
     start = embednet.init_head(6, 8, 5, 2, seed=3)
     vecs = anchors_for(labels, 5, seed=2)
-    small, _ = align_stage2(config, start.copy(), vecs, x, labels)
+    small, _ = align_stage2(config, copy.deepcopy(start), vecs, x, labels)
     far = np.where(labels == 1, 10**6, 0)
     tracemalloc.start()
     try:
@@ -595,8 +589,8 @@ def test_align_stage2_is_deterministic():
     config = toy_config()
     start = embednet.init_head(6, 8, 5, 3, seed=1)
     anchors = anchors_for(labels, 5)
-    one, _ = align_stage2(config, start.copy(), anchors, x, labels)
-    two, _ = align_stage2(config, start.copy(), anchors, x, labels)
+    one, _ = align_stage2(config, copy.deepcopy(start), anchors, x, labels)
+    two, _ = align_stage2(config, copy.deepcopy(start), anchors, x, labels)
     for name in embednet.FIELDS:
         assert getattr(one, name).tobytes() == getattr(two, name).tobytes()
 
